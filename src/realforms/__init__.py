@@ -1,7 +1,8 @@
 """Exact classification tools for real forms of threefold Mori fiber
 spaces carrying a maximal connected symmetry group.
 
-The heart of the package is exact cyclotomic arithmetic (`exact`), the
+The heart of the package is exact cyclotomic arithmetic with its one
+sparse polynomial type and one row reduction (`exact`), the
 finite subgroups of PGL2 with their Galois cohomology (`groups`), and
 the classification machinery for quadric fibrations over the line with
 prescribed symmetry (`quadrics`).  Supporting modules cover the
@@ -10,7 +11,7 @@ registry of real forms with their verifiable witnesses (`registry`),
 and the twisted P1-bundle gluing checks (`schwarzenberger`).
 """
 
-from .exact import Cyclo, Mat2, Poly2, VerificationError, square_test
+from .exact import Cyclo, Mat2, Poly, Poly2, VerificationError, square_test
 from .groups import (GroupSpec, group_elements, h1_classes, h1_named,
                      h1_names, semi_invariant_character)
 from .lattices import FamilyId, aut_component_count, in_theorem_list, model
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cyclo",
     "Mat2",
+    "Poly",
     "Poly2",
     "VerificationError",
     "square_test",

@@ -43,9 +43,6 @@ def _guarded(fn):
         except VerificationError as exc:
             click.echo("verification failure: %s" % exc, err=True)
             sys.exit(3)
-        except AssertionError as exc:
-            click.echo("verification failure: %s" % exc, err=True)
-            sys.exit(3)
         except (ParseError, ValueError, KeyError, TypeError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(2)
@@ -128,20 +125,14 @@ def _classify_text(data):
 @main.command("classify-qg")
 @click.option("--poly", "poly_text", required=True,
               help="homogeneous fiber polynomial in u0, u1")
-@click.option("--moebius-search", is_flag=True,
-              help="also search for symmetry after a change of "
-                   "coordinates moving three roots to 0, 1, infinity")
 @_FORMAT
 @_guarded
-def classify_qg_command(poly_text, moebius_search, fmt):
+def classify_qg_command(poly_text, fmt):
     """Classify the real forms of the quadric bundle with fiber g."""
-    g = parse_poly(poly_text)
-    instance = quadrics.QgInstance(g)
-    label = quadrics.detect_symmetry(instance,
-                                     moebius_search=moebius_search)
+    instance = quadrics.QgInstance(parse_poly(poly_text))
     report = quadrics.enumerate_forms(instance)
     data = report.as_dict()
-    data["symmetry_detected"] = label.name
+    data["symmetry_detected"] = report.symmetry.name
     _emit(data, fmt, _classify_text)
 
 

@@ -1,12 +1,22 @@
-"""Exact arithmetic in cyclotomic fields and homogeneous binary forms.
+"""Exact arithmetic: cyclotomic scalars, sparse polynomials, linear algebra.
 
-Scalars live in Q(zeta_N) for varying N, represented on the power basis
-1, z, ..., z^{phi(N)-1} modulo the N-th cyclotomic polynomial, with
-Fraction coefficients.  Every value is kept at its minimal conductor so
-that equal numbers compare and hash equally no matter how they were
-produced.  Binary forms are dictionaries of monomials with these scalars
-as coefficients; gcd / squarefree machinery works on dehomogenized
-coefficient lists with exact field operations throughout.
+This is the only module that does polynomial arithmetic or linear
+algebra over a field.
+
+Scalars (``Cyclo``) live in Q(zeta_N) for varying N, represented on the
+power basis 1, z, ..., z^{phi(N)-1} modulo the N-th cyclotomic
+polynomial, with Fraction coefficients.  Every value is kept at its
+minimal conductor so that equal numbers compare and hash equally no
+matter how they were produced.
+
+``Poly`` is the one polynomial type: a map from exponent tuples (one
+entry per variable, negative entries allowed) to nonzero scalars.  It
+serves the multihomogeneous ambient equations of the registry, the
+Laurent polynomials of the Schwarzenberger gluing, and the loose values
+of the parser.  ``Poly2`` is its homogeneous two-variable subclass, the
+binary forms; gcd / squarefree machinery works on their dehomogenized
+coefficient lists.  ``row_reduce`` is the one Gaussian elimination, over
+Fraction or Cyclo entries, behind ``solve_linear`` and every rank.
 """
 
 from __future__ import annotations
@@ -50,7 +60,8 @@ def _poly_divmod_int(num, den):
         if c:
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    assert all(c == 0 for c in num[len(den) - 1:]), "nonexact division"
+    if any(num[len(den) - 1:]):
+        raise VerificationError("nonexact division")
     return q, num[: len(den) - 1]
 
 
@@ -64,7 +75,9 @@ def cyclotomic_poly(n: int):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod_int(poly, cyclotomic_poly(d))
-            assert not any(rem)
+            if any(rem):
+                raise VerificationError("Phi_%d does not divide x^%d - 1"
+                                        % (d, n))
     return tuple(poly)
 
 
@@ -323,7 +336,8 @@ class Cyclo:
                 d = gcd(M, t)
                 return (M // d, t // d)
             cur = cur * z
-        raise AssertionError("unit of finite order not found among powers")
+        raise VerificationError(
+            "unit of finite order not found among powers")
 
     def sqrt(self):
         """A square root within cyclotomic scalars, or None.
@@ -436,37 +450,10 @@ def _descend(n, m, coeffs):
     phi_n = euler_phi(n)
     phi_m = euler_phi(m)
     # solve sum_j y_j * cols[j] == coeffs  (over Q, guaranteed solvable)
-    rows = [[cols[j][i] for j in range(phi_m)] + [coeffs[i]] for i in range(phi_n)]
-    sol = _solve_fraction_system(rows, phi_m)
-    assert sol is not None, "descent claimed but not solvable"
-    return sol
-
-
-def _solve_fraction_system(aug, ncols):
-    rows = [list(r) for r in aug]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][ncols]
+    rows = [[cols[j][i] for j in range(phi_m)] for i in range(phi_n)]
+    sol = solve_linear(rows, coeffs)
+    if sol is None:
+        raise VerificationError("descent claimed but not solvable")
     return sol
 
 
@@ -517,59 +504,83 @@ def as_cyclo(x) -> Cyclo:
 
 
 # ----------------------------------------------------------------------
-# homogeneous binary forms
+# sparse polynomials
 
 
-class Poly2:
-    """A homogeneous polynomial in u0, u1 with cyclotomic coefficients."""
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
 
-    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms=None):
+class Poly:
+    """A sparse polynomial in ``nvars`` variables with cyclotomic coefficients.
+
+    ``terms`` maps exponent tuples of length ``nvars`` to nonzero Cyclo
+    coefficients.  Exponents may be negative, so a Laurent polynomial
+    such as p(u, v) / v^k is an ordinary value; a monomial is the only
+    kind with an inverse.  Values are immutable and compare and hash by
+    their terms.  ``nvars`` is read off the exponent tuples, so it must be
+    given only for a polynomial written without terms.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, terms=None, nvars=None):
+        terms = terms or {}
+        if nvars is None:
+            if not terms:
+                raise ValueError("a polynomial without terms needs nvars")
+            nvars = len(next(iter(terms)))
         tidy = {}
-        for (a, b), c in (terms or {}).items():
+        for exps, c in terms.items():
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError("bad exponent vector %r" % (exps,))
             c = as_cyclo(c)
-            if a + b != degree:
-                raise ValueError("monomial u0^%d u1^%d in degree-%d form"
-                                 % (a, b, degree))
-            if not c.is_zero():
-                tidy[(a, b)] = tidy.get((a, b), ZERO) + c
-        tidy = {k: v for k, v in tidy.items() if not v.is_zero()}
-        object.__setattr__(self, "degree", degree)
+            if c:
+                tidy[exps] = c
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", tidy)
 
     def __setattr__(self, *a):
-        raise AttributeError("Poly2 is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff=1) -> "Poly2":
-        return cls(a + b, {(a, b): as_cyclo(coeff)})
+    def _result(self, terms, other=None):
+        """A value of this kind (a plain Poly when ``other`` is one) holding
+        ``terms``, which must already be tidy."""
+        out = object.__new__(Poly)
+        object.__setattr__(out, "nvars", self.nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
 
-    @classmethod
-    def zero(cls, degree: int = 0) -> "Poly2":
-        return cls(degree, {})
+    def _one(self):
+        return self._result({(0,) * self.nvars: ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, a: int, b: int) -> Cyclo:
-        return self.terms.get((a, b), ZERO)
+    def coeff(self, *exps) -> Cyclo:
+        return self.terms.get(exps, ZERO)
+
+    def _check_same(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError("polynomials in %d and %d variables do not mix"
+                             % (self.nvars, other.nvars))
 
     def __add__(self, other):
-        if self.is_zero():
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._check_same(other)
+        if not self.terms:
             return other
-        if other.is_zero():
+        if not other.terms:
             return self
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch %d vs %d"
-                             % (self.degree, other.degree))
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return Poly2(self.degree, out)
+            out[k] = out[k] + c if k in out else c
+        return self._result(_nonzero(out), other)
 
     def __neg__(self):
-        return Poly2(self.degree, {k: -c for k, c in self.terms.items()})
+        return self._result({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -577,19 +588,29 @@ class Poly2:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             c = as_cyclo(other)
-            return Poly2(self.degree,
-                         {k: v * c for k, v in self.terms.items()})
+            return self._result(_nonzero({k: v * c
+                                          for k, v in self.terms.items()}))
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._check_same(other)
         out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, ZERO) + c1 * c2
-        return Poly2(self.degree + other.degree, out)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(a + b for a, b in zip(k1, k2))
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
+        return self._result(_nonzero(out), other)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        result = Poly2(0, {(0, 0): ONE})
+        if k < 0:
+            if len(self.terms) != 1:
+                raise ValueError("only a monomial has an inverse")
+            ((exps, c),) = self.terms.items()
+            inverse = self._result({tuple(-e for e in exps): c.inverse()})
+            return inverse ** -k
+        result = self._one()
         base = self
         while k:
             if k & 1:
@@ -600,34 +621,114 @@ class Poly2:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Poly2):
+        if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.terms == other.terms
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
-    def conj_coeffs(self) -> "Poly2":
-        return Poly2(self.degree,
-                     {k: c.conjugate() for k, c in self.terms.items()})
+    def conj_coeffs(self):
+        return self._result({k: c.conjugate() for k, c in self.terms.items()})
+
+    def substitute(self, args, top=None):
+        """The value at ``args``, one polynomial per variable.
+
+        The powers of each argument are tabulated once, by repeated
+        multiplication from 1, up to ``top`` or else up to the largest
+        exponent of its variable; negative exponents need a monomial
+        argument.  The result has the kind of the arguments.
+        """
+        args = tuple(args)
+        if not args or len(args) != self.nvars:
+            raise ValueError("need one argument per variable")
+        tables = []
+        for i, arg in enumerate(args):
+            exps = [e[i] for e in self.terms]
+            high = max(exps, default=0) if top is None else top
+            table = {0: arg._one()}
+            for k in range(1, high + 1):
+                table[k] = table[k - 1] * arg
+            low = min(exps, default=0)
+            if low < 0:
+                inverse = arg ** -1
+                for k in range(-1, low - 1, -1):
+                    table[k] = table[k + 1] * inverse
+            tables.append(table)
+        out = {}
+        for exps, c in self.terms.items():
+            piece = tables[0][exps[0]]
+            for table, e in zip(tables[1:], exps[1:]):
+                piece = piece * table[e]
+            for k, v in (piece * c).terms.items():
+                out[k] = out[k] + v if k in out else v
+        return tables[0][0]._result(_nonzero(out))
+
+    def proportionality(self, other):
+        """The scalar s with self == s * other, or None."""
+        if not other.terms:
+            return None
+        key = max(other.terms)
+        cand = self.terms.get(key)
+        if cand is None:
+            return None
+        lam = cand / other.terms[key]
+        return lam if self == other * lam else None
+
+    def __repr__(self):
+        bits = ["(%r)*x^%r" % (self.terms[k], k)
+                for k in sorted(self.terms, reverse=True)]
+        return "%s<%s>" % (type(self).__name__, " + ".join(bits) or "0")
+
+
+class Poly2(Poly):
+    """A homogeneous binary form: a Poly in u0, u1 of fixed ``degree``.
+
+    Arithmetic between binary forms yields binary forms again.
+    """
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int, terms=None):
+        terms = terms or {}
+        for a, b in terms:
+            if a + b != degree:
+                raise ValueError("monomial u0^%d u1^%d in degree-%d form"
+                                 % (a, b, degree))
+        Poly.__init__(self, terms, 2)
+        object.__setattr__(self, "degree", degree)
+
+    def _result(self, terms, other=None):
+        if other is not None and not isinstance(other, Poly2):
+            return Poly._result(self, terms)
+        out = object.__new__(Poly2)
+        object.__setattr__(out, "nvars", 2)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "degree",
+                           sum(next(iter(terms))) if terms else self.degree)
+        return out
+
+    @classmethod
+    def monomial(cls, a: int, b: int, coeff=1) -> "Poly2":
+        return cls(a + b, {(a, b): coeff})
+
+    @classmethod
+    def zero(cls, degree: int = 0) -> "Poly2":
+        return cls(degree, {})
+
+    def __add__(self, other):
+        if isinstance(other, Poly2) and self.terms and other.terms \
+                and self.degree != other.degree:
+            raise ValueError("degree mismatch %d vs %d"
+                             % (self.degree, other.degree))
+        return Poly.__add__(self, other)
 
     def compose(self, m) -> "Poly2":
         """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1)."""
         (m00, m01), (m10, m11) = m
-        row0 = Poly2(1, {(1, 0): as_cyclo(m00), (0, 1): as_cyclo(m01)})
-        row1 = Poly2(1, {(1, 0): as_cyclo(m10), (0, 1): as_cyclo(m11)})
-        # cache powers
-        p0 = {0: Poly2(0, {(0, 0): ONE})}
-        p1 = {0: Poly2(0, {(0, 0): ONE})}
-        for k in range(1, self.degree + 1):
-            p0[k] = p0[k - 1] * row0
-            p1[k] = p1[k - 1] * row1
-        out = Poly2.zero(self.degree)
-        for (a, b), c in self.terms.items():
-            out = out + (p0[a] * p1[b]) * c
-        return out
+        return self.substitute((Poly2(1, {(1, 0): m00, (0, 1): m01}),
+                                Poly2(1, {(1, 0): m10, (0, 1): m11})),
+                               top=self.degree)
 
     def evaluate(self, v0, v1) -> Cyclo:
         v0, v1 = as_cyclo(v0), as_cyclo(v1)
@@ -658,14 +759,6 @@ class Poly2:
 
     def real_coefficients(self) -> bool:
         return all(c == c.conjugate() for c in self.terms.values())
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly2<0>"
-        bits = []
-        for (a, b) in sorted(self.terms, reverse=True):
-            bits.append("(%r)*u0^%d*u1^%d" % (self.terms[(a, b)], a, b))
-        return "Poly2<%s>" % " + ".join(bits)
 
 
 # ----------------------------------------------------------------------
@@ -736,7 +829,8 @@ def _umul(p, q):
 
 def _udivmod(p, q):
     dq = _udeg(q)
-    assert dq >= 0, "division by zero polynomial"
+    if dq < 0:
+        raise ZeroDivisionError("division by zero polynomial")
     inv = q[dq].inverse()
     rem = list(p)
     quo = [ZERO] * max(1, len(p) - dq)
@@ -752,7 +846,8 @@ def _udivmod(p, q):
 
 def _udiv_exact(p, q):
     quo, rem = _udivmod(p, q)
-    assert _udeg(rem) < 0, "inexact polynomial division"
+    if _udeg(rem) >= 0:
+        raise VerificationError("inexact polynomial division")
     return quo
 
 
@@ -848,7 +943,8 @@ def square_test(g: Poly2):
     # scalar = g / h^2, read off any monomial present in both
     key = next(iter(hh.terms))
     scalar = g.coeff(*key) * hh.terms[key].inverse()
-    assert h * h * scalar == g
+    if h * h * scalar != g:
+        raise VerificationError("square part times scalar does not rebuild g")
     root = scalar.sqrt()
     result = {"is_square": True, "h": h, "scalar": scalar, "scalar_sqrt": root}
     if root is None:
@@ -877,39 +973,59 @@ def gcd_forms(g: Poly2, h: Poly2) -> Poly2:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra over the cyclotomic scalars
+# exact linear algebra over Q and the cyclotomic fields
+
+
+def row_reduce(rows, ncols=None):
+    """Bring ``rows`` to reduced row echelon form in place.
+
+    Entries are Fractions or Cyclos (ints mix with either).  Only the
+    first ``ncols`` columns (default: all) get pivots, so an augmented
+    right-hand side rides along.  Returns the pivot columns; their
+    number is the rank.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        inv = lead.inverse() if isinstance(lead, Cyclo) else 1 / Fraction(lead)
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
 
 
 def solve_linear(rows, rhs):
-    """One solution x of rows * x = rhs over the cyclotomic field, or None."""
+    """One solution x of rows * x = rhs, or None if there is none.
+
+    Over Q when every entry is rational, otherwise over the cyclotomic
+    scalars (the solution then consists of Cyclo values); unknowns
+    without a pivot are set to zero.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(map(as_cyclo, r)) + [as_cyclo(b)] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if not aug[i][c].is_zero()),
-                   None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if not aug[i][ncols].is_zero():
-            return None
-    sol = [ZERO] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    field = as_cyclo if any(isinstance(x, Cyclo) for row in aug for x in row) \
+        else Fraction
+    aug = [[field(x) for x in row] for row in aug]
+    pivots = row_reduce(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
+    sol = [field(0)] * ncols
+    for row, c in zip(aug, pivots):
+        sol[c] = row[ncols]
     return sol
 
 

@@ -7,7 +7,9 @@ operation, the entrywise Galois action, and the nonabelian cohomology
 set H^1(Z/2, G) are all decidable by direct enumeration.
 """
 
-from .exact import Cyclo, Mat2, Poly2
+from functools import cache
+
+from .exact import Cyclo, Mat2, Poly2, VerificationError
 
 CLOSURE_BOUND = 256
 
@@ -170,13 +172,15 @@ def close(gens, bound: int = CLOSURE_BOUND) -> FiniteGroup:
     return FiniteGroup(None, elements, gens)
 
 
+@cache
 def catalog(spec: GroupSpec) -> FiniteGroup:
     """The closed group for a catalog label, with its standard generators."""
     gens = generators(spec)
     grp = close(gens)
-    assert grp.order == spec.order(), \
-        "closure of %s has %d elements, expected %d" % (
-            spec.name, grp.order, spec.order())
+    if grp.order != spec.order():
+        raise VerificationError(
+            "closure of %s has %d elements, expected %d"
+            % (spec.name, grp.order, spec.order()))
     return FiniteGroup(spec, grp.elements, gens)
 
 
@@ -217,7 +221,8 @@ def h1_classes(group) -> list:
         for b in group.elements:
             twisted = (b.inverse() * a * b.conj()).normalized()
             orbit.add(twisted)
-        assert orbit <= set(cocycles), "twisted conjugate left the cocycle set"
+        if not orbit <= set(cocycles):
+            raise VerificationError("twisted conjugate left the cocycle set")
         unseen -= orbit
         classes.append(ident if ident in orbit else min(orbit, key=mat_key))
     def class_order(rep):
@@ -254,18 +259,6 @@ def twisted_class_of(group, a: Mat2):
 # semi-invariance of binary forms
 
 
-def proportionality(p: Poly2, q: Poly2):
-    """lambda with p == lambda * q, or None."""
-    if q.is_zero():
-        return None
-    key, lead = q.leading()
-    cand = p.coeff(*key)
-    if cand.is_zero():
-        return None
-    lam = cand / lead
-    return lam if p == q * lam else None
-
-
 def unimodular_lift(m: Mat2):
     """Rescale m to determinant one, if a cyclotomic sqrt(det) exists."""
     s = m.det().sqrt()
@@ -289,13 +282,15 @@ def semi_invariant_character(g: Poly2, group):
     if isinstance(group, GroupSpec):
         group = catalog(group)
     for m in group.elements:
-        if proportionality(g.compose(m), g) is None:
+        if g.compose(m).proportionality(g) is None:
             return None
     chars = {}
     for m in group.generators:
         lift = unimodular_lift(m) or m
-        lam = proportionality(g.compose(lift), g)
-        assert lam is not None
+        lam = g.compose(lift).proportionality(g)
+        if lam is None:
+            raise VerificationError("a generator fails semi-invariance "
+                                    "that the whole group passed")
         chars[m] = lam
     return chars
 
@@ -339,7 +334,7 @@ def h1_named(spec: GroupSpec) -> list:
     classes = h1_classes(group)
     expected = h1_names(spec)
     if len(classes) != len(expected):
-        raise AssertionError(
+        raise VerificationError(
             "%s has %d cohomology classes, closed form predicts %d"
             % (spec.name, len(classes), len(expected)))
     minus_identity = Mat2(-1, 0, 0, -1)
@@ -358,11 +353,11 @@ def h1_named(spec: GroupSpec) -> list:
         else:
             name = "f"
         if name in named:
-            raise AssertionError("two classes of %s were both named %s"
-                                 % (spec.name, name))
+            raise VerificationError("two classes of %s were both named %s"
+                                    % (spec.name, name))
         named[name] = rep
     if sorted(named) != sorted(expected):
-        raise AssertionError(
+        raise VerificationError(
             "class names of %s came out as %s, closed form predicts %s"
             % (spec.name, sorted(named), sorted(expected)))
     return [(name, named[name]) for name in expected]

@@ -17,6 +17,8 @@ full table is available, so the two presentations can never drift apart.
 
 from fractions import Fraction
 
+from .exact import VerificationError
+
 __all__ = [
     "FamilyId",
     "LatticeModel",
@@ -295,7 +297,7 @@ class LatticeModel:
         for name, expected in self.k_dots.items():
             got = self.k_dot_from_table(name)
             if got != expected:
-                raise AssertionError(
+                raise VerificationError(
                     "inconsistent tables for %s: K.%s is %s from the "
                     "pairing but %s in closed form"
                     % (self.family.label, name, got, expected))

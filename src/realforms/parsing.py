@@ -3,15 +3,18 @@
 The polynomial grammar accepts terms in u0 and u1 with integer or
 rational coefficients, the constants i and zeta(N), the operators
 + - * ^ and parentheses; whitespace is ignored.  Input must be
-homogeneous and nonzero.  render_poly and render_scalar produce text
-that parse_poly maps back to the same object, and scalar_json gives the
+homogeneous and nonzero.  While parsing, every value is an
+``exact.Poly`` in (u0, u1) with no homogeneity constraint; it is
+checked once at the very end, so the error can report every term degree
+that occurs.  render_poly and render_scalar produce text that
+parse_poly maps back to the same object, and scalar_json gives the
 stable dictionary form {"conductor": N, "coeffs": [...]} used by the
 command-line reports.
 """
 
 from fractions import Fraction
 
-from .exact import Cyclo, Poly2, as_cyclo
+from .exact import Cyclo, Poly, Poly2, as_cyclo
 
 
 class ParseError(ValueError):
@@ -69,41 +72,8 @@ def _tokenize(text):
     return tokens
 
 
-# A value during parsing is a "loose" polynomial: a monomial dictionary
-# with no homogeneity constraint, checked once at the very end so the
-# error can report every term degree that occurs.
-
-
-def _ladd(p, q):
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, Cyclo.rational(0)) + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _lneg(p):
-    return {k: -c for k, c in p.items()}
-
-
-def _lmul(p, q):
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            k = (a1 + a2, b1 + b2)
-            v = out.get(k, Cyclo.rational(0)) + c1 * c2
-            out[k] = v
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _lpow(p, e):
-    out = {(0, 0): Cyclo.rational(1)}
-    for _ in range(e):
-        out = _lmul(out, p)
-    return out
-
-
-def _scalar(c):
-    return {(0, 0): as_cyclo(c)}
+_U0 = Poly({(1, 0): 1})
+_U1 = Poly({(0, 1): 1})
 
 
 class _Parser:
@@ -124,7 +94,7 @@ class _Parser:
     def expr(self):
         if self.peek()[0] == "-":
             self.take()
-            value = _lneg(self.term())
+            value = -self.term()
         else:
             if self.peek()[0] == "+":
                 self.take()
@@ -132,20 +102,20 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            value = _ladd(value, _lneg(rhs) if op == "-" else rhs)
+            value = value - rhs if op == "-" else value + rhs
         return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            value = _lmul(value, self.factor())
+            value = value * self.factor()
         return value
 
     def factor(self):
         if self.peek()[0] == "-":
             self.take()
-            return _lneg(self.factor())
+            return -self.factor()
         value = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -153,31 +123,31 @@ class _Parser:
             if num.denominator != 1 or num < 0:
                 raise ParseError("exponent must be a nonnegative integer",
                                  pos)
-            value = _lpow(value, int(num))
+            value = value ** int(num)
         return value
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return _scalar(value)
+            return Poly({(0, 0): value})
         if kind == "(":
             inner = self.expr()
             self.take(")")
             return inner
         if kind == "name":
             if value == "u0":
-                return {(1, 0): Cyclo.rational(1)}
+                return _U0
             if value == "u1":
-                return {(0, 1): Cyclo.rational(1)}
+                return _U1
             if value == "i":
-                return _scalar(Cyclo.i())
+                return Poly({(0, 0): Cyclo.i()})
             # zeta(N)
             self.take("(")
             nkind, nval, npos = self.take("num")
             if nval.denominator != 1 or nval < 1:
                 raise ParseError("zeta takes a positive integer", npos)
             self.take(")")
-            return _scalar(Cyclo.zeta(int(nval)))
+            return Poly({(0, 0): Cyclo.zeta(int(nval))})
         raise ParseError("unexpected token", pos)
 
 
@@ -188,13 +158,13 @@ def parse_poly(text):
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
-    if not value:
+    if value.is_zero():
         raise ValueError("zero polynomial")
-    degrees = sorted({a + b for (a, b) in value})
+    degrees = sorted({a + b for (a, b) in value.terms})
     if len(degrees) > 1:
         raise ValueError("non-homogeneous polynomial: degrees {%s}"
                          % ", ".join(map(str, degrees)))
-    return Poly2(degrees[0], value)
+    return Poly2(degrees[0], value.terms)
 
 
 def render_scalar(c):

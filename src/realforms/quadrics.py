@@ -39,12 +39,14 @@ the finite subgroups, cross-checked against their syzygy.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 from .exact import (
     Cyclo,
     Mat2,
     Poly2,
+    VerificationError,
     as_cyclo,
     from_factors,
     odd_multiplicity_root_count,
@@ -55,7 +57,6 @@ from .groups import (
     GroupSpec,
     catalog,
     mat_key,
-    proportionality,
     semi_invariant_character,
 )
 from .parsing import render_poly
@@ -203,7 +204,7 @@ class QgInstance:
             if sum(m for _, m in factored_roots) != g.degree:
                 raise ValueError("root multiplicities must sum to deg g")
             rebuilt = from_factors(factored_roots)
-            if proportionality(g, rebuilt) is None:
+            if g.proportionality(rebuilt) is None:
                 raise ValueError("factored roots do not rebuild g")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "factored_roots", factored_roots)
@@ -247,25 +248,14 @@ def _candidate_specs(n):
     yield GroupSpec("E8")
 
 
-_CATALOG_CACHE = {}
-
-
-def _cached_catalog(spec):
-    grp = _CATALOG_CACHE.get(spec)
-    if grp is None:
-        grp = catalog(spec)
-        _CATALOG_CACHE[spec] = grp
-    return grp
-
-
 def _finite_symmetry(g, n):
     hits = []
     for spec in _candidate_specs(n):
-        grp = _cached_catalog(spec)
+        grp = catalog(spec)
         if semi_invariant_character(g, grp) is not None:
             hits.append(spec)
     keysets = {
-        spec: frozenset(mat_key(m) for m in _cached_catalog(spec).elements)
+        spec: frozenset(mat_key(m) for m in catalog(spec).elements)
         for spec in hits
     }
     maximal = [
@@ -387,8 +377,8 @@ def realizable(g):
     lower = sorted(a for (a, b) in h.terms if a != r)
     if not lower:
         lam = c_r.inverse()
-        result = (g.compose(shear)) * lam
-        assert result.real_coefficients()
+        if not (g.compose(shear) * lam).real_coefficients():
+            raise VerificationError("the sheared form is not real")
         return (lam, shear)
 
     equations = []  # (exponent k, target w): need alpha**k == w
@@ -411,8 +401,8 @@ def realizable(g):
         if all(alpha ** k == w for k, w, _ in equations):
             phi = shear * Mat2.diag(alpha, alpha.inverse())
             lam = alpha ** (2 * (two_n // 2 - r)) * c_r.inverse()
-            result = (g.compose(phi)) * lam
-            assert result.real_coefficients()
+            if not (g.compose(phi) * lam).real_coefficients():
+                raise VerificationError("the twisted form is not real")
             return (lam, phi)
     return None
 
@@ -715,9 +705,7 @@ def _express(g, triple):
     return [(m, c) for m, c in zip(monos, sol) if not c.is_zero()]
 
 
-_SYZYGY_CACHE = {}
-
-
+@cache
 def _syzygy(spec):
     """The generating relation among (f1, f2, f3), found generically.
 
@@ -725,9 +713,6 @@ def _syzygy(spec):
     sum coeff * f1^a f2^b f3^c == 0, normalized so that the first
     monomial solved for has coefficient one.
     """
-    cached = _SYZYGY_CACHE.get(spec)
-    if cached is not None:
-        return cached
     triple = invariant_triple(spec)
     degrees = tuple(f.degree for f in triple)
     for total in range(2, 2 * sum(degrees) + 1):
@@ -745,9 +730,7 @@ def _syzygy(spec):
             rest = monos[:j] + monos[j + 1:]
             relation += [(m, c) for m, c in zip(rest, sol)
                          if not c.is_zero()]
-            result = (total, relation)
-            _SYZYGY_CACHE[spec] = result
-            return result
+            return (total, relation)
     raise RuntimeError("no syzygy found for %s" % spec.name)
 
 
@@ -774,7 +757,7 @@ def _realify(h):
     The scalar is automatically a root of unity, so a cyclotomic square
     root exists and multiplying by it lands in real coefficients.
     """
-    s = proportionality(h.conj_coeffs(), h)
+    s = h.conj_coeffs().proportionality(h)
     if s is None:
         raise ValueError("conjugate is not proportional; cannot rescale")
     lam = s.sqrt()
@@ -896,11 +879,14 @@ def _two_root_equal(g):
             "equal multiplicities require the coordinate position "
             "c * (u0*u1)^a; move the two roots to [1:0] and [0:1] first")
     ((a, b),) = g.terms
-    assert a == b, "equal multiplicities with one term force a == b"
+    if a != b:
+        raise VerificationError(
+            "equal multiplicities with one term force a == b")
     # The swap class twists the pair of roots into a conjugate pair;
     # composing with the standard conjugator lands on c*(u0^2+u1^2)^a.
     swapped = g.compose(Mat2(1, Cyclo.i(), 1, -Cyclo.i()))
-    assert swapped.real_coefficients()
+    if not swapped.real_coefficients():
+        raise VerificationError("the swapped two-root form is not real")
     return [
         FormDescriptor("Q", g, RATIONAL, PGL2R_TORUS, "[mu1]",
                        merged_pair=True),
@@ -946,7 +932,9 @@ def _finite_forms(g, spec):
                 expression_ready = True
                 if expression is not None:
                     relation = _syzygy(spec)
-                    assert _relation_value(relation, triple).is_zero()
+                    if not _relation_value(relation, triple).is_zero():
+                        raise VerificationError(
+                            "the syzygy of %s does not vanish" % spec.name)
             if expression is not None:
                 if not _relation_value(relation, cls.triple).is_zero():
                     raise ValueError(
@@ -957,7 +945,7 @@ def _finite_forms(g, spec):
                 # g is semi-invariant with a nontrivial character, so it
                 # is not a polynomial in the invariant triple; conjugate
                 # directly and rescale into real coefficients.
-                chars = semi_invariant_character(g, _cached_catalog(spec))
+                chars = semi_invariant_character(g, catalog(spec))
                 if chars is None:
                     raise ValueError(
                         "g is not semi-invariant under %s; the detected "
@@ -1016,7 +1004,7 @@ def enumerate_forms(q):
     expected = form_counts(parity, label)
     actual = report.counts()
     if tuple(actual) != tuple(expected):
-        raise AssertionError(
+        raise VerificationError(
             "enumerated statuses %s disagree with the expected counts %s"
             % (tuple(actual), tuple(expected)))
     return report
@@ -1248,7 +1236,7 @@ def check_psi_h(q, h):
             "h of degree %d is never irreducible over the reals"
             % h.degree)
     if not psi_pullback_identity(g, h):
-        raise AssertionError("pullback identity failed")
+        raise VerificationError("pullback identity failed")
     # the product still has an odd-multiplicity root, so the target is
     # a valid bundle datum of the same kind
     QgInstance(g * h * h)

@@ -26,15 +26,21 @@ formula with symbolic checks:
 * the real torus helpers enumerate the forms of a torus of given
   dimension and classify an integral Galois involution on the character
   lattice into its split, circle, and restriction-of-scalars parts.
+
+Equations and their pullbacks are ``exact.Poly`` values in the ambient
+coordinates, and the rational linear algebra (the grading solve, ranks)
+goes through ``exact.solve_linear`` / ``exact.row_reduce``; only the
+integral Smith-style diagonalization lives here.
 """
 
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from hashlib import sha256
 from importlib import resources
 
-from .exact import Cyclo, VerificationError
+from .exact import Cyclo, Poly, VerificationError, row_reduce, solve_linear
 from .lattices import FamilyId
 from . import quadrics
 from . import schwarzenberger
@@ -44,7 +50,6 @@ __all__ = [
     "Ambient",
     "FormDescriptor",
     "LinkDescriptor",
-    "MPoly",
     "MonomialMap",
     "StructureMap",
     "TorusShape",
@@ -83,214 +88,6 @@ UNKNOWN = "unknown"
 _ONE = Cyclo.rational(1)
 
 
-def _as_cyclo(value):
-    if isinstance(value, Cyclo):
-        return value
-    return Cyclo.rational(Fraction(value))
-
-
-# ----------------------------------------------------------------------
-# multivariate polynomials over the cyclotomic scalars
-
-
-class MPoly:
-    """A polynomial in n variables with cyclotomic coefficients.
-
-    Just enough structure for substitution and comparison: the quadric
-    equations of the ambients, their pullbacks along coordinate maps,
-    and real-locus computations all live here.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms):
-        cleaned = {}
-        for exps, coeff in dict(terms).items():
-            coeff = _as_cyclo(coeff)
-            if coeff.is_zero():
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError("bad exponent vector %r" % (exps,))
-            cleaned[exps] = coeff
-        object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MPoly is immutable")
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars, index, coeff=1):
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
-
-    def _require_same(self, other):
-        if not isinstance(other, MPoly) or other.nvars != self.nvars:
-            raise TypeError("operands must be MPoly in the same variables")
-
-    def __add__(self, other):
-        self._require_same(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            combined = terms.get(exps)
-            terms[exps] = coeff if combined is None else combined + coeff
-        return MPoly(self.nvars, terms)
-
-    def __neg__(self):
-        minus = Cyclo.rational(-1)
-        return MPoly(self.nvars,
-                     {e: c * minus for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            scalar = _as_cyclo(other)
-            return MPoly(self.nvars,
-                         {e: c * scalar for e, c in self.terms.items()})
-        self._require_same(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                combined = terms.get(key)
-                terms[key] = prod if combined is None else combined + prod
-        return MPoly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def conj_coeffs(self):
-        return MPoly(self.nvars,
-                     {e: c.conjugate() for e, c in self.terms.items()})
-
-    def substitute(self, args):
-        """Evaluate at a tuple of MPoly arguments, one per variable."""
-        args = list(args)
-        if len(args) != self.nvars:
-            raise ValueError("need one argument per variable")
-        if not args:
-            raise ValueError("no variables to substitute")
-        target = args[0].nvars
-        total = MPoly.zero(target)
-        for exps, coeff in self.terms.items():
-            piece = MPoly.constant(target, coeff)
-            for arg, power in zip(args, exps):
-                if power:
-                    piece = piece * arg ** power
-            total = total + piece
-        return total
-
-    def proportionality(self, other):
-        """A scalar s with self == s * other, or None."""
-        self._require_same(other)
-        if other.is_zero:
-            return _ONE if self.is_zero else None
-        if self.is_zero:
-            return None
-        key = next(iter(other.terms))
-        mine = self.terms.get(key)
-        if mine is None:
-            return None
-        scalar = mine * other.terms[key].inverse()
-        return scalar if self == other * scalar else None
-
-    def __repr__(self):
-        return "MPoly(%d vars, %d terms)" % (self.nvars, len(self.terms))
-
-
-# ----------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def _rref(matrix):
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    pivots = []
-    if not rows:
-        return rows, pivots
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _rank_rational(matrix):
-    if not matrix:
-        return 0
-    return len(_rref(matrix)[1])
-
-
-def _solve_rational(matrix, rhs):
-    """One exact solution of matrix . x = rhs, or None (free parts zero)."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = _rref(augmented)
-    if ncols in pivots:
-        return None
-    solution = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][-1]
-    return solution
-
-
 def _rank_mod2(matrix):
     rows = [[int(v) % 2 for v in row] for row in matrix]
     rank = 0
@@ -315,30 +112,6 @@ def _rank_mod2(matrix):
         if r == len(rows):
             break
     return rank
-
-
-def _det_fraction(matrix):
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return det
 
 
 def _identity_int(n):
@@ -513,7 +286,7 @@ def rmn_ambient(m, n):
 def flag_ambient():
     coords = ("x0", "x1", "x2", "y0", "y1", "y2")
     weights = ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (0, 1))
-    incidence = MPoly(6, {
+    incidence = Poly({
         (1, 0, 0, 1, 0, 0): 1,
         (0, 1, 0, 0, 1, 0): 1,
         (0, 0, 1, 0, 0, 1): 1,
@@ -780,9 +553,8 @@ class MonomialMap:
             comps.append((coeff, tuple(total)))
         return MonomialMap(inner.source_nvars, comps)
 
-    def as_mpolys(self):
-        return [MPoly.monomial(self.source_nvars, exps, coeff)
-                for coeff, exps in self.components]
+    def as_polys(self):
+        return [Poly({exps: coeff}) for coeff, exps in self.components]
 
     def __repr__(self):
         return "MonomialMap(%d -> %d)" % (self.source_nvars,
@@ -811,11 +583,11 @@ def parse_polynomial(text, source_names):
     comps = _MapParser(text, names).components()
     if len(comps) != 1:
         raise ValueError("expected a single polynomial, not a map")
-    total = MPoly.zero(len(names))
+    total = Poly(nvars=len(names))
     for term in comps[0]:
         if term.conjugated:
             raise ValueError("polynomials here must not conjugate variables")
-        total = total + MPoly.monomial(len(names), term.exps, term.coeff)
+        total = total + Poly({term.exps: term.coeff})
     return total
 
 
@@ -838,7 +610,7 @@ def _grading_matrix(structure):
                 row[k * rank + l] = Fraction(source[l])
             rows.append(row)
             rhs.append(Fraction(target[k]))
-    solution = _solve_rational(rows, rhs)
+    solution = solve_linear(rows, rhs)
     if solution is None:
         return None
     matrix = [[solution[k * rank + l] for l in range(rank)]
@@ -851,9 +623,11 @@ def _grading_matrix(structure):
                 return None
     if any(v.denominator != 1 for row in matrix for v in row):
         return None
-    if abs(_det_fraction(matrix)) != 1:
+    matrix = [[int(v) for v in row] for row in matrix]
+    diagonal, _, _ = _diagonalize_int(matrix)
+    if any(abs(diagonal[k][k]) != 1 for k in range(rank)):
         return None
-    return [[int(v) for v in row] for row in matrix]
+    return matrix
 
 
 def _torus_realizes_scalars(ambient, scalars):
@@ -912,7 +686,7 @@ def verify_involution(structure, ambient=None):
         raise VerificationError(
             "the square rescales the coordinates by a pattern outside "
             "the structure torus of %s" % amb.name)
-    comps = structure.regular_part().as_mpolys()
+    comps = structure.regular_part().as_polys()
     preserved = 0
     for equation in amb.equations:
         pulled = equation.substitute(comps).conj_coeffs()
@@ -1039,6 +813,10 @@ def signature(matrix):
     return (positive, negative, radical)
 
 
+def _variable(nvars, index, coeff=1):
+    return Poly({tuple(int(k == index) for k in range(nvars)): coeff})
+
+
 def real_locus_form(quadric, structure):
     """The rational quadratic form cutting the real locus of a quadric.
 
@@ -1073,11 +851,11 @@ def real_locus_form(quadric, structure):
             if root is None or root * root.conjugate() != _ONE:
                 raise ValueError("fixed-coordinate scalar admits no "
                                  "unit square root")
-            args[i] = MPoly.variable(n, next_var, root)
+            args[i] = _variable(n, next_var, root)
             next_var += 1
         elif i < j:
-            real_part = MPoly.variable(n, next_var)
-            imag_part = MPoly.variable(n, next_var + 1)
+            real_part = _variable(n, next_var)
+            imag_part = _variable(n, next_var + 1)
             args[i] = real_part + imag_part * imaginary
             args[j] = (real_part - imag_part * imaginary) \
                 * structure.scalars[j]
@@ -1190,8 +968,8 @@ def torus_shape_of_involution(matrix):
     plus = [[rows[i][j] + (1 if i == j else 0) for j in range(d)]
             for i in range(d)]
     pairs = _rank_mod2(minus)
-    fixed = d - _rank_rational(minus)
-    anti = d - _rank_rational(plus)
+    fixed = d - len(row_reduce(minus))
+    anti = d - len(row_reduce(plus))
     shape = TorusShape(pairs, anti - pairs, fixed - pairs)
     if shape.dimension != d:
         raise VerificationError("involution does not decompose; this "
@@ -1280,23 +1058,18 @@ class LinkDescriptor:
 # the data file
 
 
-_REGISTRY_CACHE = None
-
-
+@cache
 def _load():
-    global _REGISTRY_CACHE
-    if _REGISTRY_CACHE is None:
-        text = (resources.files("realforms") / "data" / "registry.json") \
-            .read_text(encoding="utf-8")
-        data = json.loads(text)
-        canonical = json.dumps(data["entries"], sort_keys=True,
-                               separators=(",", ":"))
-        digest = sha256(canonical.encode("utf-8")).hexdigest()
-        if digest != data["checksum"]:
-            raise VerificationError(
-                "registry data file failed its integrity checksum")
-        _REGISTRY_CACHE = data
-    return _REGISTRY_CACHE
+    text = (resources.files("realforms") / "data" / "registry.json") \
+        .read_text(encoding="utf-8")
+    data = json.loads(text)
+    canonical = json.dumps(data["entries"], sort_keys=True,
+                           separators=(",", ":"))
+    digest = sha256(canonical.encode("utf-8")).hexdigest()
+    if digest != data["checksum"]:
+        raise VerificationError(
+            "registry data file failed its integrity checksum")
+    return data
 
 
 def registry_version():
@@ -1628,15 +1401,15 @@ def _check_psi_g1():
                                 "components")
     _check_graded_onto_line(source, psi, target.name)
     quadric = parse_polynomial(data["quadric"], target.coords)
-    pulled = quadric.substitute(psi.as_mpolys())
-    if not pulled.is_zero:
+    pulled = quadric.substitute(psi.as_polys())
+    if not pulled.is_zero():
         raise VerificationError("the image does not satisfy the stored "
                                 "quadric relation")
     theta = parse_structure(data["source_structure"], source)
     mu = parse_structure(data["target_structure"], target)
     verify_involution(theta)
     verify_involution(mu)
-    twisted = quadric.substitute(mu.regular_part().as_mpolys()).conj_coeffs()
+    twisted = quadric.substitute(mu.regular_part().as_polys()).conj_coeffs()
     if twisted.proportionality(quadric) is None:
         raise VerificationError("the target structure does not preserve "
                                 "the quadric relation")

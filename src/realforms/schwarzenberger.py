@@ -8,10 +8,11 @@ symmetric polynomials P_k defined by
 
     P_0 = 0,  P_1 = 1,  P_k = u P_{k-1} - v P_{k-2},
 
-so that P_k(s + t, s t) (s - t) = s^k - t^k.  Everything here is exact:
-Laurent polynomials in u and v over the rationals with a common
-denominator v^k, the recurrence, the determinant identity
-det A = v^b, and the chart-compatibility relation
+so that P_k(s + t, s t) (s - t) = s^k - t^k.  Everything here is exact.
+Entries are ``exact.Poly`` values in (u, v) with rational coefficients;
+a negative v-exponent is allowed, so p / v^k is just a polynomial with
+Laurent terms.  The recurrence, the determinant identity det A = v^b,
+and the chart-compatibility relation
 
     A(u, v) A(-u/v, 1/v) = (-1)^(b-1) I2
 
@@ -21,13 +22,11 @@ geometric consequence is recorded with the real-form registry rather
 than re-derived here.
 """
 
-from fractions import Fraction
+from functools import cache
 
-from .exact import Cyclo, Poly2, VerificationError
+from .exact import Poly, Poly2, VerificationError
 
 __all__ = [
-    "LaurentPoly2",
-    "Mat2Laurent",
     "VerificationError",
     "hom_sym",
     "sym_identity_holds",
@@ -35,187 +34,17 @@ __all__ = [
     "verify_gluing",
 ]
 
-
-# ----------------------------------------------------------------------
-# Laurent polynomials in u, v with denominator a power of v
-
-
-class LaurentPoly2:
-    """A rational expression p(u, v) / v^k with p integral in u and v.
-
-    Stored reduced: when ``vden > 0`` the numerator is not divisible by
-    v, and zero has ``vden == 0``.  Arithmetic never leaves this ring
-    because the only inversions performed are of v itself.
-    """
-
-    __slots__ = ("terms", "vden")
-
-    def __init__(self, terms, vden=0):
-        cleaned = {}
-        for (i, j), coeff in dict(terms).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                if i < 0 or j < 0:
-                    raise ValueError("numerator exponents must be >= 0")
-                cleaned[(int(i), int(j))] = coeff
-        vden = int(vden)
-        if vden < 0:
-            raise ValueError("denominator exponent must be >= 0")
-        if not cleaned:
-            vden = 0
-        else:
-            shift = min(j for (_, j) in cleaned)
-            shift = min(shift, vden)
-            if shift > 0:
-                cleaned = {(i, j - shift): c
-                           for (i, j), c in cleaned.items()}
-                vden -= shift
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "vden", vden)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly2 is immutable")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def const(cls, value):
-        return cls({(0, 0): Fraction(value)})
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def u(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def v(cls, power=1):
-        if power >= 0:
-            return cls({(0, power): 1})
-        return cls({(0, 0): 1}, -power)
-
-    # -- ring operations -------------------------------------------------
-
-    def _raised(self, k):
-        # numerator terms after bringing the value on denominator v^k
-        lift = k - self.vden
-        return {(i, j + lift): c for (i, j), c in self.terms.items()}
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        k = max(self.vden, other.vden)
-        terms = self._raised(k)
-        for key, coeff in other._raised(k).items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return LaurentPoly2(terms, k)
-
-    def __neg__(self):
-        return LaurentPoly2({key: -c for key, c in self.terms.items()},
-                            self.vden)
-
-    def __sub__(self, other):
-        result = self + (-other)
-        return result
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly2(
-                {key: c * other for key, c in self.terms.items()}, self.vden)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        terms = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in other.terms.items():
-                key = (i + k, j + l)
-                terms[key] = terms.get(key, Fraction(0)) + c * d
-        return LaurentPoly2(terms, self.vden + other.vden)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = LaurentPoly2.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.terms == other.terms and self.vden == other.vden
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.vden))
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def is_polynomial(self):
-        return self.vden == 0
-
-    def substitute_inversion(self):
-        """The value at (u, v) -> (-u/v, 1/v), reduced again.
-
-        A monomial u^i v^j / v^k becomes (-1)^i u^i v^(k-i-j); the
-        results are collected over the common denominator.
-        """
-        raw = {}
-        for (i, j), c in self.terms.items():
-            expo = self.vden - i - j
-            sign = -1 if i % 2 else 1
-            key = (i, expo)
-            raw[key] = raw.get(key, Fraction(0)) + sign * c
-        depth = max((0,) + tuple(i - j for (i, j) in raw if j < 0))
-        for (i, j) in raw:
-            depth = max(depth, -j)
-        terms = {(i, j + depth): c for (i, j), c in raw.items()}
-        return LaurentPoly2(terms, depth)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly2(0)"
-        bits = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            mono = "".join(
-                part for part in (
-                    "u" if i == 1 else "u^%d" % i if i else "",
-                    "v" if j == 1 else "v^%d" % j if j else "")
-                if part)
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append("%s*%s" % (c, mono))
-        text = " + ".join(bits).replace("+ -", "- ")
-        if self.vden:
-            return "LaurentPoly2((%s)/v^%d)" % (text, self.vden)
-        return "LaurentPoly2(%s)" % text
+_U = Poly({(1, 0): 1})
+_V = Poly({(0, 1): 1})
+# the coordinate inversion (u, v) -> (-u/v, 1/v) between the two charts
+_INVERSION = (-_U * _V ** -1, _V ** -1)
 
 
 # ----------------------------------------------------------------------
 # homogenized symmetric polynomials
 
 
-_HOM_SYM_CACHE = [LaurentPoly2.zero(), LaurentPoly2.const(1)]
-
-
+@cache
 def hom_sym(k):
     """The k-th homogenized symmetric polynomial P_k(u, v).
 
@@ -225,106 +54,25 @@ def hom_sym(k):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    u = LaurentPoly2.u()
-    v = LaurentPoly2.v()
-    while len(_HOM_SYM_CACHE) <= k:
-        nxt = u * _HOM_SYM_CACHE[-1] - v * _HOM_SYM_CACHE[-2]
-        _HOM_SYM_CACHE.append(nxt)
-    return _HOM_SYM_CACHE[k]
-
-
-def _poly2_of(laurent):
-    # view a (u, v)-polynomial as a map of Poly2 arguments
-    if not laurent.is_polynomial:
-        raise ValueError("expected a polynomial, not a Laurent expression")
-    def at(arg_u, arg_v):
-        total = Poly2.zero()
-        for (i, j), coeff in laurent.terms.items():
-            term = Poly2.monomial(0, 0, Cyclo.rational(coeff))
-            if i:
-                term = term * arg_u ** i
-            if j:
-                term = term * arg_v ** j
-            total = total + term
-        return total
-    return at
+    if k < 2:
+        return Poly({(0, 0): k})
+    return _U * hom_sym(k - 1) - _V * hom_sym(k - 2)
 
 
 def sym_identity_holds(k):
     """Exact check of P_k(s + t, s t) (s - t) == s^k - t^k."""
-    s_plus_t = Poly2.monomial(1, 0) + Poly2.monomial(0, 1)
-    s_times_t = Poly2.monomial(1, 1)
-    s_minus_t = Poly2.monomial(1, 0) - Poly2.monomial(0, 1)
-    left = _poly2_of(hom_sym(k))(s_plus_t, s_times_t) * s_minus_t
-    right = Poly2.monomial(k, 0) - Poly2.monomial(0, k)
-    if k == 0:
-        right = Poly2.zero()
-    return left == right
+    s, t = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    left = hom_sym(k).substitute((s + t, s * t)) * (s - t)
+    return left == Poly2.monomial(k, 0) - Poly2.monomial(0, k)
 
 
 # ----------------------------------------------------------------------
-# transition matrices
+# transition matrices, as pairs of rows
 
 
-class Mat2Laurent:
-    """A 2x2 matrix of Laurent polynomials in u, v."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        for entry in (a, b, c, d):
-            if not isinstance(entry, LaurentPoly2):
-                raise TypeError("entries must be LaurentPoly2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Mat2Laurent is immutable")
-
-    @classmethod
-    def identity(cls):
-        one = LaurentPoly2.const(1)
-        zero = LaurentPoly2.zero()
-        return cls(one, zero, zero, one)
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat2Laurent):
-            return NotImplemented
-        return Mat2Laurent(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def scale(self, value):
-        return Mat2Laurent(self.a * value, self.b * value,
-                           self.c * value, self.d * value)
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def substitute_inversion(self):
-        return Mat2Laurent(
-            self.a.substitute_inversion(), self.b.substitute_inversion(),
-            self.c.substitute_inversion(), self.d.substitute_inversion())
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2Laurent):
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __repr__(self):
-        return "Mat2Laurent(%r, %r, %r, %r)" % self.entries()
+def _mat_mul(x, y):
+    return tuple(tuple(row[0] * y[0][j] + row[1] * y[1][j] for j in (0, 1))
+                 for row in x)
 
 
 def matrix(b):
@@ -336,11 +84,10 @@ def matrix(b):
     """
     if b < 1:
         raise ValueError("the transition matrix is defined for b >= 1")
-    v = LaurentPoly2.v()
-    mat = Mat2Laurent(hom_sym(b), v * hom_sym(b - 1),
-                      hom_sym(b + 1), v * hom_sym(b))
-    expected = LaurentPoly2.v(b)
-    if mat.det() != expected:
+    mat = ((hom_sym(b), _V * hom_sym(b - 1)),
+           (hom_sym(b + 1), _V * hom_sym(b)))
+    (p, q), (r, s) = mat
+    if p * s - q * r != _V ** b:
         raise VerificationError(
             "determinant of the transition matrix for b = %d is not v^%d"
             % (b, b))
@@ -356,10 +103,12 @@ def verify_gluing(b):
     record on success.
     """
     mat = matrix(b)
-    product = mat * mat.substitute_inversion()
+    inverted = tuple(tuple(entry.substitute(_INVERSION) for entry in row)
+                     for row in mat)
+    product = _mat_mul(mat, inverted)
     sign = -1 if b % 2 == 0 else 1
-    expected = Mat2Laurent.identity().scale(LaurentPoly2.const(sign))
-    if product != expected:
+    scalar, zero = Poly({(0, 0): sign}), Poly(nvars=2)
+    if product != ((scalar, zero), (zero, scalar)):
         raise VerificationError(
             "gluing relation fails for b = %d: product is %r"
             % (b, product))
