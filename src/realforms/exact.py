@@ -545,8 +545,9 @@ class Poly:
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     def _result(self, terms, other=None):
-        """A value of this kind (a plain Poly when ``other`` is one) holding
-        ``terms``, which must already be tidy."""
+        """The value holding ``terms`` (already tidy) that an operation of
+        this value, with ``other`` if given, yields: a Poly2 only for
+        operations that keep a binary form homogeneous."""
         out = object.__new__(Poly)
         object.__setattr__(out, "nvars", self.nvars)
         object.__setattr__(out, "terms", terms)
@@ -608,7 +609,8 @@ class Poly:
             if len(self.terms) != 1:
                 raise ValueError("only a monomial has an inverse")
             ((exps, c),) = self.terms.items()
-            inverse = self._result({tuple(-e for e in exps): c.inverse()})
+            inverse = Poly._result(self, {tuple(-e for e in exps):
+                                          c.inverse()})
             return inverse ** -k
         result = self._one()
         base = self
@@ -631,13 +633,12 @@ class Poly:
     def conj_coeffs(self):
         return self._result({k: c.conjugate() for k, c in self.terms.items()})
 
-    def substitute(self, args, top=None):
-        """The value at ``args``, one polynomial per variable.
+    def substitute(self, args):
+        """The value at ``args``, one polynomial per variable, as a Poly.
 
         The powers of each argument are tabulated once, by repeated
-        multiplication from 1, up to ``top`` or else up to the largest
-        exponent of its variable; negative exponents need a monomial
-        argument.  The result has the kind of the arguments.
+        multiplication from 1, up to the largest exponent of its
+        variable; negative exponents need a monomial argument.
         """
         args = tuple(args)
         if not args or len(args) != self.nvars:
@@ -645,7 +646,7 @@ class Poly:
         tables = []
         for i, arg in enumerate(args):
             exps = [e[i] for e in self.terms]
-            high = max(exps, default=0) if top is None else top
+            high = max(exps, default=0)
             table = {0: arg._one()}
             for k in range(1, high + 1):
                 table[k] = table[k - 1] * arg
@@ -662,7 +663,7 @@ class Poly:
                 piece = piece * table[e]
             for k, v in (piece * c).terms.items():
                 out[k] = out[k] + v if k in out else v
-        return tables[0][0]._result(_nonzero(out))
+        return Poly._result(args[0], _nonzero(out))
 
     def proportionality(self, other):
         """The scalar s with self == s * other, or None."""
@@ -684,7 +685,9 @@ class Poly:
 class Poly2(Poly):
     """A homogeneous binary form: a Poly in u0, u1 of fixed ``degree``.
 
-    Arithmetic between binary forms yields binary forms again.
+    Sums, products and non-negative powers of binary forms, scalar
+    multiples and ``compose`` yield binary forms again; ``substitute``,
+    negative powers and mixing with a plain Poly yield a plain Poly.
     """
 
     __slots__ = ("degree",)
@@ -726,9 +729,9 @@ class Poly2(Poly):
     def compose(self, m) -> "Poly2":
         """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1)."""
         (m00, m01), (m10, m11) = m
-        return self.substitute((Poly2(1, {(1, 0): m00, (0, 1): m01}),
-                                Poly2(1, {(1, 0): m10, (0, 1): m11})),
-                               top=self.degree)
+        image = self.substitute((Poly2(1, {(1, 0): m00, (0, 1): m01}),
+                                 Poly2(1, {(1, 0): m10, (0, 1): m11})))
+        return Poly2(self.degree, image.terms)
 
     def evaluate(self, v0, v1) -> Cyclo:
         v0, v1 = as_cyclo(v0), as_cyclo(v1)

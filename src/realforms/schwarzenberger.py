@@ -54,9 +54,12 @@ def hom_sym(k):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k < 2:
-        return Poly({(0, 0): k})
-    return _U * hom_sym(k - 1) - _V * hom_sym(k - 2)
+    prev, cur = Poly(nvars=2), Poly({(0, 0): 1})
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        prev, cur = cur, _U * cur - _V * prev
+    return cur
 
 
 def sym_identity_holds(k):

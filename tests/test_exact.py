@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from realforms.exact import (Cyclo, Mat2, Poly2, as_cyclo, from_factors,
-                             gcd_forms, odd_multiplicity_root_count,
+from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
+                             from_factors, gcd_forms,
+                             odd_multiplicity_root_count,
                              root_multiplicities, solve_linear, square_test)
 
 
@@ -124,6 +125,17 @@ def test_compose_with_matrix():
     assert g.coeff(2, 0) == 1
     assert g.coeff(1, 1) == 2
     assert g.coeff(0, 2) == 2
+
+
+def test_only_homogeneous_results_are_binary_forms():
+    s, t = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    assert type(s * t + t * t) is Poly2 and (s * t + t * t).degree == 2
+    image = Poly({(1, 0): 1, (0, 1): 1}).substitute((s, s * t))
+    assert type(image) is Poly and image == Poly({(1, 0): 1, (1, 1): 1})
+    assert type(s ** -1) is Poly and s ** -1 * s == Poly({(0, 0): 1})
+    assert type(s * Poly({(0, -1): 1})) is Poly
+    composed = (s ** 5 * t).compose(Mat2(1, 1, 0, 1))
+    assert type(composed) is Poly2 and composed.degree == 6
 
 
 def test_compose_is_right_action():

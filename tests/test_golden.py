@@ -33,7 +33,8 @@ def _run(args):
 
 
 def _expected(name):
-    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    codes = json.loads(
+        (GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     return (GOLDEN / ("%s.out" % name)).read_bytes(), codes[name]
 
 

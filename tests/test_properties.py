@@ -82,7 +82,7 @@ def test_compose_is_substitution_of_linear_forms(values):
     composed = g.compose(Mat2(m00, m01, m10, m11))
     rows = (Poly2(1, {(1, 0): m00, (0, 1): m01}),
             Poly2(1, {(1, 0): m10, (0, 1): m11}))
-    assert isinstance(composed, Poly2)
+    assert isinstance(composed, Poly2) and composed.degree == g.degree
     assert composed == g.substitute(rows)
 
 

@@ -1,5 +1,10 @@
 """Transition matrices of the Schwarzenberger bundles over the conic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from realforms.schwarzenberger import (hom_sym, matrix, sym_identity_holds,
@@ -28,3 +33,19 @@ def test_domain_errors():
         matrix(0)
     with pytest.raises(ValueError):
         hom_sym(-1)
+
+
+def test_cold_calls_do_not_recurse_with_the_index():
+    # P_k is built bottom-up, so a fresh process whose recursion limit is
+    # far below b still builds and checks the b-th transition matrix
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from realforms.schwarzenberger import hom_sym, verify_gluing\n"
+            "sys.setrecursionlimit(100)\n"
+            "print(len(hom_sym(400).terms), verify_gluing(151)['sign'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "200 1\n", "")
