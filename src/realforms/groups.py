@@ -111,13 +111,14 @@ def generators(spec: GroupSpec):
 class FiniteGroup:
     """A closed finite subgroup of PGL2, elements in canonical form."""
 
-    __slots__ = ("label", "elements", "generators")
+    __slots__ = ("label", "elements", "generators", "_members")
 
     def __init__(self, label, elements, gens):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "elements",
                            tuple(sorted(elements, key=mat_key)))
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteGroup is immutable")
@@ -130,11 +131,11 @@ class FiniteGroup:
         return iter(self.elements)
 
     def __contains__(self, m: Mat2) -> bool:
-        return m.normalized() in set(self.elements)
+        return m.normalized() in self._members
 
     def is_galois_stable(self) -> bool:
-        eset = set(self.elements)
-        return all(m.conj().normalized() in eset for m in self.elements)
+        return all(m.conj().normalized() in self._members
+                   for m in self.elements)
 
     def __repr__(self):
         name = self.label.name if self.label else "<ad hoc>"
@@ -211,33 +212,22 @@ def h1_classes(group) -> list:
     if not group.is_galois_stable():
         raise ValueError("group is not stable under entrywise conjugation")
     cocycles = [a for a in group.elements if _is_cocycle(a)]
+    cocycle_set = set(cocycles)
+    twists = [(b.inverse(), b.conj()) for b in group.elements]
     unseen = set(cocycles)
     classes = []
     ident = Mat2.identity()
     for a in cocycles:
         if a not in unseen:
             continue
-        orbit = set()
-        for b in group.elements:
-            twisted = (b.inverse() * a * b.conj()).normalized()
-            orbit.add(twisted)
-        if not orbit <= set(cocycles):
+        orbit = {(b_inv * a * b_bar).normalized() for b_inv, b_bar in twists}
+        if not orbit <= cocycle_set:
             raise VerificationError("twisted conjugate left the cocycle set")
         unseen -= orbit
         classes.append(ident if ident in orbit else min(orbit, key=mat_key))
-    def class_order(rep):
-        orbit_has_identity = _twisted_orbit_contains(group, rep, ident)
-        return (0 if orbit_has_identity else 1, mat_key(rep))
-    classes.sort(key=class_order)
+    # a class holds the identity exactly when its representative is it
+    classes.sort(key=lambda rep: (rep != ident, mat_key(rep)))
     return classes
-
-
-def _twisted_orbit_contains(group, rep: Mat2, target: Mat2) -> bool:
-    target = target.normalized()
-    for b in group.elements:
-        if (b.inverse() * rep * b.conj()).normalized() == target:
-            return True
-    return False
 
 
 def cocycles(group) -> list:
@@ -270,27 +260,25 @@ def unimodular_lift(m: Mat2):
 def semi_invariant_character(g: Poly2, group):
     """Map generator -> lambda for g∘m = lambda·g, or None if not semi-invariant.
 
-    Semi-invariance is checked exhaustively: composing with every group
-    element must only rescale g.  Because rescaling a representative by
-    mu rescales lambda by mu^deg(g), the reported scalars are those of
-    the determinant-one rescaling of each generator whenever one exists
-    within cyclotomic scalars (for even degree the residual sign choice
-    is immaterial); otherwise of the generator as entered.
+    ``group`` is a GroupSpec or a FiniteGroup; only its generators are
+    composed with g, and a GroupSpec is never closed.  That suffices:
+    if g∘m1 = l1·g and g∘m2 = l2·g then g∘(m1·m2) = l1·l2·g, and every
+    element of a finite group is a product of its generators.  Because
+    rescaling a representative by mu rescales lambda by mu^deg(g), the
+    reported scalars are those of the determinant-one rescaling of each
+    generator whenever one exists within cyclotomic scalars (for even
+    degree the residual sign choice is immaterial); otherwise of the
+    generator as entered.
     """
     if g.is_zero():
         raise ValueError("the zero form is not a valid input")
-    if isinstance(group, GroupSpec):
-        group = catalog(group)
-    for m in group.elements:
-        if g.compose(m).proportionality(g) is None:
-            return None
+    gens = generators(group) if isinstance(group, GroupSpec) \
+        else group.generators
     chars = {}
-    for m in group.generators:
-        lift = unimodular_lift(m) or m
-        lam = g.compose(lift).proportionality(g)
+    for m in gens:
+        lam = g.compose(unimodular_lift(m) or m).proportionality(g)
         if lam is None:
-            raise VerificationError("a generator fails semi-invariance "
-                                    "that the whole group passed")
+            return None
         chars[m] = lam
     return chars
 

@@ -54,9 +54,10 @@ from .exact import (
     solve_linear,
 )
 from .groups import (
+    ALPHA,
+    BETA,
+    F_SWAP,
     GroupSpec,
-    catalog,
-    mat_key,
     semi_invariant_character,
 )
 from .parsing import render_poly
@@ -234,36 +235,46 @@ def _coerce_instance(q):
 # symmetry detection
 
 
-def _candidate_specs(n):
-    # An element of PGL2 fixing three or more points is the identity, so
-    # a rotation preserving a degree-2n root divisor with >= 3 distinct
-    # roots has order at most 2n; that bounds the cyclic and dihedral
-    # parameters.
-    for l in range(1, 2 * n + 1):
-        yield GroupSpec("A", l)
-    for l in range(2, 2 * n + 1):
-        yield GroupSpec("D", l)
-    yield GroupSpec("E6")
-    yield GroupSpec("E7")
-    yield GroupSpec("E8")
-
-
 def _finite_symmetry(g, n):
-    hits = []
-    for spec in _candidate_specs(n):
-        grp = catalog(spec)
-        if semi_invariant_character(g, grp) is not None:
-            hits.append(spec)
-    keysets = {
-        spec: frozenset(mat_key(m) for m in catalog(spec).elements)
-        for spec in hits
-    }
-    maximal = [
-        spec for spec in hits
-        if not any(other != spec and keysets[spec] < keysets[other]
-                   for other in hits)
-    ]
-    # distinct specs always have distinct element sets, so ties are real
+    """The unique maximal catalog group in standard position preserving g.
+
+    Each candidate is decided on its generators (semi-invariance is
+    closed under products), and the monomial ones by exponent
+    arithmetic.  diag(zeta_2l, zeta_2l^-1) scales u0^a u1^b by
+    zeta_2l^(2a - deg g), so A_l matches iff l divides the gcd d of the
+    differences of g's u0-exponents.  Orders run up to 2n: a rotation
+    fixing three or more points is the identity.  D_l adds F_SWAP, whose
+    single test serves every l.  E6 = <D2, ALPHA>, E7 = <E6, A4> and
+    E8 = <A5, H_ROT, BETA>, with H_ROT = F_SWAP * rotation_gen(2).
+
+    A matched group preserves the roots of g.  With one or two roots
+    that leaves cyclic and dihedral groups only; with three or more, the
+    stabilizer of the roots is finite and holds A_d, so d divides the
+    order of the stabilizer of [1:0] in it.  That order is 2 or 4 in a
+    finite group holding E6 (E6, E7 or an icosahedral group) and 5 in
+    E8, which is maximal and does not hold F_SWAP.  So E6/E7 need d in
+    (2, 4) and E8 needs d == 5 and no swap; a matching E-group contains
+    every other match, and no group is ever closed.
+    """
+    exps = [a for a, _ in g.terms]
+    d = gcd(*(a - exps[0] for a in exps))
+    swapped = g.compose(F_SWAP)
+    swap = swapped.proportionality(g) is not None
+    if swap and d in (2, 4) \
+            and g.compose(ALPHA).proportionality(g) is not None:
+        return GroupSpec("E7" if d == 4 else "E6")
+    if d == 5 and not swap:
+        # g o H_ROT is g o F_SWAP with u0^a u1^b scaled by (-1)^(a - n)
+        turned = Poly2(g.degree, {(a, b): c if (a - n) % 2 == 0 else -c
+                                  for (a, b), c in swapped.terms.items()})
+        if turned.proportionality(g) is not None \
+                and g.compose(BETA).proportionality(g) is not None:
+            return GroupSpec("E8")
+    # every A/D match divides one of these orders (for d > 0, d itself)
+    orders = [l for l in range(1, 2 * n + 1) if d % l == 0]
+    maximal = [GroupSpec("D", l) if swap and l > 1 else GroupSpec("A", l)
+               for l in orders
+               if not any(m % l == 0 for m in orders if m > l)]
     if len(maximal) > 1:
         raise AmbiguousSymmetryError(
             "incomparable maximal symmetry groups: %s"
@@ -294,9 +305,12 @@ def detect_symmetry(q, moebius_search=False):
 
     With exactly two distinct roots the stabilizer is infinite: a torus,
     or its normalizer when the multiplicities agree.  Otherwise the
-    catalog of finite subgroups in their standard coordinates is scanned
-    for semi-invariance and the unique maximal hit is returned (the
-    trivial group A1 always matches, so there is always an answer).
+    finite subgroups in their standard coordinates are tested for
+    semi-invariance and the unique maximal hit is returned (the trivial
+    group A1 always matches, so there is always an answer).  A_l and
+    D_l are read off the u0-exponents of g and one swap; an E-group is
+    tested only where the rotations allow it, by composing g with its
+    one generator that is not a monomial matrix.  No group is closed.
 
     The scan sees only groups in standard position — rotation axis at
     [1:0], [0:1] and fixed reflections.  With ``moebius_search=True``
@@ -676,7 +690,7 @@ def _triple_power(triple, expo):
     return (f1 ** a) * (f2 ** b) * (f3 ** c)
 
 
-def _linear_fit(columns, target_poly, degree):
+def _linear_fit(columns, target_poly):
     keys = set(target_poly.terms)
     for col in columns:
         keys |= set(col.terms)
@@ -699,7 +713,7 @@ def _express(g, triple):
     if not monos:
         return None
     cols = [_triple_power(triple, m) for m in monos]
-    sol = _linear_fit(cols, g, g.degree)
+    sol = _linear_fit(cols, g)
     if sol is None:
         return None
     return [(m, c) for m, c in zip(monos, sol) if not c.is_zero()]
@@ -723,7 +737,7 @@ def _syzygy(spec):
         for j in range(len(monos)):
             others = cols[:j] + cols[j + 1:]
             target = -cols[j]
-            sol = _linear_fit(others, target, total)
+            sol = _linear_fit(others, target)
             if sol is None:
                 continue
             relation = [(monos[j], _ONE)]
@@ -743,7 +757,6 @@ def _relation_value(relation, triple):
 
 
 def _substitute(expression, triple):
-    degree = None
     acc = None
     for expo, coeff in expression:
         piece = _triple_power(triple, expo) * coeff
@@ -945,7 +958,7 @@ def _finite_forms(g, spec):
                 # g is semi-invariant with a nontrivial character, so it
                 # is not a polynomial in the invariant triple; conjugate
                 # directly and rescale into real coefficients.
-                chars = semi_invariant_character(g, catalog(spec))
+                chars = semi_invariant_character(g, spec)
                 if chars is None:
                     raise ValueError(
                         "g is not semi-invariant under %s; the detected "

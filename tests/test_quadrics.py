@@ -1,12 +1,19 @@
 """Classification of real forms of the quadric bundles over the line."""
 
+import random
+from functools import cache
+
 import pytest
 
-from realforms.exact import Cyclo, Mat2
-from realforms.groups import GroupSpec, catalog, semi_invariant_character
+from realforms import groups
+from realforms.exact import Cyclo, Mat2, Poly2
+from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
+                              mat_key, rotation_gen,
+                              semi_invariant_character, unimodular_lift)
 from realforms.parsing import parse_poly, render_poly
-from realforms.quadrics import (ApplicabilityError, FLabel, FormCounts,
-                                QgInstance, UndecidableError,
+from realforms.quadrics import (AmbiguousSymmetryError, ApplicabilityError,
+                                FLabel, FormCounts, QgInstance,
+                                UndecidableError, _finite_symmetry,
                                 check_psi_h, check_real_structure,
                                 detect_symmetry, enumerate_forms,
                                 form_counts, invariant_triple,
@@ -106,6 +113,216 @@ def test_invariant_triples_are_semi_invariant():
         for f in invariant_triple(spec):
             assert semi_invariant_character(f, grp) is not None, \
                 "%s generator %s" % (name, render_poly(f))
+
+
+# ----------------------------------------------------------------------
+# symmetry detection against the exhaustive scan
+#
+# The oracle is the scan detect_symmetry replaced: every catalog group
+# A_1..A_2n, D_2..D_2n, E6, E7, E8 in standard position, with g composed
+# with every element of each.  It is slow (a full E8 scan of a degree-12
+# form takes seconds), so its verdicts are cached per (form, group).
+
+
+@cache
+def _scan_character(g, spec):
+    """semi_invariant_character as it was: every element, then the lifts."""
+    grp = catalog(spec)
+    for m in grp.elements:
+        if g.compose(m).proportionality(g) is None:
+            return None
+    return {m: g.compose(unimodular_lift(m) or m).proportionality(g)
+            for m in grp.generators}
+
+
+def _scan_finite_symmetry(g, n):
+    specs = ([GroupSpec("A", l) for l in range(1, 2 * n + 1)]
+             + [GroupSpec("D", l) for l in range(2, 2 * n + 1)]
+             + [GroupSpec(kind) for kind in ("E6", "E7", "E8")])
+    hits = [spec for spec in specs if _scan_character(g, spec) is not None]
+    keysets = {spec: frozenset(mat_key(m) for m in catalog(spec).elements)
+               for spec in hits}
+    maximal = [spec for spec in hits
+               if not any(other != spec and keysets[spec] < keysets[other]
+                          for other in hits)]
+    if len(maximal) > 1:
+        raise AmbiguousSymmetryError(
+            "incomparable maximal symmetry groups: %s"
+            % ", ".join(s.name for s in maximal))
+    return maximal[0]
+
+
+def _scan_detect_symmetry(q):
+    mults = q.multiplicities()
+    if len(mults) == 2:
+        return FLabel.torus_z2() if mults[0] == mults[1] else FLabel.torus()
+    return FLabel.finite(_scan_finite_symmetry(q.g, q.n))
+
+
+def _verdict(detect, *args):
+    try:
+        return detect(*args)
+    except AmbiguousSymmetryError as exc:
+        return "ambiguous: %s" % exc
+
+
+# every catalog group up to A6/D6, with the products of members of its
+# invariant triple that are valid bundle data of degree at most 12
+TRIPLE_GROUPS = ("A1", "A2", "A3", "A4", "A5", "A6",
+                 "D2", "D3", "D4", "D5", "D6", "E6", "E7", "E8")
+
+
+def _triple_products():
+    out = []
+    for name in TRIPLE_GROUPS:
+        f1, f2, f3 = invariant_triple(GroupSpec.parse(name))
+        for pick in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+                     (0, 1, 1), (1, 1, 1)):
+            g = f1 ** pick[0] * f2 ** pick[1] * f3 ** pick[2]
+            if g.degree > 12:
+                continue
+            try:
+                out.append(("%s%s" % (name, pick), QgInstance(g)))
+            except ValueError:  # a square
+                pass
+    return out
+
+
+# (kind, l, degree, residue of the u0-exponents mod l, swap sign); each
+# choice makes the character of the l-rotation or of F_SWAP nontrivial
+SEEDED = (("A", 2, 6, 0, None), ("A", 3, 8, 0, None), ("A", 4, 10, 0, None),
+          ("A", 5, 12, 0, None), ("D", 2, 6, 0, 1), ("D", 3, 8, 1, -1),
+          ("D", 4, 10, 3, 1), ("D", 6, 12, 3, -1), ("D", 5, 10, 0, 1))
+
+
+def _seeded_semi_invariants(seed=2403):
+    rng = random.Random(seed)
+    out = []
+    for kind, l, degree, residue, sign in SEEDED:
+        spec = GroupSpec(kind, l)
+        exps = [a for a in range(degree + 1) if a % l == residue]
+        for _ in range(100):
+            terms = {}
+            for a in exps:
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                if sign is None:
+                    terms[(a, degree - a)] = c
+                elif 2 * a < degree:
+                    terms[(a, degree - a)] = c
+                    terms[(degree - a, a)] = sign * c
+            try:
+                q = QgInstance(Poly2(degree, terms))
+            except ValueError:  # a square or too few roots
+                continue
+            if len(q.multiplicities()) > 2:
+                break
+        else:
+            raise AssertionError("no valid draw for %s" % spec.name)
+        chars = semi_invariant_character(q.g, spec)
+        assert chars is not None and any(v != 1 for v in chars.values()), \
+            spec.name
+        out.append(("%s-seeded" % spec.name, q))
+    return out
+
+
+MOVES = (Mat2.identity(), Mat2(1, 2, 1, 3), Mat2.diag(2, 1),
+         Mat2(1, Cyclo.i(), Cyclo.i(), 1))
+# the tetrahedral T^2 + chi: in standard position no invariant triple
+# member of E6 has stabilizer exactly E6 (each is octahedral)
+TETRAHEDRAL = ("u0^12 + u0^10*u1^2 - 33*u0^8*u1^4 - 2*u0^6*u1^6"
+               " - 33*u0^4*u1^8 + u0^2*u1^10 + u1^12")
+
+
+def _moved_forms():
+    out = []
+    for text in ("u0^5*u1 - u0*u1^5", "u0^6 + u0^3*u1^3 + u1^6",
+                 "u0^2*u1*(u0^3 - u1^3)", "u0^4 + u1^4", TETRAHEDRAL):
+        for k, m in enumerate(MOVES):
+            out.append(("%s@%d" % (text, k), QgInstance(parse_poly(text)
+                                                        .compose(m))))
+    return out
+
+
+SYMMETRY_CORPUS = _triple_products() + _seeded_semi_invariants() \
+    + _moved_forms()
+
+
+@pytest.mark.parametrize("name,q", SYMMETRY_CORPUS,
+                         ids=[name for name, _ in SYMMETRY_CORPUS])
+def test_detect_symmetry_matches_exhaustive_scan(name, q):
+    assert _verdict(detect_symmetry, q) == _verdict(_scan_detect_symmetry, q)
+
+
+def test_corpus_covers_every_kind_of_verdict():
+    labels = {detect_symmetry(q).report_name for _, q in SYMMETRY_CORPUS}
+    assert {"A1", "A2", "A3", "D2", "D3", "D4", "E6", "E7", "E8",
+            "Gm", "GmSemidirectZ2"} <= labels
+
+
+@pytest.mark.parametrize("text,message", [
+    ("u0^3*u1", "A3, A4"),    # a monomial matches every rotation order
+    ("u0^2*u1^2", "D3, D4"),
+])
+def test_monomials_stay_ambiguous_as_in_the_scan(text, message):
+    g = parse_poly(text)
+    for detect in (_finite_symmetry, _scan_finite_symmetry):
+        with pytest.raises(AmbiguousSymmetryError, match=message):
+            detect(g, g.degree // 2)
+
+
+def test_semi_invariant_character_matches_exhaustive_scan():
+    names = ["A%d" % l for l in range(1, 9)] \
+        + ["D%d" % l for l in range(2, 9)] + ["E6", "E7", "E8"]
+    non_invariant = parse_poly("u0^5*u1 + 2*u0^3*u1^3 + u0^2*u1^4 - u1^6")
+    for name in names:
+        spec = GroupSpec.parse(name)
+        f1 = invariant_triple(spec)[0]
+        for g in (f1, f1 * parse_poly("u0^5*u1 - u0*u1^5"), non_invariant):
+            expected = _scan_character(g, spec)
+            assert semi_invariant_character(g, spec) == expected, name
+            assert semi_invariant_character(g, catalog(spec)) == expected
+    for _, q in _seeded_semi_invariants():
+        for name in names[:10]:
+            spec = GroupSpec.parse(name)
+            assert semi_invariant_character(q.g, spec) \
+                == _scan_character(q.g, spec), name
+
+
+def test_h_rot_is_swap_then_half_turn():
+    # _finite_symmetry reads g o H_ROT off g o F_SWAP by this identity
+    assert F_SWAP * rotation_gen(2) == H_ROT
+    assert generators(GroupSpec("E8"))[1] == H_ROT
+
+
+@pytest.mark.parametrize("text,composes,label", [
+    ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 2, "E8"),
+    ("u0^24 + u1^24", 1, "D24"),
+])
+def test_detection_op_counts(monkeypatch, text, composes, label):
+    q = inst(text)
+    calls = {"compose": 0}
+    closures = []
+    original_compose = Poly2.compose
+    original_close = groups.close
+
+    def counting_compose(self, m):
+        calls["compose"] += 1
+        return original_compose(self, m)
+
+    def recording_close(gens, *args, **kwargs):
+        closures.append(tuple(gens))
+        return original_close(gens, *args, **kwargs)
+
+    monkeypatch.setattr(Poly2, "compose", counting_compose)
+    monkeypatch.setattr(groups, "close", recording_close)
+    catalog.cache_clear()
+    try:
+        detected = detect_symmetry(q)
+    finally:
+        catalog.cache_clear()
+    assert detected.report_name == label
+    assert calls["compose"] == composes
+    assert closures == []
 
 
 # ----------------------------------------------------------------------
