@@ -3,11 +3,15 @@
 This is the only module that does polynomial arithmetic or linear
 algebra over a field.
 
-Scalars (``Cyclo``) live in Q(zeta_N) for varying N, represented on the
-power basis 1, z, ..., z^{phi(N)-1} modulo the N-th cyclotomic
-polynomial, with Fraction coefficients.  Every value is kept at its
-minimal conductor so that equal numbers compare and hash equally no
-matter how they were produced.
+Scalars (``Cyclo``) live in Q(zeta_N) for varying N: integer numerators
+on the power basis 1, z, ..., z^{phi(N)-1} modulo the N-th cyclotomic
+polynomial over one positive common denominator, in lowest terms.
+Products are integer convolutions reduced from the top against the
+sparse, monic Phi_N; inverses come from an extended Euclid over Z.
+Every value is kept at its minimal conductor, read off the support (a
+prime square p^2 | N) or one cached integer matrix (p || N) rather than
+solved for, so equal numbers compare and hash equally no matter how
+they were produced.
 
 ``Poly`` is the one polynomial type: a map from exponent tuples (one
 entry per variable, negative entries allowed) to nonzero scalars.  It
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm, isqrt
+from operator import mul
 
 
 class VerificationError(AssertionError):
@@ -31,163 +37,268 @@ class VerificationError(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# cyclotomic polynomials and reduction tables
+# cyclotomic polynomials and reduction
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
+def _prime_factors(n: int):
+    out = []
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
+            out.append(p)
             while m % p == 0:
                 m //= p
-            result -= result // p
         p += 1
     if m > 1:
-        result -= result // m
-    return result
+        out.append(m)
+    return tuple(out)
 
 
-def _poly_divmod_int(num, den):
-    # exact division of integer polynomial lists (little-endian), den monic
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[len(den) - 1:]):
-        raise VerificationError("nonexact division")
-    return q, num[: len(den) - 1]
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int):
-    """Coefficients of Phi_n, little-endian, as a tuple of ints."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * n + [1]
-    poly[0] = -1  # x^n - 1
+    """Coefficients of Phi_n, little-endian, as a tuple of ints: x^n - 1
+    divided exactly by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_poly(d))
-            if any(rem):
+            den = cyclotomic_poly(d)  # monic
+            quo = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = poly[i + len(den) - 1]
+                for j, x in enumerate(den):
+                    poly[i + j] -= c * x
+            if any(poly):
                 raise VerificationError("Phi_%d does not divide x^%d - 1"
                                         % (d, n))
+            poly = quo
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int):
-    """z^k reduced mod Phi_n for every k < max(n, 2*phi(n) - 1)."""
+def _phi_tail(n: int):
+    """The nonzero terms of Phi_n below its leading one, as (j, c)."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
+
+
+def _reduce(n: int, vec):
+    """The integer list ``vec`` (vec[k] multiplies z^k, any length) on the
+    power basis modulo Phi_n: a list of length phi(n).  ``vec`` is used up."""
+    if len(vec) > n:  # z^n == 1
+        folded = vec[:n]
+        for k in range(n, len(vec)):
+            folded[k % n] += vec[k]
+        vec = folded
     phi = euler_phi(n)
-    Phi = cyclotomic_poly(n)
-    # x^phi = -(low part of Phi) since Phi is monic
-    top = [Fraction(-c) for c in Phi[:phi]]
-    rows = []
-    for k in range(phi):
-        row = [Fraction(0)] * phi
-        row[k] = Fraction(1)
-        rows.append(tuple(row))
-    for k in range(phi, max(n, 2 * phi - 1)):
-        prev = rows[k - 1]
-        row = [Fraction(0)] * phi
-        for j in range(phi - 1):
-            row[j + 1] += prev[j]
-        c = prev[phi - 1]
+    tail = _phi_tail(n)
+    # Phi_n is monic, so z^k == -sum(c z^(k - phi + j)) from the top down
+    for k in range(len(vec) - 1, phi - 1, -1):
+        c = vec[k]
         if c:
-            for j in range(phi):
-                row[j] += c * top[j]
-        rows.append(tuple(row))
-    return rows
+            base = k - phi
+            for j, p in tail:
+                vec[base + j] -= c * p
+    del vec[phi:]
+    vec.extend([0] * (phi - len(vec)))
+    return vec
 
 
-def _reduce_exponents(n: int, terms):
-    """Sum of c * z^e (e arbitrary ints) reduced to the power basis mod Phi_n."""
-    phi = euler_phi(n)
-    table = _power_table(n)
-    pending = {}
+def _exponent_map(n: int, terms):
+    """sum(c * z^e) over (e, c) in ``terms`` (e any int), reduced mod Phi_n."""
+    vec = [0] * n
     for e, c in terms:
-        pending[e % n] = pending.get(e % n, Fraction(0)) + c
-    out = [Fraction(0)] * phi
-    for e, c in pending.items():
-        if not c:
-            continue
-        row = table[e]
-        for j in range(phi):
-            out[j] += c * row[j]
-    return out
-
-
-def _vec_mul(n: int, a, b):
-    phi = euler_phi(n)
-    table = _power_table(n)
-    acc = [Fraction(0)] * phi
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            row = table[i + j]
-            c = ca * cb
-            for k in range(phi):
-                acc[k] += c * row[k]
-    return acc
+        vec[e % n] += c
+    return _reduce(n, vec)
 
 
 @lru_cache(maxsize=None)
-def _descent_matrix(n: int, m: int):
-    """Columns: images of the power basis of Q(zeta_m) inside Q(zeta_n), m | n."""
-    phi_n = euler_phi(n)
-    phi_m = euler_phi(m)
-    step = n // m
-    cols = []
-    for j in range(phi_m):
-        vec = _reduce_exponents(n, [(j * step, Fraction(1))])
-        cols.append(tuple(vec))
-    _ = phi_n
-    return cols
+def _split(n: int, p: int):
+    """(keep, test) for a prime p with p || n, m = n / p.
+
+    Q(zeta_n) = Q(zeta_m) (x) Q(zeta_p) has the basis z_m^a z_p^b
+    (a < phi(m), b < p - 1), where z_m = z^p and z_p = z^m.  By the
+    Chinese remainder theorem z^j = z_m^a z_p^b with a = j / p mod m and
+    b = j / m mod p, so reducing z_m^a mod Phi_m and z_p^b mod Phi_p
+    gives the coordinates of z^j: an integer matrix, whose rows are
+    split into ``keep`` (b == 0) and ``test`` (the rest).  A value x
+    lies in Q(zeta_m) exactly when every test row kills x, and then
+    keep . x is x on the power basis of Q(zeta_m).
+    """
+    m = n // p
+    size = euler_phi(m)
+    over_p, over_m = pow(p, -1, m), pow(m, -1, p)
+    rows = [[0] * euler_phi(n) for _ in range(size * (p - 1))]
+    for j in range(euler_phi(n)):
+        zm = _exponent_map(m, [(j * over_p, 1)])
+        zp = _exponent_map(p, [(j * over_m, 1)])
+        for b, cb in enumerate(zp):
+            for a, ca in enumerate(zm):
+                rows[b * size + a][j] = ca * cb
+    rows = [tuple(row) for row in rows]
+    return tuple(rows[:size]), tuple(rows[size:])
+
+
+def _minimal_conductor(n: int, num):
+    """(m, vec): sum(num[j] z_n^j) == sum(vec[j] z_m^j) with m the least
+    conductor of the value.  Conductors 2 mod 4 are rewritten by an
+    exponent map; a prime square p^2 | n is left when only indices
+    divisible by p are nonzero (Phi_n(x) = Phi_{n/p}(x^p)); a prime
+    p || n by the rows of ``_split``."""
+    while n > 1:
+        if not any(num[1:]):
+            return 1, num[:1]
+        if n % 4 == 2:
+            # zeta_n^j = (-1)^j zeta_m^(j(m+1)/2) for n = 2m, m odd
+            n //= 2
+            half = (n + 1) // 2
+            num = _exponent_map(n, [(j * half, -c if j % 2 else c)
+                                    for j, c in enumerate(num) if c])
+            continue
+        for p in _prime_factors(n):
+            if n % (p * p) == 0:
+                if not any(any(num[r::p]) for r in range(1, p)):
+                    num = num[::p]
+                    break
+                continue
+            if p == n:  # only rationals descend, and they left above
+                continue
+            keep, test = _split(n, p)
+            if not any(sum(map(mul, row, num)) for row in test):
+                num = [sum(map(mul, row, num)) for row in keep]
+                break
+        else:
+            break
+        n //= p
+    return n, num
+
+
+def _invert(n: int, a):
+    """(u, r), u an integer list and r a nonzero int with u * a == r mod
+    Phi_n, for a nonzero integer list a of length phi(n) that is not a
+    constant.  Extended Euclid against Phi_n over Z: every elimination
+    step cross-multiplies by the leading coefficients and divides out
+    the common content of the remainder and its cofactor."""
+    r0, s0 = list(cyclotomic_poly(n)), [0]
+    r1, s1 = list(a), [1]
+    while not r1[-1]:
+        r1.pop()
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            shift = len(r0) - len(r1)
+            g = gcd(r0[-1], r1[-1])
+            f0, f1 = r1[-1] // g, r0[-1] // g
+            r0 = [x * f0 for x in r0]
+            for j, x in enumerate(r1):
+                r0[shift + j] -= f1 * x
+            s0 = [x * f0 for x in s0] + [0] * max(0, len(s1) + shift
+                                                  - len(s0))
+            for j, x in enumerate(s1):
+                s0[shift + j] -= f1 * x
+            while not r0[-1]:
+                r0.pop()
+            while len(s0) > 1 and not s0[-1]:
+                s0.pop()
+            g = gcd(*r0, *s0)
+            if g > 1:
+                r0 = [x // g for x in r0]
+                s0 = [x // g for x in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return _reduce(n, s1), r1[0]
+
+
+def _raw(n, num, den):
+    """The Cyclo with these slots: n least, num a tuple, lowest terms."""
+    out = _new(Cyclo)
+    _set_n(out, n)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
+def _lowest(n, num, den):
+    """The Cyclo sum(num[j] z_n^j) / den, n already its least conductor."""
+    g = gcd(den, *num)
+    if g > 1:
+        return _raw(n, tuple([c // g for c in num]), den // g)
+    return _raw(n, tuple(num), den)
+
+
+def _make(n, num, den):
+    """The Cyclo sum(num[j] z_n^j) / den for num reduced mod Phi_n."""
+    return _lowest(*_minimal_conductor(n, num), den)
+
+
+def _rational(p, q):
+    """The Cyclo p / q for ints p and q > 0."""
+    g = gcd(p, q)
+    return _raw(1, (p // g,), q // g)
+
+
+def _as_fraction(x):
+    """(numerator, denominator) of an int or Fraction, else None."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 class Cyclo:
     """An element of some cyclotomic field, at its minimal conductor.
 
-    The conductor is never 2 mod 4 (such fields coincide with their odd
-    half), and an element fixed by the Galois group of Q(zeta_n) over
-    Q(zeta_{n/p}) is rewritten at the smaller conductor.  This makes
-    __eq__ / __hash__ structural.
+    ``num`` holds integers on the power basis 1, z, ..., z^(phi(n)-1) of
+    Q(zeta_n) modulo Phi_n, ``den`` one positive common denominator, in
+    lowest terms with them.  The conductor n is never 2 mod 4 (such
+    fields coincide with their odd half) and no value of Q(zeta_m), m a
+    proper divisor of n, is kept at n.  This makes __eq__ / __hash__
+    structural.  ``coeffs`` gives the coordinates as Fractions.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n, coeffs, reduced=False):
+        if n < 1:
+            raise ValueError("conductor must be positive")
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         if not reduced:
-            coeffs = _reduce_exponents(n, list(enumerate(coeffs)))
-        n, coeffs = _canonicalize(n, coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+            num = _reduce(n, num)
+        n, num = _minimal_conductor(n, num or [0])
+        g = gcd(den, *num)
+        _set_n(self, n)
+        _set_num(self, tuple([c // g for c in num]))
+        _set_den(self, den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
+
+    @property
+    def coeffs(self):
+        """The coordinates on the power basis, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors
 
     @classmethod
     def rational(cls, value) -> "Cyclo":
-        return cls(1, [Fraction(value)], reduced=True)
+        value = Fraction(value)
+        return _raw(1, (value.numerator,), value.denominator)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclo":
         """Primitive n-th root of unity to the k-th power."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        coeffs = _reduce_exponents(n, [(k, Fraction(1))])
-        return cls(n, coeffs, reduced=True)
+        return _make(n, _exponent_map(n, [(k, 1)]), 1)
 
     @classmethod
     def i(cls) -> "Cyclo":
@@ -196,7 +307,7 @@ class Cyclo:
     # -- basic predicates
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.n == 1 and not self.num[0]
 
     def is_rational(self) -> bool:
         return self.n == 1
@@ -204,49 +315,97 @@ class Cyclo:
     def as_rational(self) -> Fraction:
         if self.n != 1:
             raise ValueError("not a rational number: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring structure
 
-    def _promote(self, other):
-        """Common conductor L and both coefficient vectors at length phi(L).
-
-        Returns raw vectors, not Cyclo instances: re-canonicalising the
-        embedded operands would undo the promotion.
-        """
-        if not isinstance(other, Cyclo):
-            other = Cyclo.rational(other)
-        L = lcm(self.n, other.n)
-        return L, self._embed_vec(L), other._embed_vec(L)
-
-    def _embed_vec(self, L: int):
+    def _embed(self, L: int):
+        """The power-basis numerators of this value in Q(zeta_L), n | L."""
         if L == self.n:
-            return list(self.coeffs)
+            return self.num
         step = L // self.n
-        terms = [(j * step, c) for j, c in enumerate(self.coeffs) if c]
-        return _reduce_exponents(L, terms)
+        vec = [0] * ((len(self.num) - 1) * step + 1)
+        vec[::step] = self.num
+        return _reduce(L, vec)
+
+    def _scale(self, p, q):
+        """This value times the rational p / q (q > 0)."""
+        if not p:
+            return ZERO
+        return _lowest(self.n, [c * p for c in self.num], self.den * q)
 
     def __add__(self, other):
-        L, a, b = self._promote(other)
-        return Cyclo(L, [x + y for x, y in zip(a, b)], reduced=True)
+        if isinstance(other, Cyclo):
+            if self.n == 1:
+                self, other = other, self
+            if other.n != 1:
+                return self._add(other)
+            rational = other.num[0], other.den
+        else:
+            rational = _as_fraction(other)
+            if rational is None:
+                return NotImplemented
+        # a rational summand changes neither conductor nor basis vectors
+        p, q = rational
+        if self.n == 1:
+            return _rational(self.num[0] * q + p * self.den, q * self.den)
+        den = lcm(self.den, q)
+        num = [c * (den // self.den) for c in self.num]
+        num[0] += p * (den // q)
+        return _lowest(self.n, num, den)
 
     __radd__ = __add__
 
+    def _add(self, other):
+        n = self.n
+        a, b = self.num, other.num
+        if other.n != n:
+            n = lcm(n, other.n)
+            a, b = self._embed(n), other._embed(n)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(n, [x + y for x, y in zip(a, b)], da)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return _make(n, [x * fa + y * fb for x, y in zip(a, b)], den)
+
     def __neg__(self):
-        return Cyclo(self.n, [-c for c in self.coeffs], reduced=True)
+        return _lowest(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        L, a, b = self._promote(other)
-        return Cyclo(L, [x - y for x, y in zip(a, b)], reduced=True)
+        if not isinstance(other, (Cyclo, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.n, [c * other for c in self.coeffs], reduced=True)
-        L, a, b = self._promote(other)
-        return Cyclo(L, _vec_mul(L, a, b), reduced=True)
+        if isinstance(other, Cyclo):
+            if other.n == 1:
+                if self.n == 1:
+                    return _rational(self.num[0] * other.num[0],
+                                     self.den * other.den)
+                return self._scale(other.num[0], other.den)
+            if self.n == 1:
+                return other._scale(self.num[0], self.den)
+        else:
+            rational = _as_fraction(other)
+            if rational is None:
+                return NotImplemented
+            return self._scale(*rational)
+        n = self.n
+        a, b = self.num, other.num
+        if other.n != n:
+            n = lcm(n, other.n)
+            a, b = self._embed(n), other._embed(n)
+        out = [0] * (2 * len(a) - 1)
+        terms = [(j, c) for j, c in enumerate(b) if c]
+        for i, x in enumerate(a):
+            if x:
+                for j, c in terms:
+                    out[i + j] += x * c
+        return _make(n, _reduce(n, out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -254,20 +413,22 @@ class Cyclo:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero has no inverse")
         if self.n == 1:
-            return Cyclo.rational(1 / self.coeffs[0])
-        # extended Euclid against Phi_n over Q
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        u = _poly_ext_gcd_mod(a, phi)
-        return Cyclo(self.n, u + [Fraction(0)] * (euler_phi(self.n) - len(u)))
+            p = self.num[0]
+            return _raw(1, (self.den if p > 0 else -self.den,), abs(p))
+        # x and 1/x generate the same field: the conductor stays
+        u, r = _invert(self.n, self.num)
+        if r < 0:
+            u, r = [-c for c in u], -r
+        return _lowest(self.n, [c * self.den for c in u], r)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.n, [c / Fraction(other) for c in self.coeffs],
-                         reduced=True)
-        return self * other.inverse()
+        rational = _as_fraction(other)
+        if rational is None:
+            return self * other.inverse()
+        p, q = rational
+        if not p:
+            raise ZeroDivisionError("division by rational zero")
+        return self._scale(q, p) if p > 0 else self._scale(-q, -p)
 
     def __rtruediv__(self, other):
         return Cyclo.rational(other) / self if isinstance(other, (int, Fraction)) \
@@ -287,26 +448,36 @@ class Cyclo:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
-        if not isinstance(other, Cyclo):
+        if isinstance(other, Cyclo):
+            return self.n == other.n and self.den == other.den \
+                and self.num == other.num
+        rational = _as_fraction(other)
+        if rational is None:
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == 1 and (self.num[0], self.den) == rational
 
     def __hash__(self):
+        # the hash of (n, coeffs): a Fraction of denominator 1 hashes
+        # as its numerator
+        if self.den == 1:
+            return hash((self.n, self.num))
         return hash((self.n, self.coeffs))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.n != 1 or self.num[0] != 0
 
     # -- Galois structure
 
     def galois(self, k: int) -> "Cyclo":
-        """Apply zeta_n -> zeta_n^k (k must be invertible mod n)."""
+        """Apply zeta_n -> zeta_n^k (k must be invertible mod n).
+
+        An automorphism keeps each subfield Q(zeta_m) and permutes
+        Z[zeta_n], so conductor and lowest terms carry over."""
         if gcd(k, self.n) != 1:
             raise ValueError("galois exponent not coprime to conductor")
-        terms = [(j * k, c) for j, c in enumerate(self.coeffs) if c]
-        return Cyclo(self.n, _reduce_exponents(self.n, terms), reduced=True)
+        num = _exponent_map(self.n, [(j * k, c)
+                                     for j, c in enumerate(self.num) if c])
+        return _raw(self.n, tuple(num), self.den)
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation (zeta -> zeta^{-1})."""
@@ -395,103 +566,10 @@ class Cyclo:
         return "Cyclo<%s>" % (" + ".join(parts) or "0")
 
 
-def _canonicalize(n, coeffs):
-    coeffs = list(coeffs)
-    # conductor 2 mod 4 never survives: zeta_{2m} = -zeta_m^{(m+1)/2}, m odd
-    if n % 4 == 2:
-        m = n // 2
-        terms = []
-        for j, c in enumerate(coeffs):
-            if c:
-                # zeta_n^j = (-1)^j zeta_m^{j(m+1)/2}
-                terms.append((j * ((m + 1) // 2), c if j % 2 == 0 else -c))
-        return _canonicalize(m, _reduce_exponents(m, terms))
-    if n > 1:
-        for p in _prime_factors(n):
-            m = n // p
-            if _fixed_by_subfield(n, m, coeffs):
-                return _canonicalize(m, _descend(n, m, coeffs))
-    if n > 1 and all(c == 0 for c in coeffs[1:]):
-        return 1, [coeffs[0]]
-    if n == 1 and not coeffs:
-        coeffs = [Fraction(0)]
-    return n, coeffs
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int):
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
-
-
-def _fixed_by_subfield(n, m, coeffs):
-    # fixed by sigma_k for every k = 1 mod m with gcd(k, n) = 1
-    for k in range(1 + m, n, m):
-        if gcd(k, n) != 1:
-            continue
-        img = _reduce_exponents(n, [(j * k, c) for j, c in enumerate(coeffs) if c])
-        if img != list(coeffs):
-            return False
-    return True
-
-
-def _descend(n, m, coeffs):
-    cols = _descent_matrix(n, m)
-    phi_n = euler_phi(n)
-    phi_m = euler_phi(m)
-    # solve sum_j y_j * cols[j] == coeffs  (over Q, guaranteed solvable)
-    rows = [[cols[j][i] for j in range(phi_m)] for i in range(phi_n)]
-    sol = solve_linear(rows, coeffs)
-    if sol is None:
-        raise VerificationError("descent claimed but not solvable")
-    return sol
-
-
-def _poly_ext_gcd_mod(a, phi):
-    """u with u*a == 1 mod phi (both little-endian Fraction lists)."""
-    r0, r1 = list(phi), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def sub_scaled(p, q, c, shift):
-        out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-        for i, x in enumerate(q):
-            out[i + shift] -= c * x
-        return out
-
-    while deg(r1) > 0:
-        q_deg = deg(r0) - deg(r1)
-        if q_deg < 0:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        c = r0[deg(r0)] / r1[deg(r1)]
-        r0 = sub_scaled(r0, r1, c, q_deg)
-        s0 = sub_scaled(s0, s1, c, q_deg)
-        if deg(r0) < deg(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-    d1 = deg(r1)
-    if d1 < 0:
-        # a divides phi: impossible for nonzero a of smaller degree since
-        # Phi is irreducible, unless a is a scalar already handled below
-        raise ZeroDivisionError("element not invertible")
-    lead = r1[d1]
-    return [c / lead for c in s1[: max(1, deg(s1) + 1)]]
-
+_new = object.__new__
+_set_n = Cyclo.n.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
 
 ZERO = Cyclo.rational(0)
 ONE = Cyclo.rational(1)
@@ -809,15 +887,8 @@ def _utrim(p):
     return p[: _udeg(p) + 1] or [ZERO]
 
 
-def _uscale(p, c):
-    return [x * c for x in p]
-
-
 def _usub(p, q):
-    n = max(len(p), len(q))
-    p = p + [ZERO] * (n - len(p))
-    q = q + [ZERO] * (n - len(q))
-    return [a - b for a, b in zip(p, q)]
+    return [a - b for a, b in zip_longest(p, q, fillvalue=ZERO)]
 
 
 def _umul(p, q):
@@ -856,10 +927,6 @@ def _udiv_exact(p, q):
 
 def _ugcd(p, q):
     a, b = _utrim(list(p)), _utrim(list(q))
-    if _udeg(a) < 0:
-        return _umonic(b)
-    if _udeg(b) < 0:
-        return _umonic(a)
     while _udeg(b) >= 0:
         _, r = _udivmod(a, b)
         a, b = b, r
@@ -870,7 +937,8 @@ def _umonic(p):
     d = _udeg(p)
     if d < 0:
         return [ZERO]
-    return _uscale(p, p[d].inverse())
+    inv = p[d].inverse()
+    return [x * inv for x in p]
 
 
 def _uderiv(p):
@@ -911,10 +979,6 @@ def root_multiplicities(g: Poly2):
     return sorted(mults, reverse=True)
 
 
-def distinct_root_count(g: Poly2) -> int:
-    return len(root_multiplicities(g))
-
-
 def odd_multiplicity_root_count(g: Poly2) -> int:
     return sum(1 for m in root_multiplicities(g) if m % 2 == 1)
 
@@ -939,8 +1003,8 @@ def square_test(g: Poly2):
         return {"is_square": False}
     h_uni = [ONE]
     for i, f in enumerate(parts, start=1):
-        if _udeg(f) > 0:
-            h_uni = _umul(h_uni, _upow(f, i // 2))
+        for _ in range(i // 2 if _udeg(f) > 0 else 0):
+            h_uni = _umul(h_uni, f)
     h = _from_univariate(e0 // 2, e1 // 2, h_uni)
     hh = h * h
     # scalar = g / h^2, read off any monomial present in both
@@ -954,13 +1018,6 @@ def square_test(g: Poly2):
         result["note"] = "scalar square root not representable within " \
                          "cyclotomic scalars"
     return result
-
-
-def _upow(p, k):
-    out = [ONE]
-    for _ in range(k):
-        out = _umul(out, p)
-    return out
 
 
 def gcd_forms(g: Poly2, h: Poly2) -> Poly2:
@@ -1108,14 +1165,6 @@ class Mat2:
             if not e.is_zero():
                 return self.scale(e.inverse())
         raise ValueError("zero matrix has no projective class")
-
-    def proj_eq(self, other: "Mat2") -> bool:
-        return self.normalized() == other.normalized()
-
-    def apply(self, p, q):
-        """Image of the point [p:q] of the projective line."""
-        p, q = as_cyclo(p), as_cyclo(q)
-        return (self.a * p + self.b * q, self.c * p + self.d * q)
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):

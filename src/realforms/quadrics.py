@@ -40,6 +40,7 @@ the finite subgroups, cross-checked against their syzygy.
 
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 from math import comb, gcd
 
 from .exact import (
@@ -49,7 +50,6 @@ from .exact import (
     VerificationError,
     as_cyclo,
     from_factors,
-    odd_multiplicity_root_count,
     root_multiplicities,
     solve_linear,
 )
@@ -182,9 +182,12 @@ class QgInstance:
     ``factored_roots`` is optional exact root data: a sequence of
     ``((p, q), multiplicity)`` with [p : q] the distinct roots.  When
     given it is checked against g by rebuilding the form up to a scalar.
+
+    The root multiplicities found while validating are kept, and
+    ``detect_symmetry`` keeps its label here, so each is computed once.
     """
 
-    __slots__ = ("g", "factored_roots")
+    __slots__ = ("g", "factored_roots", "_mults", "_label")
 
     def __init__(self, g, factored_roots=None):
         if not isinstance(g, Poly2):
@@ -194,7 +197,8 @@ class QgInstance:
         if g.degree % 2 != 0 or g.degree < 2:
             raise ValueError("g must have even degree >= 2, got %d"
                              % g.degree)
-        if odd_multiplicity_root_count(g) == 0:
+        mults = root_multiplicities(g)
+        if not any(m % 2 for m in mults):
             raise ValueError("g is a square (all root multiplicities even)")
         if factored_roots is not None:
             factored_roots = tuple(
@@ -209,6 +213,8 @@ class QgInstance:
                 raise ValueError("factored roots do not rebuild g")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "factored_roots", factored_roots)
+        object.__setattr__(self, "_mults", mults)
+        object.__setattr__(self, "_label", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QgInstance is immutable")
@@ -219,9 +225,7 @@ class QgInstance:
 
     def multiplicities(self):
         """Root multiplicities of g, largest first."""
-        if self.factored_roots is not None:
-            return sorted((m for _, m in self.factored_roots), reverse=True)
-        return root_multiplicities(self.g)
+        return list(self._mults)
 
     def __repr__(self):
         return "QgInstance(%s)" % render_poly(self.g)
@@ -317,31 +321,31 @@ def detect_symmetry(q, moebius_search=False):
     and exact root data available, coordinate changes sending root
     triples to standard position are also tried, and the largest
     stabilizer found anywhere is reported.  Changes that expose an
-    ambiguity are skipped.
+    ambiguity are skipped.  The label in the given coordinates is kept
+    on the instance, so only the search is ever repeated.
     """
     q = _coerce_instance(q)
-    mults = q.multiplicities()
-    if len(mults) == 2:
-        return FLabel.torus_z2() if mults[0] == mults[1] else FLabel.torus()
-    best = _finite_symmetry(q.g, q.n)
-    if moebius_search and q.factored_roots:
-        points = [pt for pt, _ in q.factored_roots]
-        for i, p1 in enumerate(points):
-            for j, p2 in enumerate(points):
-                if i == j:
-                    continue
-                for k, p3 in enumerate(points):
-                    if k in (i, j):
-                        continue
-                    m = _three_point_map(p1, p2, p3)
-                    if m is None:
-                        continue
-                    try:
-                        found = _finite_symmetry(q.g.compose(m), q.n)
-                    except AmbiguousSymmetryError:
-                        continue
-                    if found.order() > best.order():
-                        best = found
+    if q._label is None:
+        mults = q._mults
+        if len(mults) == 2:
+            label = FLabel.torus_z2() if mults[0] == mults[1] \
+                else FLabel.torus()
+        else:
+            label = FLabel.finite(_finite_symmetry(q.g, q.n))
+        object.__setattr__(q, "_label", label)
+    if not (moebius_search and q._label.is_finite and q.factored_roots):
+        return q._label
+    best = q._label.group
+    for triple in permutations([pt for pt, _ in q.factored_roots], 3):
+        m = _three_point_map(*triple)
+        if m is None:
+            continue
+        try:
+            found = _finite_symmetry(q.g.compose(m), q.n)
+        except AmbiguousSymmetryError:
+            continue
+        if found.order() > best.order():
+            best = found
     return FLabel.finite(best)
 
 
@@ -948,6 +952,18 @@ def _finite_forms(g, spec):
                     if not _relation_value(relation, triple).is_zero():
                         raise VerificationError(
                             "the syzygy of %s does not vanish" % spec.name)
+                else:
+                    # g is semi-invariant with a nontrivial character,
+                    # so it is not a polynomial in the invariant triple
+                    chars = semi_invariant_character(g, spec)
+                    if chars is None:
+                        raise ValueError(
+                            "g is not semi-invariant under %s; the detected "
+                            "symmetry is inconsistent" % spec.name)
+                    if all(v == _ONE for v in chars.values()):
+                        raise ValueError(
+                            "g has trivial character but is not expressible "
+                            "in the invariant triple of %s" % spec.name)
             if expression is not None:
                 if not _relation_value(relation, cls.triple).is_zero():
                     raise ValueError(
@@ -955,18 +971,7 @@ def _finite_forms(g, spec):
                         % cls.label)
                 gi = _substitute(expression, cls.triple)
             else:
-                # g is semi-invariant with a nontrivial character, so it
-                # is not a polynomial in the invariant triple; conjugate
-                # directly and rescale into real coefficients.
-                chars = semi_invariant_character(g, spec)
-                if chars is None:
-                    raise ValueError(
-                        "g is not semi-invariant under %s; the detected "
-                        "symmetry is inconsistent" % spec.name)
-                if all(v == _ONE for v in chars.values()):
-                    raise ValueError(
-                        "g has trivial character but is not expressible "
-                        "in the invariant triple of %s" % spec.name)
+                # conjugate directly and rescale into real coefficients
                 gi = _realify(g.compose(cls.conjugator))
             if not gi.real_coefficients():
                 raise ValueError("twisted equation failed to be real")
@@ -1056,20 +1061,10 @@ def _m3_transpose(a):
 
 def _m3_scalar_of(a, b):
     """s with a == s * b, or None."""
-    s = None
-    for i in range(3):
-        for j in range(3):
-            if not b[i][j].is_zero():
-                s = a[i][j] / b[i][j]
-                break
-        if s is not None:
-            break
-    if s is None:
+    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    s = next((x / y for x, y in pairs if y), None)
+    if s is None or any(x != y * s for x, y in pairs):
         return None
-    for i in range(3):
-        for j in range(3):
-            if a[i][j] != b[i][j] * s:
-                return None
     return s
 
 

@@ -89,28 +89,17 @@ _ONE = Cyclo.rational(1)
 
 
 def _rank_mod2(matrix):
-    rows = [[int(v) % 2 for v in row] for row in matrix]
+    """Rank over GF(2): rows as bit masks; each nonzero row taken as a
+    pivot clears its lowest bit from the remaining rows."""
+    rows = [sum((int(v) % 2) << j for j, v in enumerate(row))
+            for row in matrix]
     rank = 0
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
     return rank
 
 

@@ -325,6 +325,50 @@ def test_detection_op_counts(monkeypatch, text, composes, label):
     assert closures == []
 
 
+def test_classification_factors_and_detects_once(monkeypatch):
+    # the instance keeps the multiplicities it validated with and the
+    # label it was detected with; enumerate_forms and the rotation order
+    # of structure 5 reuse both
+    import realforms.quadrics as quadrics
+    calls = {"yun": 0, "finite": 0}
+    original_mults = quadrics.root_multiplicities
+    original_finite = quadrics._finite_symmetry
+
+    def counting_mults(g):
+        calls["yun"] += 1
+        return original_mults(g)
+
+    def counting_finite(g, n):
+        calls["finite"] += 1
+        return original_finite(g, n)
+
+    monkeypatch.setattr(quadrics, "root_multiplicities", counting_mults)
+    monkeypatch.setattr(quadrics, "_finite_symmetry", counting_finite)
+    q = inst("u0^4 + u1^4 + u0^2*u1^2")
+    assert detect_symmetry(q) == FLabel.finite(GroupSpec("D", 2))
+    enumerate_forms(q)
+    assert check_real_structure(5, q)["valid"]
+    assert q.multiplicities() == [1] * 4
+    assert calls == {"yun": 1, "finite": 1}
+
+
+@pytest.mark.parametrize("text", ["u0^6 + u1^6", "u0^5*u1 - u0*u1^5"])
+def test_character_is_computed_once_per_classification(monkeypatch, text):
+    # D6 has two twisted classes that carry an equation, and u0^6 + u1^6
+    # is not a polynomial in its invariant triple
+    import realforms.quadrics as quadrics
+    calls = []
+    original = quadrics.semi_invariant_character
+
+    def counting(g, spec):
+        calls.append(spec.name)
+        return original(g, spec)
+
+    monkeypatch.setattr(quadrics, "semi_invariant_character", counting)
+    report = enumerate_forms(inst(text))
+    assert len(calls) == 1 and calls[0] == report.symmetry.group.name
+
+
 # ----------------------------------------------------------------------
 # counts: the closed-form table
 
