@@ -12,11 +12,10 @@ and the twisted P1-bundle gluing checks (`schwarzenberger`).
 """
 
 import sys
-from importlib import import_module
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # the public names, by the module that defines them; a module is only
-# imported when one of its names is first looked up (PEP 562)
+# executed when one of its names is first looked up (PEP 562)
 _EXPORTS = {
     "exact": "Cyclo Mat2 Poly Poly2 VerificationError square_test",
     "groups": "GroupSpec group_elements h1_classes h1_named h1_names "
@@ -36,14 +35,15 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
 
-# The classification of Q_g needs none of these three.  They are
-# registered unexecuted, so code that finds the package's modules in
-# sys.modules (to wrap their functions, say) still sees them; each runs
-# on its first attribute access.
-for _name in ("lattices", "schwarzenberger", "registry"):
+# Every library module is registered in sys.modules unexecuted and bound
+# as a package attribute, so ``from . import registry`` returns the stub
+# and a module runs only on its first attribute access: a command
+# executes just the modules it uses.  Code that finds the package's
+# modules in sys.modules (to wrap their functions, say) still sees them.
+for _name in _EXPORTS:
     _spec = find_spec("%s.%s" % (__name__, _name))
     _spec.loader = LazyLoader(_spec.loader)
-    sys.modules[_spec.name] = module_from_spec(_spec)
+    globals()[_name] = sys.modules[_spec.name] = module_from_spec(_spec)
     _spec.loader.exec_module(sys.modules[_spec.name])
 del _name, _spec
 
@@ -57,6 +57,6 @@ def __getattr__(name):
     if module is None:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))
-    value = getattr(import_module("." + module, __name__), name)
+    value = getattr(globals()[module], name)
     globals()[name] = value
     return value

@@ -3,65 +3,47 @@
 Every command prints one JSON report (stable key order, so identical
 invocations are byte-identical) or, with ``--format text``, a short
 human-readable table of the same data.  Exit codes: 0 on success, 2 on
-a domain error (bad input, out-of-range parameters, unclassified
-cases), 3 when a verification suite finds an exact identity violated.
+a usage error or a domain error (bad input, out-of-range parameters,
+unclassified cases), 3 when a verification suite finds an exact
+identity violated.
+
+A cold command runs only the code it uses.  The library modules are
+stubs until first use (see ``realforms/__init__.py``), so this module
+reaches them through qualified names (``registry.forms_of``), never
+``from ... import``; the arguments are parsed with argparse.
 """
 
-import functools
+import argparse
 import json
 import sys
 
-# the package before click: in this order the peak resident memory of
-# ``import realforms.cli`` is 1.4 MB lower (22.8 MB, CPython 3.11)
-from .exact import VerificationError
-from .groups import GroupSpec, h1_named, h1_names
-from .lattices import FamilyId, aut_component_count, in_theorem_list, model
-from .parsing import ParseError, matrix_json, parse_poly, render_poly
-from . import quadrics
-from . import registry
-from . import schwarzenberger
+from . import (__version__, exact, groups, lattices, parsing, quadrics,
+               registry, schwarzenberger)
 
-import click
+# subcommand name -> (function, its options as (flag, argparse keywords))
+_COMMANDS = {}
+_FORMAT = ("--format", dict(dest="fmt", choices=["json", "text"],
+                            default="json",
+                            help="machine JSON (default) or a "
+                                 "human-readable rendering"))
+_HELP = dict(action="help", help="show this message and exit")
+_PARAM_OPTIONS = tuple(("--" + key, dict(type=int)) for key in "abcmn")
 
 
-def _echo_json(data):
-    click.echo(json.dumps(data, indent=2, sort_keys=True))
+def _command(name, *options):
+    """Register the decorated function as the subcommand ``name``; every
+    command also takes ``--format``."""
+    def register(fn):
+        _COMMANDS[name] = (fn, options + (_FORMAT,))
+        return fn
+    return register
 
 
 def _emit(data, fmt, renderer):
     if fmt == "text":
-        click.echo(renderer(data))
+        print(renderer(data))
     else:
-        _echo_json(data)
-
-
-def _guarded(fn):
-    """Map exceptions to the exit-code contract."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except VerificationError as exc:
-            click.echo("verification failure: %s" % exc, err=True)
-            sys.exit(3)
-        except (ParseError, ValueError, KeyError, TypeError) as exc:
-            click.echo("error: %s" % exc, err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
-_FORMAT = click.option("--format", "fmt",
-                       type=click.Choice(["json", "text"]),
-                       default="json", show_default=True,
-                       help="machine JSON or a human-readable rendering")
-
-
-@click.group()
-@click.version_option(package_name="realforms")
-def main():
-    """Exact classification of real forms with maximal symmetry."""
+        print(json.dumps(data, indent=2, sort_keys=True))
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +51,8 @@ def main():
 
 
 def _render_matrix(mat):
-    from .parsing import render_scalar
-    rows = []
-    for row in mat.entries():
-        rows.append("[" + ", ".join(render_scalar(v) for v in row) + "]")
+    rows = ("[" + ", ".join(map(parsing.render_scalar, row)) + "]"
+            for row in mat.entries())
     return "[" + ", ".join(rows) + "]"
 
 
@@ -84,20 +64,18 @@ def _h1_text(data):
     return "\n".join(lines)
 
 
-@main.command("h1")
-@click.option("--group", "group_name", required=True,
-              help="catalog group: A<l>, D<l>, E6, E7 or E8")
-@_FORMAT
-@_guarded
+@_command("h1", ("--group", dict(
+    dest="group_name", required=True,
+    help="catalog group: A<l>, D<l>, E6, E7 or E8")))
 def h1_command(group_name, fmt):
     """Twisted-conjugacy classes of a catalog group."""
-    spec = GroupSpec.parse(group_name)
-    named = h1_named(spec)
+    spec = groups.GroupSpec.parse(group_name)
+    named = groups.h1_named(spec)
     data = {
         "group": spec.name,
         "order": spec.order(),
         "classes": [name for name, _ in named],
-        "reps": [matrix_json(rep) for _, rep in named],
+        "reps": [parsing.matrix_json(rep) for _, rep in named],
         "reps_rendered": [_render_matrix(rep) for _, rep in named],
     }
     _emit(data, fmt, _h1_text)
@@ -124,14 +102,12 @@ def _classify_text(data):
     return "\n".join(lines)
 
 
-@main.command("classify-qg")
-@click.option("--poly", "poly_text", required=True,
-              help="homogeneous fiber polynomial in u0, u1")
-@_FORMAT
-@_guarded
+@_command("classify-qg", ("--poly", dict(
+    dest="poly_text", required=True,
+    help="homogeneous fiber polynomial in u0, u1")))
 def classify_qg_command(poly_text, fmt):
     """Classify the real forms of the quadric bundle with fiber g."""
-    instance = quadrics.QgInstance(parse_poly(poly_text))
+    instance = quadrics.QgInstance(parsing.parse_poly(poly_text))
     report = quadrics.enumerate_forms(instance)
     data = report.as_dict()
     data["symmetry_detected"] = report.symmetry.name
@@ -142,47 +118,22 @@ def classify_qg_command(poly_text, fmt):
 # lattice
 
 
-def _family_id(kind, a, b, c, m, n):
-    def need(**params):
-        missing = [key for key, value in params.items() if value is None]
-        if missing:
-            raise ValueError("family %s needs --%s"
-                             % (kind, ", --".join(missing)))
-        return [params[key] for key in params]
-
-    if kind == "Fabc":
-        return FamilyId.fabc(*need(a=a, b=b, c=c))
-    if kind == "Pb":
-        return FamilyId.pb(*need(b=b))
-    if kind == "Uabc":
-        return FamilyId.uabc(*need(a=a, b=b, c=c))
-    if kind == "Sb":
-        return FamilyId.sb(*need(b=b))
-    if kind == "Vb":
-        return FamilyId.vb(*need(b=b))
-    if kind == "Wb":
-        return FamilyId.wb(*need(b=b))
-    if kind == "Rmn":
-        return FamilyId.rmn(*need(m=m, n=n))
-    if kind == "Qg":
-        return FamilyId.qg(*need(n=n))
-    raise ValueError("unknown family kind %r (one of Fabc, Pb, Uabc, Sb, "
-                     "Vb, Wb, Rmn, Qg)" % kind)
+# family kind -> the parameters of its FamilyId constructor, in order
+_FAMILY_PARAMS = {"Fabc": "abc", "Pb": "b", "Uabc": "abc", "Sb": "b",
+                  "Vb": "b", "Wb": "b", "Rmn": "mn", "Qg": "n"}
 
 
-_PARAM_OPTIONS = (
-    click.option("--a", type=int, default=None),
-    click.option("--b", type=int, default=None),
-    click.option("--c", type=int, default=None),
-    click.option("--m", type=int, default=None),
-    click.option("--n", type=int, default=None),
-)
-
-
-def _with_params(fn):
-    for option in reversed(_PARAM_OPTIONS):
-        fn = option(fn)
-    return fn
+def _family_id(kind, params):
+    if kind not in _FAMILY_PARAMS:
+        raise ValueError("unknown family kind %r (one of %s)"
+                         % (kind, ", ".join(_FAMILY_PARAMS)))
+    keys = _FAMILY_PARAMS[kind]
+    missing = [key for key in keys if params[key] is None]
+    if missing:
+        raise ValueError("family %s needs --%s"
+                         % (kind, ", --".join(missing)))
+    return getattr(lattices.FamilyId, kind.lower())(
+        *(params[key] for key in keys))
 
 
 def _lattice_text(data):
@@ -209,23 +160,21 @@ def _lattice_text(data):
     return "\n".join(lines)
 
 
-@main.command("lattice")
-@click.option("--family", "family_kind", required=True,
-              help="family kind: Fabc, Pb, Uabc, Sb, Vb, Wb, Rmn, Qg")
-@_with_params
-@_FORMAT
-@_guarded
-def lattice_command(family_kind, a, b, c, m, n, fmt):
+@_command("lattice", ("--family", dict(
+    dest="family_kind", required=True,
+    help="family kind: Fabc, Pb, Uabc, Sb, Vb, Wb, Rmn, Qg")),
+    *_PARAM_OPTIONS)
+def lattice_command(family_kind, fmt, **params):
     """Intersection lattice and extremal rays of a family member."""
-    family = _family_id(family_kind, a, b, c, m, n)
-    lattice = model(family)
+    family = _family_id(family_kind, params)
+    lattice = lattices.model(family)
     data = lattice.as_dict()
     for ray, stored in zip(data["cone_generators"],
                            lattice.cone_generators):
         ray["k_negative"] = stored.k_dot < 0
-    data["in_classified_list"] = in_theorem_list(family)
+    data["in_classified_list"] = lattices.in_theorem_list(family)
     try:
-        data["aut_components"] = aut_component_count(family)
+        data["aut_components"] = lattices.aut_component_count(family)
     except ValueError:
         data["aut_components"] = None
     _emit(data, fmt, _lattice_text)
@@ -249,17 +198,15 @@ def _forms_text(data):
     return "\n".join(lines)
 
 
-@main.command("forms")
-@click.option("--family", "family_name", required=True,
-              help="family kind with parameters, or a named space such "
-                   "as P3, Q3, Y5, X12, Q13, P(1,1,1,2) or (P1)^3")
-@_with_params
-@_FORMAT
-@_guarded
-def forms_command(family_name, a, b, c, m, n, fmt):
+@_command("forms", ("--family", dict(
+    dest="family_name", required=True,
+    help="family kind with parameters, or a named space such as P3, Q3, "
+         "Y5, X12, Q13, P(1,1,1,2) or (P1)^3")),
+    *_PARAM_OPTIONS)
+def forms_command(family_name, fmt, **params):
     """The classified real forms of a family member."""
-    if family_name in ("Fabc", "Pb", "Uabc", "Sb", "Vb", "Wb", "Rmn", "Qg"):
-        target = _family_id(family_name, a, b, c, m, n)
+    if family_name in _FAMILY_PARAMS:
+        target = _family_id(family_name, params)
         label = target.label
     else:
         target = family_name
@@ -290,11 +237,9 @@ def _links_text(data):
     return "\n".join(lines)
 
 
-@main.command("links")
-@click.option("--form", "form_name", required=True,
-              help="name of a real form, e.g. G_1, H_1, S~_3, Z_{1,1,0}")
-@_FORMAT
-@_guarded
+@_command("links", ("--form", dict(
+    dest="form_name", required=True,
+    help="name of a real form, e.g. G_1, H_1, S~_3, Z_{1,1,0}")))
 def links_command(form_name, fmt):
     """Equivariant birational links out of a named real form."""
     links = registry.links_from(form_name)
@@ -318,11 +263,9 @@ def _torus_text(data):
     return "\n".join(lines)
 
 
-@main.command("torus")
-@click.option("--d", "dimension", type=int, required=True,
-              help="dimension of the torus")
-@_FORMAT
-@_guarded
+@_command("torus", ("--d", dict(
+    dest="dimension", type=int, required=True,
+    help="dimension of the torus")))
 def torus_command(dimension, fmt):
     """Enumerate the real forms of an algebraic torus."""
     shapes = registry.torus_forms(dimension)
@@ -369,8 +312,8 @@ def _expected_counts(spec, parity):
 def _suite_h1():
     checks = []
     for name in _CATALOG_GROUPS:
-        spec = GroupSpec.parse(name)
-        named = h1_named(spec)
+        spec = groups.GroupSpec.parse(name)
+        named = groups.h1_named(spec)
         checks.append({"check": "h1 %s" % name,
                        "classes": [n for n, _ in named], "ok": True})
     return checks
@@ -379,35 +322,36 @@ def _suite_h1():
 def _suite_qg_table():
     checks = []
     for name in _CATALOG_GROUPS:
-        spec = GroupSpec.parse(name)
+        spec = groups.GroupSpec.parse(name)
         label = quadrics.FLabel.finite(spec)
         for parity in ("even", "odd"):
             counts = quadrics.form_counts(parity, label)
             expected = _expected_counts(spec, parity)
             if tuple(counts) != expected:
-                raise VerificationError(
+                raise exact.VerificationError(
                     "form counts for %s (%s n) are %r, table says %r"
                     % (name, parity, tuple(counts), expected))
         checks.append({"check": "form counts %s" % name, "ok": True})
     for parity in ("even", "odd"):
         torus = quadrics.form_counts(parity, quadrics.FLabel.torus())
         if tuple(torus) != (1, 1, 0):
-            raise VerificationError("torus-fiber counts are %r"
-                                    % (torus,))
+            raise exact.VerificationError("torus-fiber counts are %r"
+                                          % (torus,))
     twisted = quadrics.form_counts("odd", quadrics.FLabel.torus_z2())
     if tuple(twisted) != (3, 2, 1):
-        raise VerificationError("two-root odd counts are %r" % (twisted,))
+        raise exact.VerificationError("two-root odd counts are %r"
+                                      % (twisted,))
     checks.append({"check": "form counts torus fibers", "ok": True})
-    witness = quadrics.QgInstance(parse_poly("u0^8+14*u0^4*u1^4+u1^8"))
+    witness = quadrics.QgInstance(parsing.parse_poly("u0^8+14*u0^4*u1^4+u1^8"))
     report = quadrics.enumerate_forms(witness)
     if report.symmetry.name != "Finite(E7)" or len(report.forms) != 12:
-        raise VerificationError("octahedral witness misclassified")
-    expected_twist = parse_poly("-u0^8+14*u0^4*u1^4-u1^8")
+        raise exact.VerificationError("octahedral witness misclassified")
+    expected_twist = parsing.parse_poly("-u0^8+14*u0^4*u1^4-u1^8")
     twisted_forms = [f for f in report.forms
                      if f.over_class == "[omega_8]"]
     if not twisted_forms or any(f.equation != expected_twist
                                 for f in twisted_forms):
-        raise VerificationError("octahedral twisted equation is wrong")
+        raise exact.VerificationError("octahedral twisted equation is wrong")
     checks.append({"check": "octahedral witness bundle", "forms": 12,
                    "ok": True})
     return checks
@@ -417,7 +361,7 @@ def _suite_schwarzenberger(b_max):
     checks = []
     for k in range(0, 13):
         if not schwarzenberger.sym_identity_holds(k):
-            raise VerificationError(
+            raise exact.VerificationError(
                 "symmetric-power recurrence fails at k = %d" % k)
     checks.append({"check": "symmetric-power identity k <= 12",
                    "ok": True})
@@ -429,36 +373,37 @@ def _suite_schwarzenberger(b_max):
 
 
 def _suite_lattices():
+    FamilyId = lattices.FamilyId
     count = 0
     for a in range(0, 6):
         for b in range(0, 6):
             for c in range(-5, 6):
                 family = FamilyId.fabc(a, b, c)
                 na, nb, nc = family.params
-                lattice = model(family)
+                lattice = lattices.model(family)
                 if lattice.k_dots["l1"] != na - nc - 2 \
                         or lattice.k_dots["l2"] != nb - 2 \
                         or lattice.k_dots["l3"] != -2 \
                         or lattice.k_dots["l4"] != na + nc - 2:
-                    raise VerificationError(
+                    raise exact.VerificationError(
                         "closed-form canonical degrees fail on %s"
                         % family.label)
                 if lattice.k_dot_from_table("l4") != na + nc - 2:
-                    raise VerificationError(
+                    raise exact.VerificationError(
                         "the derived class l4 = l1 - c l3 pairs wrongly "
                         "on %s" % family.label)
                 count += 1
     for b in range(2, 11):
-        lattice = model(FamilyId.wb(b))
+        lattice = lattices.model(FamilyId.wb(b))
         from fractions import Fraction
         if lattice.k_dots["f"] != -2 \
                 or lattice.k_dots["l"] != Fraction(2 * b - 5, 2):
-            raise VerificationError(
+            raise exact.VerificationError(
                 "closed-form canonical degrees fail on W_%d" % b)
         count += 1
     for family in (FamilyId.pb(0), FamilyId.pb(2), FamilyId.sb(3),
                    FamilyId.vb(3), FamilyId.rmn(2, 1), FamilyId.qg(2)):
-        model(family)
+        lattices.model(family)
         count += 1
     return [{"check": "lattice grid", "members": count, "ok": True}]
 
@@ -481,7 +426,7 @@ def _suite_involutions():
     checks = []
     applicable = 0
     for text in _INVOLUTION_CORPUS:
-        instance = quadrics.QgInstance(parse_poly(text))
+        instance = quadrics.QgInstance(parsing.parse_poly(text))
         for index in (1, 2, 3, 4):
             quadrics.check_real_structure(index, instance)
         for index in (5, 6, 7, 8):
@@ -500,7 +445,7 @@ def _suite_involutions():
         registry.verify_involution(exchange, registry.fabc_ambient(0, b, -b))
         registry.verify_involution(circle, registry.fabc_ambient(0, b, b))
     checks.append({"check": "bundle exchanges b = 1..5", "ok": True})
-    flag_forms = registry.forms_of(FamilyId.sb(1))
+    flag_forms = registry.forms_of(lattices.FamilyId.sb(1))
     for descriptor in flag_forms:
         registry.validate_descriptor(descriptor)
     checks.append({"check": "flag threefold structures",
@@ -532,23 +477,25 @@ def _suite_witnesses():
         verdict = registry.verify_witness({"kind": "psi_h"},
                                           q=g_text, h=h_text)
         if not verdict["ok"]:
-            raise VerificationError("degree-raising witness failed on "
-                                    "(%s, %s)" % (g_text, h_text))
+            raise exact.VerificationError(
+                "degree-raising witness failed on (%s, %s)"
+                % (g_text, h_text))
     checks.append({"check": "degree-raising links",
                    "pairs": len(_PSI_H_PAIRS), "ok": True})
     for text in ("u0^3*u1+i*u0*u1^3", "i*u0^4+u1^4", "zeta(3)*u0^2+u1^2",
                  "u0^6+zeta(8)*u1^6", "u0^6+i*u0^3*u1^3+u1^6"):
-        witness = quadrics.realizable(parse_poly(text))
+        witness = quadrics.realizable(parsing.parse_poly(text))
         if not witness:
-            raise VerificationError("no realization witness for %s" % text)
+            raise exact.VerificationError("no realization witness for %s"
+                                          % text)
     try:
-        quadrics.realizable(parse_poly("(1+2*i)*u0^4+u1^4"))
+        quadrics.realizable(parsing.parse_poly("(1+2*i)*u0^4+u1^4"))
         undecidable = False
     except quadrics.UndecidableError:
         undecidable = True
     if not undecidable:
-        raise VerificationError("transcendental-phase surrogate was not "
-                                "flagged as undecidable")
+        raise exact.VerificationError("transcendental-phase surrogate was "
+                                      "not flagged as undecidable")
     checks.append({"check": "realizability witnesses", "ok": True})
     return checks
 
@@ -581,15 +528,12 @@ def _verify_text(data):
     return "\n".join(lines)
 
 
-@main.command("verify")
-@click.option("--suite", required=True,
-              type=click.Choice(["h1", "qg-table", "schwarzenberger",
-                                 "lattices", "witnesses", "involutions",
-                                 "all"]))
-@click.option("--b-max", type=int, default=12, show_default=True,
-              help="parameter range for the gluing checks")
-@_FORMAT
-@_guarded
+@_command("verify", ("--suite", dict(
+    required=True, choices=["h1", "qg-table", "schwarzenberger", "lattices",
+                            "witnesses", "involutions", "all"])),
+    ("--b-max", dict(type=int, default=12,
+                     help="parameter range for the gluing checks "
+                          "(default 12)")))
 def verify_command(suite, b_max, fmt):
     """Run a verification suite; any exact failure exits with code 3."""
     checks = []
@@ -602,6 +546,59 @@ def verify_command(suite, b_max, fmt):
         checks.extend(_SUITES[suite](b_max))
     data = {"suite": suite, "checks": checks, "passed": len(checks)}
     _emit(data, fmt, _verify_text)
+
+
+# ----------------------------------------------------------------------
+# argument parsing and the exit-code contract
+
+
+def _parser(prog):
+    # ``--help`` but no ``-h``, which is a usage error (exit 2)
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
+                                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", **_HELP)
+    parser.add_argument("--version", action="version",
+                        version="realforms %s" % __version__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__,
+                                  description=fn.__doc__, add_help=False,
+                                  allow_abbrev=False)
+        sub.add_argument("--help", **_HELP)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def _join_values(args):
+    """Write ``--opt value`` as ``--opt=value``, so that a value starting
+    with a dash (``--poly -u0^4-u1^4``, ``--c -1``) stays a value."""
+    takes_value = {flag for _, options in _COMMANDS.values()
+                   for flag, _ in options}
+    joined = []
+    tokens = iter(args)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        joined.append(token if value is None else "%s=%s" % (token, value))
+    return joined
+
+
+def main(args=None, prog_name=None):
+    """Exact classification of real forms with maximal symmetry."""
+    args = sys.argv[1:] if args is None else args
+    options = vars(_parser(prog_name or "realforms").parse_args(
+        _join_values(args)))
+    run = options.pop("run")
+    try:
+        run(**options)
+    except exact.VerificationError as exc:
+        print("verification failure: %s" % exc, file=sys.stderr)
+        raise SystemExit(3)
+    except (ValueError, KeyError, TypeError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

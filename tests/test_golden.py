@@ -8,6 +8,7 @@ from code whose output is trusted:
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import io
 import json
 import os
 import subprocess
@@ -15,8 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+import realforms
+from realforms import registry, schwarzenberger
 from realforms.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -28,8 +30,20 @@ OPTIMIZED = ("h1-A4", "forms-Q3", "links-H1", "torus-d2", "lattice-Wb",
 
 
 def _run(args):
-    result = CliRunner().invoke(main, args)
-    return result.stdout_bytes, result.exit_code
+    """(stdout bytes, exit code) of one in-process CLI invocation."""
+    buffer = io.BytesIO()
+    capture = io.TextIOWrapper(buffer, "utf-8")
+    stdout, sys.stdout = sys.stdout, capture
+    try:
+        main(args, prog_name="realforms")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(
+            exc.code is not None)
+    finally:
+        capture.flush()
+        sys.stdout = stdout
+    return buffer.getvalue(), code
 
 
 def _expected(name):
@@ -41,6 +55,35 @@ def _expected(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     assert _run(CASES[name]) == _expected(name)
+
+
+@pytest.mark.parametrize("command", [
+    [], ["h1"], ["classify-qg"], ["lattice"], ["forms"], ["links"],
+    ["torus"], ["verify"]])
+def test_help_exits_zero(command):
+    # the help text itself is not part of the contract
+    assert _run(command + ["--help"])[1] == 0
+
+
+def test_version_prints_the_package_version():
+    assert _run(["--version"]) == (
+        ("realforms %s\n" % realforms.__version__).encode(), 0)
+
+
+def test_failed_identity_exits_3_with_nothing_on_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(schwarzenberger, "sym_identity_holds",
+                        lambda k: False)
+    assert _run(["verify", "--suite", "schwarzenberger"]) == (b"", 3)
+    assert capsys.readouterr().err.startswith("verification failure:")
+
+
+def test_unexpected_errors_are_not_mapped_to_an_exit_code(monkeypatch):
+    def broken(dimension):
+        raise RuntimeError("not a domain error")
+
+    monkeypatch.setattr(registry, "torus_forms", broken)
+    with pytest.raises(RuntimeError, match="not a domain error"):
+        _run(["torus", "--d", "2"])
 
 
 def test_optimized_interpreter_matches_golden():
