@@ -7,8 +7,10 @@ finite subgroups of PGL2 with their Galois cohomology (`groups`), and
 the classification machinery for quadric fibrations over the line with
 prescribed symmetry (`quadrics`).  Supporting modules cover the
 intersection lattices of the ambient families (`lattices`), the curated
-registry of real forms with their verifiable witnesses (`registry`),
-and the twisted P1-bundle gluing checks (`schwarzenberger`).
+registry of real forms and links (`registry`) with the exact checks
+behind its stored formulas and witnesses (`certificates`), the twisted
+P1-bundle gluing checks (`schwarzenberger`), `VerificationError`
+(`errors`) and the verification suites of the command line (`verify`).
 """
 
 import sys
@@ -17,7 +19,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # the public names, by the module that defines them; a module is only
 # executed when one of its names is first looked up (PEP 562)
 _EXPORTS = {
-    "exact": "Cyclo Mat2 Poly Poly2 VerificationError square_test",
+    "errors": "VerificationError",
+    "exact": "Cyclo Mat2 Poly Poly2 square_test",
     "groups": "GroupSpec group_elements h1_classes h1_named h1_names "
               "semi_invariant_character",
     "lattices": "FamilyId aut_component_count in_theorem_list model",
@@ -27,10 +30,11 @@ _EXPORTS = {
                 "check_psi_h check_real_structure detect_symmetry "
                 "enumerate_forms form_counts psi_pullback_identity "
                 "realizable",
-    "registry": "TorusShape forms_of links_from signature tori_conjugate "
-                "torus_forms torus_shape_of_involution verify_involution "
-                "verify_witness",
+    "registry": "TorusShape forms_of links_from tori_conjugate "
+                "torus_forms torus_shape_of_involution",
+    "certificates": "signature verify_involution verify_witness",
     "schwarzenberger": "hom_sym verify_gluing",
+    "verify": "",  # the command line's suites export no name
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

@@ -15,7 +15,7 @@ they were produced.
 
 ``Poly`` is the one polynomial type: a map from exponent tuples (one
 entry per variable, negative entries allowed) to nonzero scalars.  It
-serves the multihomogeneous ambient equations of the registry, the
+serves the multihomogeneous ambient equations of `certificates`, the
 Laurent polynomials of the Schwarzenberger gluing, and the loose values
 of the parser.  ``Poly2`` is its homogeneous two-variable subclass, the
 binary forms; gcd / squarefree machinery works on their dehomogenized
@@ -31,9 +31,7 @@ from itertools import zip_longest
 from math import gcd, lcm, isqrt
 from operator import mul
 
-
-class VerificationError(AssertionError):
-    """An exact identity that was asserted to hold failed to hold."""
+from .errors import VerificationError
 
 
 # ----------------------------------------------------------------------

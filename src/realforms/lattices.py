@@ -17,7 +17,7 @@ full table is available, so the two presentations can never drift apart.
 
 from fractions import Fraction
 
-from .exact import VerificationError
+from .errors import VerificationError
 
 __all__ = [
     "FamilyId",

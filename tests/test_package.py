@@ -3,8 +3,8 @@
 Every library module is registered in ``sys.modules`` and bound as a
 package attribute unexecuted; it runs on its first attribute access.
 ``import realforms`` and the modules that classify Q_g load neither the
-CLI nor the registry and its helpers, each CLI command executes only the
-modules it uses, and every exported name resolves."""
+CLI nor the registry and its helpers, each CLI command executes exactly
+the modules it uses, and every exported name resolves."""
 
 import json
 import os
@@ -13,14 +13,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STUBS = ("realforms.exact", "realforms.groups", "realforms.parsing",
-         "realforms.quadrics", "realforms.lattices", "realforms.registry",
-         "realforms.schwarzenberger")
+STUBS = ("realforms.errors", "realforms.exact", "realforms.groups",
+         "realforms.parsing", "realforms.quadrics", "realforms.lattices",
+         "realforms.registry", "realforms.certificates",
+         "realforms.schwarzenberger", "realforms.verify")
 # what the classification of Q_g never needs: not loaded at all, or (the
-# three library modules) registered but not executed
+# library modules) registered but not executed
 ABSENT = ("realforms.cli", "click", "hashlib")
 UNEXECUTED = ("realforms.lattices", "realforms.registry",
-              "realforms.schwarzenberger")
+              "realforms.certificates", "realforms.schwarzenberger",
+              "realforms.verify")
 PROBE = """
 import json, sys, types
 def executed():
@@ -39,18 +41,24 @@ names = {n: getattr(realforms, n).__module__ if n != "__version__" else n
          for n in realforms.__all__}
 print(json.dumps([registered, bound, before, after, loaded, names]))
 """ % (STUBS, STUBS, ABSENT)
-# which library modules a command executes: exactly these, or none of these
-RUNS_ONLY = {
-    ("h1", "--group", "A4"): {"exact", "groups", "parsing"},
+FABC = ("--family", "Fabc", "--a", "1", "--b", "2", "--c", "3")
+LOOKUP = {"errors", "registry"}
+# the exit code of a command and exactly the library modules it executes;
+# only ``verify`` executes the suites and the registry's certificates
+RUNS = {
+    ("h1", "--group", "A4"): (0, {"errors", "exact", "groups", "parsing"}),
     ("classify-qg", "--poly", "u0^4+u1^4"):
-        {"exact", "groups", "parsing", "quadrics"},
-}
-RUNS_NONE_OF = {
-    ("lattice", "--family", "Fabc", "--a", "1", "--b", "2", "--c", "3"):
-        {"quadrics", "groups", "registry"},
-    ("forms", "--family", "Q3"): {"quadrics", "groups", "schwarzenberger"},
-    ("links", "--form", "H_1"): {"quadrics", "groups", "schwarzenberger"},
-    ("torus", "--d", "2"): {"quadrics", "groups", "schwarzenberger"},
+        (0, {"errors", "exact", "groups", "parsing", "quadrics"}),
+    ("lattice", *FABC): (0, {"errors", "lattices"}),
+    ("forms", *FABC): (0, LOOKUP | {"lattices"}),
+    ("forms", "--family", "Q3"): (0, LOOKUP),
+    ("links", "--form", "H_1"): (0, LOOKUP),
+    ("torus", "--d", "2"): (0, LOOKUP),
+    ("forms", "--family", "Xabc"): (2, LOOKUP),
+    ("lattice", "--family", "Qg", "--n", "0"): (2, {"errors", "lattices"}),
+    ("verify", "--suite", "witnesses"):
+        (0, {"certificates", "errors", "exact", "groups", "parsing",
+             "quadrics", "registry", "verify"}),
 }
 # runs ``python -m realforms.cli <args>`` and reports, on the last line of
 # stderr, the library modules executed and whether click was imported
@@ -84,12 +92,14 @@ def test_import_loads_nothing_heavy_and_every_name_resolves():
     assert loaded == []
     assert names.pop("__version__") == "__version__"
     assert names["Cyclo"] == "realforms.exact"
+    assert names["VerificationError"] == "realforms.errors"
     assert names["verify_gluing"] == "realforms.schwarzenberger"
     assert all(module.startswith("realforms.") for module in names.values())
 
 
 def test_submodule_import_binds_the_package_attribute():
-    for name in ("registry", "lattices", "schwarzenberger"):
+    for name in ("registry", "lattices", "schwarzenberger", "certificates",
+                 "verify"):
         proc = _python("-c", "import realforms.%s as m, realforms; "
                              "assert realforms.%s is m; m.__name__"
                        % (name, name))
@@ -97,16 +107,14 @@ def test_submodule_import_binds_the_package_attribute():
 
 
 def test_each_command_executes_only_the_modules_it_uses():
-    for args, modules in list(RUNS_ONLY.items()) \
-            + list(RUNS_NONE_OF.items()):
+    for args, (code, modules) in RUNS.items():
         proc = _python("-c", COMMAND_PROBE, *args)
-        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.returncode == code, (args, proc.stderr)
         ran, click = json.loads(proc.stderr.splitlines()[-1])
         assert not click, args
-        if args in RUNS_ONLY:
-            assert set(ran) == modules, (args, ran)
-        else:
-            assert not set(ran) & modules, (args, ran)
+        assert set(ran) == modules, (args, ran)
+        if {"verify", "certificates"} & set(ran):
+            assert args[0] == "verify", (args, ran)
 
 
 def test_launcher_prints_what_the_cli_prints(tmp_path):
@@ -130,3 +138,29 @@ def test_star_import_and_unknown_names():
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("unknown name resolved")
+
+
+def test_verification_error_is_one_class():
+    import realforms
+    from realforms import errors, exact
+    assert realforms.VerificationError is exact.VerificationError \
+        is errors.VerificationError
+    assert issubclass(errors.VerificationError, AssertionError)
+
+
+def test_no_bytecode_is_shipped_and_bytecode_writing_is_left_alone():
+    """Cold start-up is cut by compiling less source, never by shipping
+    ``.pyc`` files or by changing whether and where bytecode is written."""
+    src = ROOT / "src"
+    listed = subprocess.run(["git", "ls-files", "--", "src"],
+                            capture_output=True, text=True, cwd=ROOT)
+    if listed.returncode == 0:
+        files = listed.stdout.split()
+    else:  # not a git checkout: every file outside a local cache counts
+        files = [str(p) for p in src.rglob("*")
+                 if "__pycache__" not in p.parts]
+    assert not [f for f in files if f.endswith(".pyc")]
+    for path in src.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for setting in ("dont_write_bytecode", "pycache_prefix"):
+            assert setting not in text, (path, setting)

@@ -1,5 +1,6 @@
-"""The curated registry: structure parsing, involution and witness checks,
-quadratic forms, real tori, and the full validation sweep."""
+"""The curated registry and its certificates: structure parsing,
+involution and witness checks, quadratic forms, real tori, links, and the
+full validation sweep."""
 
 from collections import Counter
 from fractions import Fraction
@@ -7,9 +8,7 @@ from fractions import Fraction
 import pytest
 
 from realforms import registry
-from realforms.exact import VerificationError
-from realforms.lattices import FamilyId
-from realforms.registry import (
+from realforms.certificates import (
     MonomialMap,
     fabc_ambient,
     flag_ambient,
@@ -21,10 +20,11 @@ from realforms.registry import (
     real_locus_form,
     signature,
     torus_equivalent,
-    torus_shape_of_involution,
-    validate_all,
     verify_involution,
 )
+from realforms.exact import VerificationError
+from realforms.lattices import FamilyId
+from realforms.registry import torus_shape_of_involution, validate_all
 
 EXCHANGE = "[conj(x0):conj(x1); conj(z0):conj(z1); conj(y0):conj(y1)]"
 CIRCLE = "[conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]"
@@ -193,6 +193,28 @@ def test_torus_shape_rejects_non_involutions():
         torus_shape_of_involution(((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="square"):
         torus_shape_of_involution(((1, 0),))
+
+
+def test_torus_forms_refuse_dimensions_past_the_bound():
+    bound = registry.MAX_TORUS_DIMENSION
+    assert len(registry.torus_forms(bound)) == (bound // 2 + 1) ** 2
+    for dimension in (-1, bound + 1):
+        with pytest.raises(ValueError, match="between 0 and %d" % bound):
+            registry.torus_forms(dimension)
+
+
+# ----------------------------------------------------------------------
+# links
+
+
+@pytest.mark.parametrize("padded,plain", [
+    ("G_01", "G_1"), ("H_001", "H_1"), ("S~_03", "S~_3")])
+def test_zero_padded_names_have_the_links_of_their_plain_name(padded, plain):
+    def links(name):
+        return [(link.link_type, "self" if link.target == name
+                 else link.target, link.witness, link.source == name)
+                for link in registry.links_from(name)]
+    assert links(padded) == links(plain) != []
 
 
 # ----------------------------------------------------------------------
