@@ -3,7 +3,8 @@
 Next to each real form the registry (`registry`) may store an
 antiholomorphic coordinate formula on a toric or multihomogeneous
 ambient, and next to a link a birational witness.  This module builds
-the ambients, parses the formulas and proves what they claim:
+the ambients, checks the shape of each formula `parsing.parse_formula`
+reads, and proves what the formulas claim:
 
 * `verify_involution` proves that a stored conjugation respects the
   multigrading of the ambient coordinate ring (so it descends to the
@@ -27,13 +28,12 @@ diagonalization lives here.  Only the ``verify`` suites and the
 registry's validation sweep use this module.
 """
 
-import re
 from fractions import Fraction
 
 from . import quadrics, registry
 from .errors import VerificationError
 from .exact import Cyclo, Poly, solve_linear
-from .parsing import parse_poly, render_scalar
+from .parsing import parse_formula, parse_poly, render_scalar
 
 __all__ = [
     "Ambient",
@@ -233,11 +233,7 @@ def rmn_ambient(m, n):
 def flag_ambient():
     coords = ("x0", "x1", "x2", "y0", "y1", "y2")
     weights = ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (0, 1))
-    incidence = Poly({
-        (1, 0, 0, 1, 0, 0): 1,
-        (0, 1, 0, 0, 1, 0): 1,
-        (0, 0, 1, 0, 0, 1): 1,
-    })
+    incidence = parse_polynomial("x0*y0 + x1*y1 + x2*y2", coords)
     return Ambient("flag(P2 x P2)", coords, weights,
                    ((0, 1, 2), (3, 4, 5)), (incidence,))
 
@@ -278,131 +274,25 @@ def build_ambient(spec):
 
 
 # ----------------------------------------------------------------------
-# formula parsing
+# the shapes of stored formulas
 
 
-_TOKEN = re.compile(r"conj\(|\d+|[A-Za-z]\w*|[\^\*\(\)\+\-/:;\[\]]")
+def _monomial(component, what):
+    """(exponents, coefficient) of a component that is one monomial."""
+    if component.is_zero():
+        raise ValueError("zero component in %s" % what)
+    if len(component.terms) != 1:
+        raise ValueError("%s components must be single monomials" % what)
+    ((exps, coeff),) = component.terms.items()
+    return exps, coeff
 
 
-def _tokenize_map(text):
-    out = []
-    pos = 0
-    for match in _TOKEN.finditer(text):
-        if text[pos:match.start()].strip():
-            raise ValueError("unexpected input %r in formula"
-                             % text[pos:match.start()].strip())
-        out.append(match.group())
-        pos = match.end()
-    if text[pos:].strip():
-        raise ValueError("unexpected input %r in formula" % text[pos:].strip())
-    return out
-
-
-class _Term:
-    __slots__ = ("coeff", "exps", "conjugated", "plain")
-
-    def __init__(self, coeff, exps, conjugated, plain):
-        self.coeff = coeff
-        self.exps = exps
-        self.conjugated = conjugated
-        self.plain = plain
-
-
-class _MapParser:
-    def __init__(self, text, names):
-        self.tokens = _tokenize_map(text)
-        self.pos = 0
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("formula ended unexpectedly")
-        if expected is not None and tok != expected:
-            raise ValueError("expected %r, found %r" % (expected, tok))
-        self.pos += 1
-        return tok
-
-    def components(self):
-        if self.peek() == "[":
-            self.take()
-        comps = [self.poly()]
-        while self.peek() in (":", ";"):
-            self.take()
-            comps.append(self.poly())
-        if self.peek() == "]":
-            self.take()
-        if self.peek() is not None:
-            raise ValueError("trailing input after formula")
-        return comps
-
-    def poly(self):
-        terms = []
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-        terms.append(self.term(sign))
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
-            terms.append(self.term(sign))
-        return terms
-
-    def _exponent(self):
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ValueError("expected an integer exponent")
-            return int(tok)
-        return 1
-
-    def term(self, sign):
-        coeff = Cyclo.rational(sign)
-        exps = [0] * self.nvars
-        conjugated = set()
-        plain = set()
-        while True:
-            if self.peek() == "-":
-                self.take()
-                coeff = coeff * Cyclo.rational(-1)
-                continue
-            tok = self.take()
-            if tok == "conj(":
-                name = self.take()
-                if name not in self.names:
-                    raise ValueError("unknown coordinate %r" % name)
-                self.take(")")
-                index = self.names[name]
-                exps[index] += self._exponent()
-                conjugated.add(index)
-            elif tok.isdigit():
-                value = Fraction(int(tok))
-                if self.peek() == "/":
-                    self.take()
-                    den = self.take()
-                    if not den.isdigit() or int(den) == 0:
-                        raise ValueError("expected a nonzero denominator")
-                    value /= int(den)
-                coeff = coeff * Cyclo.rational(value)
-            elif tok == "i":
-                power = self._exponent()
-                coeff = coeff * Cyclo.zeta(4) ** power
-            elif tok in self.names:
-                index = self.names[tok]
-                exps[index] += self._exponent()
-                plain.add(index)
-            else:
-                raise ValueError("unexpected token %r in formula" % tok)
-            if self.peek() == "*":
-                self.take()
-                continue
-            break
-        return _Term(coeff, tuple(exps), frozenset(conjugated),
-                     frozenset(plain))
+def _regular(component, nvars, what):
+    """A formula component as a Poly in the plain coordinates only."""
+    if any(any(exps[nvars:]) for exps in component.terms):
+        raise ValueError("%s must not conjugate coordinates" % what)
+    return Poly({exps[:nvars]: c for exps, c in component.terms.items()},
+                nvars=nvars)
 
 
 class StructureMap:
@@ -435,27 +325,24 @@ class StructureMap:
 
 def parse_structure(text, ambient):
     """Parse an antiholomorphic signed coordinate permutation."""
-    comps = _MapParser(text, ambient.coords).components()
-    if len(comps) != len(ambient.coords):
+    n = len(ambient.coords)
+    comps = parse_formula(text, ambient.coords)
+    if len(comps) != n:
         raise ValueError(
             "structure has %d components but %s has %d coordinates"
-            % (len(comps), ambient.name, len(ambient.coords)))
+            % (len(comps), ambient.name, n))
     scalars = []
     perm = []
-    for terms in comps:
-        if len(terms) != 1:
-            raise ValueError("structure components must be single monomials")
-        term = terms[0]
-        if sum(term.exps) != 1:
+    for component in comps:
+        exps, coeff = _monomial(component, "structure")
+        if sum(exps) != 1:
             raise ValueError("structure components must be linear in one "
                              "coordinate")
-        if term.plain:
+        if exps.index(1) < n:
             raise ValueError("a real structure must conjugate the "
                              "coordinates it uses")
-        if term.coeff.is_zero():
-            raise ValueError("zero component in structure")
-        scalars.append(term.coeff)
-        perm.append(term.exps.index(1))
+        scalars.append(coeff)
+        perm.append(exps.index(1) - n)
     return StructureMap(ambient, scalars, perm, text)
 
 
@@ -510,32 +397,22 @@ class MonomialMap:
 
 def parse_monomial_map(text, source_names):
     """Parse a regular map with monomial components."""
-    comps = _MapParser(text, tuple(source_names)).components()
+    names = tuple(source_names)
     out = []
-    for terms in comps:
-        if len(terms) != 1:
-            raise ValueError("expected monomial components")
-        term = terms[0]
-        if term.conjugated:
-            raise ValueError("a regular map must not conjugate coordinates")
-        if term.coeff.is_zero():
-            raise ValueError("zero component in map")
-        out.append((term.coeff, term.exps))
-    return MonomialMap(len(tuple(source_names)), out)
+    for component in parse_formula(text, names):
+        plain = _regular(component, len(names), "a regular map")
+        exps, coeff = _monomial(plain, "map")
+        out.append((coeff, exps))
+    return MonomialMap(len(names), out)
 
 
 def parse_polynomial(text, source_names):
     """Parse one polynomial expression over named variables."""
     names = tuple(source_names)
-    comps = _MapParser(text, names).components()
+    comps = parse_formula(text, names)
     if len(comps) != 1:
         raise ValueError("expected a single polynomial, not a map")
-    total = Poly(nvars=len(names))
-    for term in comps[0]:
-        if term.conjugated:
-            raise ValueError("polynomials here must not conjugate variables")
-        total = total + Poly({term.exps: term.coeff})
-    return total
+    return _regular(comps[0], len(names), "a polynomial here")
 
 
 # ----------------------------------------------------------------------
@@ -760,10 +637,6 @@ def signature(matrix):
     return (positive, negative, radical)
 
 
-def _variable(nvars, index, coeff=1):
-    return Poly({tuple(int(k == index) for k in range(nvars)): coeff})
-
-
 def real_locus_form(quadric, structure):
     """The rational quadratic form cutting the real locus of a quadric.
 
@@ -785,6 +658,7 @@ def real_locus_form(quadric, structure):
             raise ValueError("structure must square to the identity on "
                              "coordinates, not merely up to torus")
     imaginary = Cyclo.zeta(4)
+    variables = MonomialMap.identity(n).as_polys()
     args = [None] * n
     next_var = 0
     for i in range(n):
@@ -798,11 +672,11 @@ def real_locus_form(quadric, structure):
             if root is None or root * root.conjugate() != _ONE:
                 raise ValueError("fixed-coordinate scalar admits no "
                                  "unit square root")
-            args[i] = _variable(n, next_var, root)
+            args[i] = variables[next_var] * root
             next_var += 1
         elif i < j:
-            real_part = _variable(n, next_var)
-            imag_part = _variable(n, next_var + 1)
+            real_part = variables[next_var]
+            imag_part = variables[next_var + 1]
             args[i] = real_part + imag_part * imaginary
             args[j] = (real_part - imag_part * imaginary) \
                 * structure.scalars[j]

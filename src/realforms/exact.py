@@ -435,6 +435,9 @@ class Cyclo:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
+        if self.n == 1:
+            # coprime numerator and denominator stay coprime
+            return _raw(1, (self.num[0] ** k,), self.den ** k)
         result = Cyclo.rational(1)
         base = self
         while k:
@@ -681,13 +684,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only a monomial has an inverse")
+        if len(self.terms) == 1:
+            # a monomial's power is read off its exponents
             ((exps, c),) = self.terms.items()
-            inverse = Poly._result(self, {tuple(-e for e in exps):
-                                          c.inverse()})
-            return inverse ** -k
+            power = {tuple(e * k for e in exps): c ** k}
+            return self._result(power) if k >= 0 \
+                else Poly._result(self, power)
+        if k < 0:
+            raise ValueError("only a monomial has an inverse")
         result = self._one()
         base = self
         while k:

@@ -53,12 +53,18 @@ class GroupSpec:
 
     @classmethod
     def parse(cls, name: str) -> "GroupSpec":
-        """Parse 'A5', 'D4', 'E6', 'E7', 'E8'."""
+        """Parse 'A5', 'D4', 'E6', 'E7', 'E8'.  A named group is closed, so
+        its order may not exceed CLOSURE_BOUND; the constructor takes any l."""
         name = name.strip().upper()
         if name in ("E6", "E7", "E8"):
             return cls(name)
         if name[:1] in ("A", "D") and name[1:].isdigit():
-            return cls(name[:1], int(name[1:]))
+            spec = cls(name[:1], int(name[1:]))
+            if spec.order() > CLOSURE_BOUND:
+                raise ValueError("group %s has order %d, past the closure "
+                                 "bound %d" % (spec.name, spec.order(),
+                                                CLOSURE_BOUND))
+            return spec
         raise ValueError("unknown group name %r" % name)
 
     @property

@@ -1,17 +1,24 @@
-"""Text and JSON forms of the exact scalars and binary forms.
+"""Text and JSON forms of the exact scalars, binary forms and formulas.
 
-The polynomial grammar accepts terms in u0 and u1 with integer or
-rational coefficients, the constants i and zeta(N), the operators
-+ - * ^ and parentheses; whitespace is ignored.  Input must be
-homogeneous and nonzero.  While parsing, every value is an
-``exact.Poly`` in (u0, u1) with no homogeneity constraint; it is
-checked once at the very end, so the error can report every term degree
-that occurs.  render_poly and render_scalar produce text that
-parse_poly maps back to the same object, and scalar_json gives the
-stable dictionary form {"conductor": N, "coeffs": [...]} used by the
-command-line reports.
+One grammar, one parser.  An expression is a sum of products of
+factors, each with an optional nonnegative integer power ``^k``; a
+factor is an integer or rational (``1/2``, no spaces around the
+slash), ``i``, ``zeta(N)``, a variable, a parenthesized expression or
+a negated factor.  Whitespace is ignored, and every value is an
+``exact.Poly`` while parsing.  `parse_poly` reads a binary form in u0
+and u1 and rejects ``conj``, brackets, ``:`` and ``;``; the form must be
+homogeneous and nonzero, checked once at the end so that the error can
+list every term degree.  `parse_formula` reads a stored coordinate
+formula: component expressions separated by ``:`` or ``;``, optionally
+in one pair of brackets, where ``conj(name)`` is one more variable,
+numbered after the plain ones (``certificates`` checks the shapes).
+
+render_poly and render_scalar produce text that parse_poly maps back to
+the same object, and scalar_json gives the stable dictionary form
+{"conductor": N, "coeffs": [...]} used by the command-line reports.
 """
 
+import re
 from fractions import Fraction
 
 from .exact import Cyclo, Poly, Poly2, as_cyclo
@@ -25,61 +32,55 @@ class ParseError(ValueError):
         self.position = position
 
 
-_SYMBOLS = "+-*^()"
+_TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|([A-Za-z][A-Za-z0-9_]*)|(\S)")
+_SYMBOLS = "+-*^():;[]"
 
 
 def _tokenize(text):
     tokens = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, None, k))
-            k += 1
-            continue
-        if ch.isdigit():
-            start = k
-            while k < len(text) and text[k].isdigit():
-                k += 1
-            num = int(text[start:k])
+    for match in _TOKEN.finditer(text):
+        digits, fraction, name, other = match.groups()
+        pos = match.start()
+        if digits:
             den = 1
-            if k < len(text) and text[k] == "/":
-                k += 1
-                dstart = k
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if dstart == k:
-                    raise ParseError("expected digits after '/'", k)
-                den = int(text[dstart:k])
+            if fraction is not None:
+                if len(fraction) == 1:
+                    raise ParseError("expected digits after '/'",
+                                     match.end())
+                den = int(fraction[1:])
                 if den == 0:
-                    raise ParseError("zero denominator", dstart)
-            tokens.append(("num", Fraction(num, den), start))
-            continue
-        if ch.isalpha():
-            start = k
-            while k < len(text) and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            name = text[start:k]
-            if name not in ("u0", "u1", "i", "zeta"):
-                raise ParseError("unknown name %r" % name, start)
-            tokens.append(("name", name, start))
-            continue
-        raise ParseError("unexpected character %r" % ch, k)
+                    raise ParseError("zero denominator", match.start(2) + 1)
+            tokens.append(("num", Fraction(int(digits), den), pos))
+        elif name:
+            tokens.append(("name", name, pos))
+        elif other in _SYMBOLS:
+            tokens.append((other, None, pos))
+        else:
+            raise ParseError("unexpected character %r" % other, pos)
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-_U0 = Poly({(1, 0): 1})
-_U1 = Poly({(0, 1): 1})
+def _variables(nvars):
+    return tuple(Poly({tuple(int(j == k) for j in range(nvars)): 1})
+                 for k in range(nvars))
+
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the tokens of ``text``.
+
+    ``names`` are the plain variables; only a ``formula`` may also use
+    ``conj(name)``, and only `components` reads brackets, ``:`` and ``;``.
+    """
+
+    def __init__(self, text, names, formula=False):
+        self.tokens = _tokenize(text)
         self.k = 0
+        self.index = {name: k for k, name in enumerate(names)}
+        self.formula = formula
+        self.variables = _variables(len(names) * (2 if formula else 1))
+        self.origin = (0,) * len(self.variables)
 
     def peek(self):
         return self.tokens[self.k]
@@ -90,6 +91,24 @@ class _Parser:
             raise ParseError("expected %r" % kind, tok[2])
         self.k += 1
         return tok
+
+    def end(self):
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos)
+
+    def components(self):
+        bracketed = self.peek()[0] == "["
+        if bracketed:
+            self.take()
+        comps = [self.expr()]
+        while self.peek()[0] in (":", ";"):
+            self.take()
+            comps.append(self.expr())
+        if bracketed:
+            self.take("]")
+        self.end()
+        return comps
 
     def expr(self):
         if self.peek()[0] == "-":
@@ -126,38 +145,45 @@ class _Parser:
             value = value ** int(num)
         return value
 
+    def constant(self, value):
+        return Poly({self.origin: value})
+
     def atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return Poly({(0, 0): value})
+            return self.constant(value)
         if kind == "(":
             inner = self.expr()
             self.take(")")
             return inner
-        if kind == "name":
-            if value == "u0":
-                return _U0
-            if value == "u1":
-                return _U1
-            if value == "i":
-                return Poly({(0, 0): Cyclo.i()})
-            # zeta(N)
+        if kind != "name":
+            raise ParseError("unexpected token", pos)
+        if value == "i":
+            return self.constant(Cyclo.i())
+        if value == "zeta":
             self.take("(")
             nkind, nval, npos = self.take("num")
             if nval.denominator != 1 or nval < 1:
                 raise ParseError("zeta takes a positive integer", npos)
             self.take(")")
-            return Poly({(0, 0): Cyclo.zeta(int(nval))})
-        raise ParseError("unexpected token", pos)
+            return self.constant(Cyclo.zeta(int(nval)))
+        if value == "conj" and self.formula:
+            self.take("(")
+            nkind, name, npos = self.take("name")
+            if name not in self.index:
+                raise ParseError("conj takes a coordinate name", npos)
+            self.take(")")
+            return self.variables[len(self.index) + self.index[name]]
+        if value not in self.index:
+            raise ParseError("unknown name %r" % value, pos)
+        return self.variables[self.index[value]]
 
 
 def parse_poly(text):
     """Exact homogeneous polynomial from its textual form."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text, ("u0", "u1"))
     value = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    parser.end()
     if value.is_zero():
         raise ValueError("zero polynomial")
     degrees = sorted({a + b for (a, b) in value.terms})
@@ -165,6 +191,15 @@ def parse_poly(text):
         raise ValueError("non-homogeneous polynomial: degrees {%s}"
                          % ", ".join(map(str, degrees)))
     return Poly2(degrees[0], value.terms)
+
+
+def parse_formula(text, names):
+    """The components of a stored coordinate formula over ``names``.
+
+    Each component is a ``Poly`` in 2 * len(names) variables: the plain
+    coordinates, then their conjugates ``conj(name)`` in the same order.
+    """
+    return _Parser(text, tuple(names), formula=True).components()
 
 
 def render_scalar(c):

@@ -46,6 +46,7 @@ from math import comb, gcd
 from .exact import (
     Cyclo,
     Mat2,
+    Poly,
     Poly2,
     VerificationError,
     as_cyclo,
@@ -81,7 +82,6 @@ __all__ = [
 ]
 
 _ONE = Cyclo.rational(1)
-_ZERO = Cyclo.rational(0)
 
 RATIONAL = "rational"
 UNKNOWN = "unknown"
@@ -1032,50 +1032,20 @@ def enumerate_forms(q):
 # ambient real structures
 
 
-def _m3(rows):
-    return tuple(tuple(as_cyclo(x) for x in row) for row in rows)
-
-
-_EYE3 = _m3([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-_TAU3 = _m3([(-1, 0, 0), (0, 0, 1), (0, 1, 0)])
-# Gram matrix of x0^2 - x1 x2 in coordinates (x0, x1, x2)
-_Q3 = _m3([(1, 0, 0),
-           (0, 0, Fraction(-1, 2)),
-           (0, Fraction(-1, 2), 0)])
-
-
-def _m3_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(3)), _ZERO)
-              for j in range(3))
-        for i in range(3))
-
-
-def _m3_conj(a):
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
-
-
-def _m3_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
-def _m3_scalar_of(a, b):
-    """s with a == s * b, or None."""
-    pairs = [(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-    s = next((x / y for x, y in pairs if y), None)
-    if s is None or any(x != y * s for x, y in pairs):
-        return None
-    return s
-
-
+# the x-part of a structure: the images of x0, x1, x2 as linear forms
+_EYE3 = (Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1}))
+_X0, _X1, _X2 = _EYE3
+_TAU3 = (-_X0, _X2, _X1)
+_CONIC = _X0 * _X0 - _X1 * _X2
 _SWAP = Mat2(0, 1, 1, 0)
 
 
 def _structure_data(index, n, l=None):
     """(A3, c3, M) for the standard anti-regular maps mu_1 .. mu_11.
 
-    A3 acts on (x0, x1, x2), c3 scales x3, M acts on (u0, u1); the map
-    itself is (x, u) -> (A3 conj(x), c3 conj(x3), M conj(u)).
+    A3 is the linear map of (x0, x1, x2), given by the images of the
+    three coordinates; c3 scales x3, M acts on (u0, u1).  The map itself
+    is (x, u) -> (A3(conj(x)), c3 conj(x3), M conj(u)).
     """
     i = Cyclo.i()
     if index in (1, 2, 3, 4):
@@ -1139,9 +1109,10 @@ def check_real_structure(index, q, l=None):
         l = _detect_rotation_order(q)
     a3, c3, m = _structure_data(index, n, l=l)
 
-    square = _m3_mul(a3, _m3_conj(a3))
-    scalar_m = _m3_scalar_of(square, _EYE3)
-    if scalar_m is None:
+    # twice x -> A3(conj(x)) is x -> A3(conj(A3)(x))
+    square = [a.substitute([b.conj_coeffs() for b in a3]) for a in a3]
+    scalar_m = square[0].proportionality(_X0)
+    if scalar_m is None or square != [x * scalar_m for x in _EYE3]:
         raise ApplicabilityError(
             "mu_%d: the x-part of the square is not scalar" % index)
     mm = m * m.conj()
@@ -1154,8 +1125,7 @@ def check_real_structure(index, q, l=None):
             "mu_%d does not square to the identity on the bundle "
             "(x3 scaling obstruction)" % index)
 
-    pulled = _m3_conj(_m3_mul(_m3_transpose(a3), _m3_mul(_Q3, a3)))
-    s = _m3_scalar_of(pulled, _Q3)
+    s = _CONIC.substitute(a3).conj_coeffs().proportionality(_CONIC)
     if s is None:
         raise ApplicabilityError(
             "mu_%d does not preserve the conic part" % index)

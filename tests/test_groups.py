@@ -5,9 +5,10 @@ import time
 import pytest
 
 from realforms.exact import Cyclo, Mat2
-from realforms.groups import (GroupSpec, catalog, close, cocycles,
-                              group_elements, h1_classes, h1_named, h1_names,
-                              rotation_gen, twisted_class_of, unimodular_lift)
+from realforms.groups import (CLOSURE_BOUND, GroupSpec, catalog, close,
+                              cocycles, group_elements, h1_classes, h1_named,
+                              h1_names, rotation_gen, twisted_class_of,
+                              unimodular_lift)
 
 ALL_GROUPS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
               "D2", "D3", "D4", "D5", "D6", "D7", "D8",
@@ -35,6 +36,17 @@ def test_spec_parsing():
 def test_closure_orders(name, order):
     grp = catalog(GroupSpec.parse(name))
     assert grp.order == order
+
+
+def test_spec_parsing_refuses_orders_past_the_closure_bound():
+    assert CLOSURE_BOUND == 256
+    assert GroupSpec.parse("A256").order() == GroupSpec.parse("D128").order() \
+        == CLOSURE_BOUND
+    for name in ("A257", "D129", "A100000"):
+        with pytest.raises(ValueError, match="past the closure bound"):
+            GroupSpec.parse(name)
+    # a symmetry label is never closed, so the constructor stays unbounded
+    assert GroupSpec("D", 260).order() == 520
 
 
 def test_closure_rejects_infinite_input():

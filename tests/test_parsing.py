@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from realforms.exact import Cyclo, Mat2, Poly2
-from realforms.parsing import (ParseError, matrix_json, parse_poly,
-                               render_poly, render_scalar, scalar_json)
+from realforms.exact import Cyclo, Mat2, Poly, Poly2
+from realforms.parsing import (ParseError, matrix_json, parse_formula,
+                               parse_poly, render_poly, render_scalar,
+                               scalar_json)
 
 
 def test_basic_polynomials():
@@ -47,6 +48,30 @@ def test_rejects_garbage():
                 "u0^2 ++ u1^2", "zeta(0)*u0", "@", ""):
         with pytest.raises((ParseError, ValueError)):
             parse_poly(bad)
+
+
+def test_poly_rejects_the_formula_constructs():
+    for bad in ("conj(u0)^4+u1^4", "[u0^4+u1^4]", "u0^4:u1^4", "u0^4;u1^4"):
+        with pytest.raises(ParseError):
+            parse_poly(bad)
+
+
+def test_formula_components_number_conjugates_after_plain_names():
+    x0, x1, c0, c1 = (Poly({tuple(int(j == k) for j in range(4)): 1})
+                      for k in range(4))
+    i = Cyclo.i()
+    assert parse_formula("[-conj(x1):1/2*x0; (x0 + i*conj(x0))^2]",
+                         ("x0", "x1")) \
+        == [-c1, x0 * Cyclo.rational(Fraction(1, 2)), (x0 + c0 * i) ** 2]
+    assert parse_formula("zeta(8)*x1", ("x0", "x1")) == [x1 * Cyclo.zeta(8)]
+
+
+@pytest.mark.parametrize("text", [
+    "[x0:x1", "x0:x1]", "[2 / 3*x0:x1]", "conj(x2)", "conj(i)", "x0:",
+    "[conj(x0)x1]", "v0"])
+def test_formula_rejects(text):
+    with pytest.raises(ParseError):
+        parse_formula(text, ("x0", "x1"))
 
 
 def test_rejects_inhomogeneous_and_zero():

@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from realforms import groups
+from realforms import groups, quadrics
 from realforms.exact import Cyclo, Mat2, Poly2
 from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
                               mat_key, rotation_gen,
@@ -658,6 +658,71 @@ def test_swap_structures():
 def test_structure_index_range():
     with pytest.raises(ValueError):
         check_real_structure(12, inst("u0^2 + u1^2"))
+
+
+# check_real_structure(index, q) for index 1..11: the (x-part, u-part)
+# scalars of the square and the pullback scalar, or the refusal message
+_FIBER = "mu_%d does not preserve the fiber equation"
+_ODD_N = ("mu_7 squares to the sign flip of x3 when n is odd, so it is "
+          "not a real structure there; it needs n even")
+_NO_ORDER = "no canonical rotation order for symmetry %s; pass l explicitly"
+STRUCTURE_VERDICTS = {
+    "u0^4+u1^4": [(1, 1, 1)] * 4 + [_FIBER % 5, (1, 1, 1), (1, -1, 1)]
+    + [(1, 1, 1)] * 4,
+    "u0^8+14*u0^4*u1^4+u1^8": [(1, 1, 1)] * 6 + [(1, -1, 1)]
+    + [(1, 1, 1)] * 4,
+    "u0^4+u0*u1^3": [(1, 1, 1)] * 4 + [_FIBER % k for k in range(5, 12)],
+    "u0^5*u1": [(1, 1, 1)] * 4 + [_NO_ORDER % "Gm", _FIBER % 6, _ODD_N]
+    + [_FIBER % k for k in range(8, 12)],
+    "u0^3*u1^3": [(1, 1, 1)] * 4
+    + [_NO_ORDER % "GmSemidirectZ2", _FIBER % 6, _ODD_N]
+    + [(1, 1, 1)] * 4,
+    # g(i u1, i u0) = g, so mu_6 is refused only because conj(g) is not
+    # a multiple of g
+    "u0^4+i*u0^2*u1^2+u1^4": [_FIBER % k for k in range(1, 12)],
+}
+
+
+@pytest.mark.parametrize("text", sorted(STRUCTURE_VERDICTS))
+def test_structure_verdicts_are_pinned(text):
+    q = inst(text)
+    for index, expected in enumerate(STRUCTURE_VERDICTS[text], start=1):
+        if isinstance(expected, str):
+            with pytest.raises(ApplicabilityError) as info:
+                check_real_structure(index, q)
+            assert str(info.value) == expected, (text, index)
+            continue
+        m, rho, s = expected
+        verdict = check_real_structure(index, q)
+        assert verdict == {"valid": True, "square": (m, rho),
+                           "pullback_scalar": s}, (text, index)
+        assert all(isinstance(v, Cyclo) for v in verdict["square"]
+                   + (verdict["pullback_scalar"],))
+
+
+def test_tau_structure_has_no_real_conic_point():
+    # the fixed points of x -> TAU3(conj(x)) are (i t0, t1 + i t2,
+    # t1 - i t2) for real t, where the conic is -(t0^2 + t1^2 + t2^2)
+    t0, t1, t2 = quadrics._EYE3
+    i = Cyclo.i()
+    point = (t0 * i, t1 + t2 * i, t1 - t2 * i)
+    image = tuple(a.substitute([p.conj_coeffs() for p in point])
+                  for a in quadrics._TAU3)
+    assert image == point
+    assert quadrics._CONIC.substitute(point) == -(t0 * t0 + t1 * t1 + t2 * t2)
+
+
+def test_conic_pullback_conjugates_its_coefficients(monkeypatch):
+    # x -> (zeta_8 x0, i x1, x2) pulls the conic back to i times itself,
+    # so after conjugation the scalar is -i; c3 = zeta_8 balances it
+    z = Cyclo.zeta(8)
+    x0, x1, x2 = quadrics._EYE3
+    twisted = (x0 * z, x1 * Cyclo.i(), x2)
+    monkeypatch.setattr(quadrics, "_structure_data",
+                        lambda index, n, l=None: (twisted, z, Mat2.identity()))
+    verdict = check_real_structure(1, inst("u0^4 + u1^4"))
+    assert verdict["square"] == (1, 1)
+    assert verdict["pullback_scalar"] == -Cyclo.i()
 
 
 def test_structure_rejects_wrong_fiber():

@@ -2,8 +2,10 @@
 involution and witness checks, quadratic forms, real tori, links, and the
 full validation sweep."""
 
+import json
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -13,16 +15,19 @@ from realforms.certificates import (
     fabc_ambient,
     flag_ambient,
     p3_ambient,
+    p4_ambient,
     parse_monomial_map,
     parse_polynomial,
     parse_structure,
     pb_ambient,
     real_locus_form,
+    rmn_ambient,
     signature,
     torus_equivalent,
     verify_involution,
+    wps_ambient,
 )
-from realforms.exact import VerificationError
+from realforms.exact import Poly, VerificationError
 from realforms.lattices import FamilyId
 from realforms.registry import torus_shape_of_involution, validate_all
 
@@ -265,6 +270,99 @@ def test_parse_polynomial_collects_terms():
         == parse_polynomial("3*w0*w1 - w1^2", names)
     assert parse_polynomial("w0 - w0", names) \
         == parse_polynomial("0*w1", names)
+
+
+# every formula stored in the registry and what the parsers read from it:
+# a structure as (scalars, coordinate permutation), a map as its
+# (coefficient, exponents) components, a polynomial as its terms
+STORED_STRUCTURES = {
+    "[-conj(x1):conj(x0); -conj(y1):conj(y0); -conj(z1):conj(z0)]":
+        ((-1, 1, -1, 1, -1, 1), (1, 0, 3, 2, 5, 4)),
+    "[-conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]":
+        ((-1, 1, 1, 1, 1, 1), (1, 0, 4, 5, 2, 3)),
+    "[-conj(y0):conj(y1):conj(y2); -conj(x0):conj(x1):conj(x2)]":
+        ((-1, 1, 1, -1, 1, 1), (3, 4, 5, 0, 1, 2)),
+    "[-conj(y1):conj(y0); conj(z0):conj(z1):conj(z2)]":
+        ((-1, 1, 1, 1, 1), (1, 0, 2, 3, 4)),
+    "[conj(t0):conj(t1):conj(t2):conj(t3)]":
+        ((1, 1, 1, 1), (0, 1, 2, 3)),
+    "[conj(w0):conj(w1):conj(w2):conj(w3)]":
+        ((1, 1, 1, 1), (0, 1, 2, 3)),
+    "[conj(x0):conj(x1):conj(x2); -conj(y1):conj(y0)]":
+        ((1, 1, 1, -1, 1), (0, 1, 2, 4, 3)),
+    "[conj(x0):conj(x1):conj(x2); conj(y0):conj(y1):conj(y2)]":
+        ((1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 5)),
+    "[conj(x0):conj(x1):conj(x2); conj(y0):conj(y1)]":
+        ((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)),
+    "[conj(x0):conj(x1); -conj(y1):conj(y0); -conj(z1):conj(z0)]":
+        ((1, 1, -1, 1, -1, 1), (0, 1, 3, 2, 5, 4)),
+    "[conj(x0):conj(x1); conj(y0):conj(y1); -conj(z1):conj(z0)]":
+        ((1, 1, 1, 1, -1, 1), (0, 1, 2, 3, 5, 4)),
+    "[conj(x0):conj(x1); conj(y0):conj(y1); conj(z0):conj(z1)]":
+        ((1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 5)),
+    "[conj(x0):conj(x1); conj(z0):conj(z1); conj(y0):conj(y1)]":
+        ((1, 1, 1, 1, 1, 1), (0, 1, 4, 5, 2, 3)),
+    "[conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]":
+        ((1, 1, 1, 1, 1, 1), (1, 0, 4, 5, 2, 3)),
+    "[conj(y0):conj(y1):conj(y2); conj(x0):conj(x1):conj(x2)]":
+        ((1, 1, 1, 1, 1, 1), (3, 4, 5, 0, 1, 2)),
+    "[conj(y0):conj(y1); conj(x0):conj(x1); -conj(z1):conj(z0)]":
+        ((1, 1, 1, 1, -1, 1), (2, 3, 0, 1, 5, 4)),
+    "[conj(y0):conj(y1); conj(x0):conj(x1); conj(z0):conj(z1)]":
+        ((1, 1, 1, 1, 1, 1), (2, 3, 0, 1, 4, 5)),
+    "[conj(y0):conj(y1); conj(z0):conj(z1):conj(z2)]":
+        ((1, 1, 1, 1, 1), (0, 1, 2, 3, 4)),
+    "[conj(w0):conj(w2):conj(w1):conj(w3):conj(w4)]":
+        ((1, 1, 1, 1, 1), (0, 2, 1, 3, 4)),
+}
+STORED_MAPS = {
+    ("psi_G1", "map"): (fabc_ambient(0, 1, -1), (
+        (1, (1, 0, 1, 0, 1, 0)), (1, (1, 0, 1, 0, 0, 1)),
+        (1, (1, 0, 0, 1, 1, 0)), (1, (1, 0, 0, 1, 0, 1)),
+        (1, (0, 1, 0, 0, 0, 0)))),
+    ("delta_H1", "map"): (fabc_ambient(0, 1, 1), (
+        (1, (1, 0, 1, 0, 0, 0)), (1, (1, 0, 0, 1, 0, 0)),
+        (1, (0, 1, 0, 0, 1, 0)), (1, (0, 1, 0, 0, 0, 1)))),
+    ("delta_H1", "inverse"): (p3_ambient(), (
+        (1, (0, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (1, 0, 0, 0)),
+        (1, (0, 1, 0, 0)), (1, (0, 0, 1, 0)), (1, (0, 0, 0, 1)))),
+}
+STORED_QUADRIC = Poly({(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1})
+_AMBIENTS = (fabc_ambient(0, 0, 0), pb_ambient(0), rmn_ambient(0, 0),
+             flag_ambient(), p3_ambient(), p4_ambient(),
+             wps_ambient(1, 1, 1, 2))
+
+
+def _stored_entries():
+    path = resources.files("realforms") / "data" / "registry.json"
+    return json.loads(path.read_text(encoding="utf-8"))["entries"]
+
+
+def test_stored_structures_parse_to_frozen_values():
+    entries = _stored_entries()
+    witness = entries["witnesses"]["psi_G1"]
+    texts = {record["structure"] for record in entries["forms"].values()
+             if "structure" in record}
+    texts |= {witness["source_structure"], witness["target_structure"]}
+    assert texts == set(STORED_STRUCTURES)
+    for text, (scalars, perm) in STORED_STRUCTURES.items():
+        # the ambient whose coordinates the formula names, one per slot
+        (ambient,) = [a for a in _AMBIENTS
+                      if all("(%s)" % c in text for c in a.coords)
+                      and text.count("conj") == len(a.coords)]
+        structure = parse_structure(text, ambient)
+        assert structure.scalars == scalars and structure.perm == perm, text
+
+
+def test_stored_maps_and_quadric_parse_to_frozen_values():
+    witnesses = _stored_entries()["witnesses"]
+    for (kind, key), (ambient, components) in STORED_MAPS.items():
+        parsed = parse_monomial_map(witnesses[kind][key], ambient.coords)
+        assert parsed.source_nvars == len(ambient.coords)
+        assert parsed.components == components, (kind, key)
+    quadric = parse_polynomial(witnesses["psi_G1"]["quadric"],
+                               p4_ambient().coords)
+    assert quadric == STORED_QUADRIC and quadric.nvars == 5
 
 
 # ----------------------------------------------------------------------

@@ -49,3 +49,13 @@ def test_cold_calls_do_not_recurse_with_the_index():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "200 1\n", "")
+
+
+def test_verify_refuses_a_gluing_range_past_the_bound():
+    from realforms import verify
+    bound = verify.MAX_B
+    rows = verify.run("schwarzenberger", bound)
+    assert rows[-1]["check"] == "gluing b = %d" % bound
+    for suite in ("schwarzenberger", "all"):
+        with pytest.raises(ValueError, match="at most %d" % bound):
+            verify.run(suite, bound + 1)
