@@ -22,17 +22,18 @@ reads, and proves what the formulas claim:
   quadratic form by congruence diagonalization.
 
 Equations and their pullbacks are ``exact.Poly`` values in the ambient
-coordinates, and the rational linear algebra (the grading solve, ranks)
-goes through ``exact.solve_linear``; only the integral Smith-style
-diagonalization lives here.  Only the ``verify`` suites and the
-registry's validation sweep use this module.
+coordinates.  The weight data is integral, and so is its linear
+algebra: the grading solve, the torus relations and the fiberwise
+torus factors all go through one Smith-style diagonalization
+(`_diagonalize_int`) and integer back-substitution.  Only the ``verify``
+suites and the registry's validation sweep use this module.
 """
 
 from fractions import Fraction
 
 from . import quadrics, registry
 from .errors import VerificationError
-from .exact import Cyclo, Poly, solve_linear
+from .exact import Cyclo, Poly
 from .parsing import parse_formula, parse_poly, render_scalar
 
 __all__ = [
@@ -115,11 +116,11 @@ def _diagonalize_int(matrix):
     return d, u, v
 
 
-def _int_solve(matrix, rhs):
-    """An integer solution of matrix . x = rhs, or None."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    d, u, v = _diagonalize_int(matrix)
+def _back_substitute(diagonalized, rhs):
+    """An integer x with A . x = rhs from U . A . V = D, or None."""
+    d, u, v = diagonalized
+    m = len(u)
+    n = len(v)
     c = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
     y = [0] * n
     for i in range(min(m, n)):
@@ -133,6 +134,11 @@ def _int_solve(matrix, rhs):
         if c[i]:
             return None
     return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+
+
+def _int_solve(matrix, rhs):
+    """An integer solution of matrix . x = rhs, or None."""
+    return _back_substitute(_diagonalize_int(matrix), rhs)
 
 
 def _int_kernel(matrix):
@@ -420,36 +426,26 @@ def parse_polynomial(text, source_names):
 
 
 def _grading_matrix(structure):
-    ambient = structure.ambient
-    rank = ambient.rank
-    ncoords = len(ambient.coords)
-    rows = []
-    rhs = []
-    for i in range(ncoords):
-        source = ambient.weights[i]
-        target = ambient.weights[structure.perm[i]]
-        for k in range(rank):
-            row = [Fraction(0)] * (rank * rank)
-            for l in range(rank):
-                row[k * rank + l] = Fraction(source[l])
-            rows.append(row)
-            rhs.append(Fraction(target[k]))
-    solution = solve_linear(rows, rhs)
-    if solution is None:
-        return None
-    matrix = [[solution[k * rank + l] for l in range(rank)]
-              for k in range(rank)]
-    for i in range(ncoords):
-        source = ambient.weights[i]
-        target = ambient.weights[structure.perm[i]]
-        for k in range(rank):
-            if sum(matrix[k][l] * source[l] for l in range(rank)) != target[k]:
-                return None
-    if any(v.denominator != 1 for row in matrix for v in row):
-        return None
-    matrix = [[int(v) for v in row] for row in matrix]
+    """The integral r x r matrix M with M . w_i = w_perm(i), or None.
+
+    Row k of M solves W . x = (column k of the permuted weights) for the
+    n x r weight matrix W, so one diagonalization of W serves all r
+    right-hand sides.  None when some row has no integral solution or
+    M is not unimodular.  The weight matrices of the ambients here have
+    full column rank, so M is unique when it exists; for a lower rank
+    the entries left free are zero.
+    """
+    weights = structure.ambient.weights
+    diagonalized = _diagonalize_int(weights)
+    matrix = []
+    for k in range(structure.ambient.rank):
+        row = _back_substitute(diagonalized,
+                               [weights[p][k] for p in structure.perm])
+        if row is None:
+            return None
+        matrix.append(row)
     diagonal, _, _ = _diagonalize_int(matrix)
-    if any(abs(diagonal[k][k]) != 1 for k in range(rank)):
+    if any(abs(diagonal[k][k]) != 1 for k in range(len(matrix))):
         return None
     return matrix
 

@@ -109,7 +109,10 @@ def _classify_text(data):
     help="homogeneous fiber polynomial in u0, u1")))
 def classify_qg_command(poly_text, fmt):
     """Classify the real forms of the quadric bundle with fiber g."""
-    instance = quadrics.QgInstance(parsing.parse_poly(poly_text))
+    # parsed before ``quadrics`` is touched, so a malformed polynomial
+    # runs no classification code
+    g = parsing.parse_poly(poly_text)
+    instance = quadrics.QgInstance(g)
     report = quadrics.enumerate_forms(instance)
     data = report.as_dict()
     data["symmetry_detected"] = report.symmetry.name

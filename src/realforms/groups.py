@@ -140,8 +140,9 @@ class FiniteGroup:
         return m.normalized() in self._members
 
     def is_galois_stable(self) -> bool:
-        return all(m.conj().normalized() in self._members
-                   for m in self.elements)
+        # conjugation keeps the leading 1 of a normalized matrix, so the
+        # conjugates need no normalizing
+        return all(m.conj() in self._members for m in self.elements)
 
     def __repr__(self):
         name = self.label.name if self.label else "<ad hoc>"
@@ -201,16 +202,25 @@ def group_elements(spec: GroupSpec):
 
 
 def _is_cocycle(a: Mat2) -> bool:
-    # the Galois twist of a must be its projective inverse
-    return (a * a.conj()).normalized().is_scalar()
+    # the Galois twist of a must be its projective inverse; being scalar
+    # is projective, so the product needs no normalizing
+    return (a * a.conj()).is_scalar()
+
+
+def _adjugate(b: Mat2) -> Mat2:
+    # det(b) * b^-1: the inverse up to a scalar, without a field inversion
+    return Mat2(b.d, -b.b, -b.c, b.a)
 
 
 def h1_classes(group) -> list:
     """Twisted-conjugacy classes of 1-cocycles, one canonical rep each.
 
     Cocycles are the a in the group with a * conj(a) scalar; two are
-    identified when a2 = b^-1 * a1 * conj(b) projectively.  The class of
-    the identity comes first; the remaining classes are ordered by their
+    identified when a2 = b^-1 * a1 * conj(b) projectively, so the twist
+    uses the adjugate of b in place of its inverse.  Twisting is a right
+    action of the group, so an orbit is the closure of one cocycle
+    under the twists by the generators.  The class of the identity
+    comes first; the remaining classes are ordered by their
     lexicographically minimal representative.
     """
     if isinstance(group, GroupSpec):
@@ -219,16 +229,27 @@ def h1_classes(group) -> list:
         raise ValueError("group is not stable under entrywise conjugation")
     cocycles = [a for a in group.elements if _is_cocycle(a)]
     cocycle_set = set(cocycles)
-    twists = [(b.inverse(), b.conj()) for b in group.elements]
+    twists = [(_adjugate(g), g.conj()) for g in group.generators]
     unseen = set(cocycles)
     classes = []
     ident = Mat2.identity()
     for a in cocycles:
         if a not in unseen:
             continue
-        orbit = {(b_inv * a * b_bar).normalized() for b_inv, b_bar in twists}
-        if not orbit <= cocycle_set:
-            raise VerificationError("twisted conjugate left the cocycle set")
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g_adj, g_bar in twists:
+                    y = (g_adj * x * g_bar).normalized()
+                    if y not in orbit:
+                        if y not in cocycle_set:
+                            raise VerificationError(
+                                "twisted conjugate left the cocycle set")
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
         unseen -= orbit
         classes.append(ident if ident in orbit else min(orbit, key=mat_key))
     # a class holds the identity exactly when its representative is it
@@ -248,7 +269,8 @@ def twisted_class_of(group, a: Mat2):
     if isinstance(group, GroupSpec):
         group = catalog(group)
     a = a.normalized()
-    return {(b.inverse() * a * b.conj()).normalized() for b in group.elements}
+    return {(_adjugate(b) * a * b.conj()).normalized()
+            for b in group.elements}
 
 
 # ----------------------------------------------------------------------

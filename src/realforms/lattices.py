@@ -10,9 +10,13 @@ bundles over P(1,1,2) the full tables are stored; the other families are
 recorded at the resolution actually needed downstream — the extremal
 rays with their K-intersections and the meaning of each contraction.
 
-Everything is exact (`fractions.Fraction`); the closed-form
-K-intersection numbers are re-derived from the stored pairing whenever a
-full table is available, so the two presentations can never drift apart.
+Everything is exact.  Integral values (every pairing, canonical
+coefficient, K-degree and relation except on W_b) are stored as ``int``
+and only the genuinely fractional ones of W_b as `fractions.Fraction`,
+so the tables sum in integer arithmetic; ``str`` prints both the same
+way.  The closed-form K-intersection numbers are re-derived from the
+stored pairing whenever a full table is available, so the two
+presentations can never drift apart.
 """
 
 from fractions import Fraction
@@ -223,8 +227,8 @@ class Ray:
 
     def __init__(self, name, vector, k_dot, contraction=None):
         self.name = name
-        self.vector = tuple(Fraction(v) for v in vector)
-        self.k_dot = Fraction(k_dot)
+        self.vector = tuple(vector)
+        self.k_dot = k_dot
         self.contraction = contraction
 
     def as_dict(self):
@@ -260,7 +264,7 @@ class LatticeModel:
         self.pairing_matrix = dict(pairing_matrix)
         self.canonical = dict(canonical)
         self.cone_generators = tuple(cone_generators)
-        self.k_dots = {name: Fraction(v) for name, v in k_dots.items()}
+        self.k_dots = dict(k_dots)
         self.relations = dict(relations)
         self._check_consistency()
 
@@ -271,8 +275,7 @@ class LatticeModel:
     def curve_vector(self, name):
         """A named curve class as a vector in the curve basis."""
         if name in self.curve_basis:
-            return tuple(Fraction(int(name == base))
-                         for base in self.curve_basis)
+            return tuple(int(name == base) for base in self.curve_basis)
         if name in self.relations:
             return self.relations[name]
         raise KeyError("unknown curve class %r" % (name,))
@@ -283,7 +286,7 @@ class LatticeModel:
             raise ValueError("family %s is stored at ray resolution only"
                              % self.family.label)
         vec = self.curve_vector(name)
-        total = Fraction(0)
+        total = 0
         for coeff, base in zip(vec, self.curve_basis):
             if not coeff:
                 continue
@@ -336,19 +339,18 @@ def _fabc_model(family):
         ("l2", "H_z0"): 0, ("l2", "H_y0"): 1, ("l2", "H_x0"): -b,
         ("l3", "H_z0"): 0, ("l3", "H_y0"): 0, ("l3", "H_x0"): 1,
     }
-    table = {key: Fraction(v) for key, v in table.items()}
     canonical = {
-        "H_z0": Fraction(-(a * (b + 1) + 2 - c)),
-        "H_y0": Fraction(-(b + 2)),
-        "H_x0": Fraction(-2),
+        "H_z0": -(a * (b + 1) + 2 - c),
+        "H_y0": -(b + 2),
+        "H_x0": -2,
     }
     k_dots = {
-        "l1": Fraction(a - c - 2),
-        "l2": Fraction(b - 2),
-        "l3": Fraction(-2),
-        "l4": Fraction(a + c - 2),
+        "l1": a - c - 2,
+        "l2": b - 2,
+        "l3": -2,
+        "l4": a + c - 2,
     }
-    relations = {"l4": (Fraction(1), Fraction(0), Fraction(-c))}
+    relations = {"l4": (1, 0, -c)}
     fiber_note = "fibration: structure morphism to F_%d" % a
     if c <= 0:
         gens = (
@@ -371,11 +373,11 @@ def _wb_model(family):
     divisors = ("F", "S")
     curves = ("f", "l")
     table = {
-        ("f", "F"): Fraction(0), ("f", "S"): Fraction(1),
-        ("l", "F"): Fraction(1), ("l", "S"): Fraction(1 - 2 * b, 2),
+        ("f", "F"): 0, ("f", "S"): 1,
+        ("l", "F"): 1, ("l", "S"): Fraction(1 - 2 * b, 2),
     }
-    canonical = {"F": Fraction(-(2 * b + 3), 2), "S": Fraction(-2)}
-    k_dots = {"f": Fraction(-2), "l": Fraction(b) - Fraction(5, 2)}
+    canonical = {"F": Fraction(-(2 * b + 3), 2), "S": -2}
+    k_dots = {"f": -2, "l": Fraction(2 * b - 5, 2)}
     gens = (
         Ray("f", (1, 0), k_dots["f"],
             "fibration: structure morphism to P(1,1,2)"),

@@ -13,6 +13,11 @@ formula: component expressions separated by ``:`` or ``;``, optionally
 in one pair of brackets, where ``conj(name)`` is one more variable,
 numbered after the plain ones (``certificates`` checks the shapes).
 
+Huge input fails fast: the parser refuses, before evaluating it, a
+``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
+would pass it, and a ``zeta(N)`` whose field, together with the other
+``zeta`` and ``i`` of the text, has conductor past `MAX_CONDUCTOR`.
+
 render_poly and render_scalar produce text that parse_poly maps back to
 the same object, and scalar_json gives the stable dictionary form
 {"conductor": N, "coeffs": [...]} used by the command-line reports.
@@ -20,6 +25,7 @@ the same object, and scalar_json gives the stable dictionary form
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .exact import Cyclo, Poly, Poly2, as_cyclo
 
@@ -31,6 +37,23 @@ class ParseError(ValueError):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position
 
+
+# Largest exponent and total degree of a parsed expression.  Cold medians
+# of one ``classify-qg --poly`` run (CPython 3.11.7, shared 2-CPU
+# container): u0^d+u1^d takes 0.16 s at d = 50, 0.29 s at 100, 0.67 s at
+# 200, 1.28 s at 256, 2.66 s at 300 and 19-21 s at 520;
+# u0^199*u1+u0*u1^199 takes 1.08 s and (u0+u1)^200+u0^200 0.57 s.  At
+# 200 no accepted fiber costs much more than a second.
+MAX_DEGREE = 200
+
+# Largest conductor of the field that the ``zeta(N)`` and ``i`` of one
+# text generate (the lcm of the N, with 4 for i): mixing conductors
+# multiplies in their lcm.  In-process parse times of
+# (u0+zeta(N)*u1)^200+u0^200: 0.69 s at N = 60, 0.77 s at 127, 1.42 s
+# at 251, 2.89 s at 509 and 3.78 s at 1021; cold ``classify-qg`` of
+# zeta(N)*u0^4+u1^4 takes 0.24 s at 1021, 7.2 s at 10007 and more than
+# 30 s at 100003.  At 256 the worst parse stays near the degree bound's.
+MAX_CONDUCTOR = 256
 
 _TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|([A-Za-z][A-Za-z0-9_]*)|(\S)")
 _SYMBOLS = "+-*^():;[]"
@@ -81,6 +104,7 @@ class _Parser:
         self.formula = formula
         self.variables = _variables(len(names) * (2 if formula else 1))
         self.origin = (0,) * len(self.variables)
+        self.conductor = 1
 
     def peek(self):
         return self.tokens[self.k]
@@ -101,52 +125,80 @@ class _Parser:
         bracketed = self.peek()[0] == "["
         if bracketed:
             self.take()
-        comps = [self.expr()]
+        comps = [self.expr()[0]]
         while self.peek()[0] in (":", ";"):
             self.take()
-            comps.append(self.expr())
+            comps.append(self.expr()[0])
         if bracketed:
             self.take("]")
         self.end()
         return comps
 
+    # expr, term, factor and atom return (value, degree), the degree
+    # read off the text, so that a bound is checked before evaluation
+
     def expr(self):
         if self.peek()[0] == "-":
             self.take()
-            value = -self.term()
+            value, degree = self.term()
+            value = -value
         else:
             if self.peek()[0] == "+":
                 self.take()
-            value = self.term()
+            value, degree = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
+            rhs, rdeg = self.term()
             value = value - rhs if op == "-" else value + rhs
-        return value
+            degree = max(degree, rdeg)
+        return value, degree
 
     def term(self):
-        value = self.factor()
+        value, degree = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            value = value * self.factor()
-        return value
+            pos = self.take()[2]
+            rhs, rdeg = self.factor()
+            degree = self.bound_degree(degree + rdeg, pos)
+            value = value * rhs
+        return value, degree
+
+    @staticmethod
+    def bound_degree(degree, pos):
+        if degree > MAX_DEGREE:
+            raise ParseError("degree %d exceeds the bound %d"
+                             % (degree, MAX_DEGREE), pos)
+        return degree
 
     def factor(self):
         if self.peek()[0] == "-":
             self.take()
-            return -self.factor()
-        value = self.atom()
+            value, degree = self.factor()
+            return -value, degree
+        value, degree = self.atom()
         if self.peek()[0] == "^":
             self.take()
             kind, num, pos = self.take("num")
-            if num.denominator != 1 or num < 0:
+            if num.denominator != 1 or num.numerator < 0:
                 raise ParseError("exponent must be a nonnegative integer",
                                  pos)
-            value = value ** int(num)
-        return value
+            k = num.numerator
+            if k > MAX_DEGREE:
+                raise ParseError("exponent %d exceeds the bound %d"
+                                 % (k, MAX_DEGREE), pos)
+            degree = self.bound_degree(degree * k, pos)
+            value = value ** k
+        return value, degree
 
     def constant(self, value):
-        return Poly({self.origin: value})
+        return Poly({self.origin: value}), 0
+
+    def field(self, conductor, pos):
+        """Widen the text's field to include conductor, within the bound."""
+        self.conductor = lcm(self.conductor, conductor)
+        if self.conductor > MAX_CONDUCTOR:
+            raise ParseError("the text's scalars need conductor %d, past "
+                             "the bound %d"
+                             % (self.conductor, MAX_CONDUCTOR), pos)
 
     def atom(self):
         kind, value, pos = self.take()
@@ -159,12 +211,14 @@ class _Parser:
         if kind != "name":
             raise ParseError("unexpected token", pos)
         if value == "i":
+            self.field(4, pos)
             return self.constant(Cyclo.i())
         if value == "zeta":
             self.take("(")
             nkind, nval, npos = self.take("num")
             if nval.denominator != 1 or nval < 1:
                 raise ParseError("zeta takes a positive integer", npos)
+            self.field(int(nval), npos)
             self.take(")")
             return self.constant(Cyclo.zeta(int(nval)))
         if value == "conj" and self.formula:
@@ -173,16 +227,16 @@ class _Parser:
             if name not in self.index:
                 raise ParseError("conj takes a coordinate name", npos)
             self.take(")")
-            return self.variables[len(self.index) + self.index[name]]
+            return self.variables[len(self.index) + self.index[name]], 1
         if value not in self.index:
             raise ParseError("unknown name %r" % value, pos)
-        return self.variables[self.index[value]]
+        return self.variables[self.index[value]], 1
 
 
 def parse_poly(text):
     """Exact homogeneous polynomial from its textual form."""
     parser = _Parser(text, ("u0", "u1"))
-    value = parser.expr()
+    value = parser.expr()[0]
     parser.end()
     if value.is_zero():
         raise ValueError("zero polynomial")

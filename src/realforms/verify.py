@@ -13,12 +13,12 @@ from . import (certificates, groups, lattices, parsing, quadrics, registry,
 from .errors import VerificationError
 
 
-# Largest --b-max of the gluing checks.  Cold medians of 3 runs of
-# ``verify --suite schwarzenberger --b-max N`` (CPython 3.11.7, shared
-# 2-CPU container): 0.18 s at the default 12, 0.26 s at 24, 0.34 s at
-# 30, 0.53 s at 40, 0.93 s at 48, 1.36 s at 60 and 11.5 s at 120; the
-# cost grows about as N^3.  At 30 a cold run stays within about twice
-# the default's time.
+# Largest --b-max of the gluing checks; the smallest is 1.  Cold medians
+# of 3 runs of ``verify --suite schwarzenberger --b-max N`` (CPython
+# 3.11.7, shared 2-CPU container): 0.18 s at the default 12, 0.26 s at
+# 24, 0.34 s at 30, 0.53 s at 40, 0.93 s at 48, 1.36 s at 60 and 11.5 s
+# at 120; the cost grows about as N^3.  At 30 a cold run stays within
+# about twice the default's time.
 MAX_B = 30
 
 _CATALOG_GROUPS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -271,8 +271,9 @@ def as_text(data):
 
 def run(suite, b_max):
     """The checks of one suite, or of every suite for ``"all"``."""
-    if suite in ("schwarzenberger", "all") and b_max > MAX_B:
-        raise ValueError("b_max must be at most %d, got %d" % (MAX_B, b_max))
+    if suite in ("schwarzenberger", "all") and not 1 <= b_max <= MAX_B:
+        raise ValueError("b_max must be at least 1 and at most %d, got %d"
+                         % (MAX_B, b_max))
     if suite != "all":
         return _SUITES[suite](b_max)
     checks = []

@@ -128,6 +128,23 @@ def test_classes_partition_cocycles():
     assert seen == all_cocycles
 
 
+def test_inverse_free_classes_match_the_normalized_inverse_twists():
+    # the cocycle test skips normalizing and the twist uses the adjugate;
+    # both are projective, so they agree with the textbook formulation
+    for name in ALL_GROUPS:
+        grp = catalog(GroupSpec.parse(name))
+        assert cocycles(grp) == [
+            a for a in grp.elements
+            if (a * a.conj()).normalized().is_scalar()]
+        for a in cocycles(grp):
+            assert twisted_class_of(grp, a) == {
+                (b.inverse() * a * b.conj()).normalized()
+                for b in grp.elements}
+        reps = h1_classes(grp)
+        assert sum(len(twisted_class_of(grp, rep)) for rep in reps) \
+            == len(cocycles(grp))
+
+
 def test_class_reps_are_pairwise_inequivalent():
     grp = catalog(GroupSpec.parse("D6"))
     reps = h1_classes(grp)

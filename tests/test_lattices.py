@@ -127,6 +127,39 @@ def test_wb_half_integral_pairing():
     assert pairing(lattice, "l", "S") == Fraction(-5, 2)
 
 
+def test_fabc_grid_is_integral_and_matches_a_fraction_recomputation():
+    for a in range(0, 6):
+        for b in range(0, 6):
+            for c in range(-5, 6):
+                lattice = model(FamilyId.fabc(a, b, c))
+                assert all(type(v) is int for v in (
+                    *lattice.pairing_matrix.values(),
+                    *lattice.canonical.values(), *lattice.k_dots.values()))
+                for name in lattice.k_dots:
+                    total = Fraction(0)
+                    for coeff, base in zip(lattice.curve_vector(name),
+                                           lattice.curve_basis):
+                        for divisor, k in lattice.canonical.items():
+                            total += Fraction(coeff) * Fraction(k) \
+                                * Fraction(lattice.pairing_matrix[
+                                    (base, divisor)])
+                    got = lattice.k_dot_from_table(name)
+                    assert type(got) is int
+                    assert got == total == lattice.k_dots[name]
+                    assert str(got) == str(total)
+
+
+def test_wb_keeps_its_halves():
+    for b in range(2, 11):
+        lattice = model(FamilyId.wb(b))
+        halves = (lattice.k_dots["l"], lattice.pairing_matrix[("l", "S")],
+                  lattice.canonical["F"], lattice.k_dot_from_table("l"))
+        assert all(isinstance(v, Fraction) and v.denominator == 2
+                   for v in halves)
+        assert lattice.k_dot_from_table("l") == Fraction(2 * b - 5, 2)
+        assert lattice.as_dict()["k_dots"]["l"] == "%d/2" % (2 * b - 5)
+
+
 # ----------------------------------------------------------------------
 # ray-resolution families
 

@@ -49,6 +49,9 @@ RUNS = {
     ("h1", "--group", "A4"): (0, {"errors", "exact", "groups", "parsing"}),
     ("classify-qg", "--poly", "u0^4+u1^4"):
         (0, {"errors", "exact", "groups", "parsing", "quadrics"}),
+    # a malformed polynomial fails in the parser, before any classification
+    ("classify-qg", "--poly", "u0^2 + * u1^2"):
+        (2, {"errors", "exact", "parsing"}),
     ("lattice", *FABC): (0, {"errors", "lattices"}),
     ("forms", *FABC): (0, LOOKUP | {"lattices"}),
     ("forms", "--family", "Q3"): (0, LOOKUP),

@@ -1,13 +1,14 @@
 """Polynomial grammar, rendering, and the JSON scalar encoding."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from realforms.exact import Cyclo, Mat2, Poly, Poly2
-from realforms.parsing import (ParseError, matrix_json, parse_formula,
-                               parse_poly, render_poly, render_scalar,
-                               scalar_json)
+from realforms.parsing import (MAX_CONDUCTOR, MAX_DEGREE, ParseError,
+                               matrix_json, parse_formula, parse_poly,
+                               render_poly, render_scalar, scalar_json)
 
 
 def test_basic_polynomials():
@@ -72,6 +73,45 @@ def test_formula_components_number_conjugates_after_plain_names():
 def test_formula_rejects(text):
     with pytest.raises(ParseError):
         parse_formula(text, ("x0", "x1"))
+
+
+def test_degree_bound():
+    top = parse_poly("u0^%d+u1^%d" % (MAX_DEGREE, MAX_DEGREE))
+    assert top.degree == MAX_DEGREE
+    assert parse_poly("u0^%d*u1^%d" % (MAX_DEGREE - 1, 1)).degree \
+        == MAX_DEGREE
+    for bad, message in (
+            ("u0^%d+u1^%d" % (MAX_DEGREE + 1, MAX_DEGREE + 1), "exponent"),
+            ("2^%d*u0^2+u1^2" % (MAX_DEGREE + 1), "exponent"),
+            ("u0^%d*u1+u0*u1^%d" % (MAX_DEGREE, MAX_DEGREE), "degree"),
+            ("(u0*u1)^%d" % (MAX_DEGREE // 2 + 1), "degree"),
+            ("(u0+u1)*u0^%d" % MAX_DEGREE, "degree")):
+        with pytest.raises(ParseError, match=message):
+            parse_poly(bad)
+
+
+def test_conductor_bound():
+    assert parse_poly("zeta(%d)*u0^2+u1^2" % MAX_CONDUCTOR).coeff(2, 0) \
+        == Cyclo.zeta(MAX_CONDUCTOR)
+    parse_poly("i*zeta(3)*u0^2+u1^2")
+    # the zeta and i of one text share a field: conductor lcm(N, M, 4)
+    for bad in ("zeta(%d)*u0^2+u1^2" % (MAX_CONDUCTOR + 1),
+                "zeta(%d)*zeta(3)*u0^2+u1^2" % MAX_CONDUCTOR,
+                "zeta(%d)*u0^2+i*u1^2" % (MAX_CONDUCTOR // 2 + 1)):
+        with pytest.raises(ParseError, match="conductor"):
+            parse_poly(bad)
+    with pytest.raises(ParseError, match="conductor"):
+        parse_formula("zeta(100003)*x0", ("x0",))
+
+
+def test_huge_input_fails_before_it_is_evaluated():
+    for bad in ("zeta(100003)*u0^4+u1^4", "3^10000000*u0^2+u1^2",
+                "u0^20000+u1^20000", "u0^520+u1^520",
+                "(u0+u1)^3000+u0^3000", "u0^150*u1^150"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_poly(bad)
+        assert time.perf_counter() - start < 0.1, bad
 
 
 def test_rejects_inhomogeneous_and_zero():

@@ -9,8 +9,9 @@ from importlib import resources
 
 import pytest
 
-from realforms import registry
+from realforms import certificates, registry, verify
 from realforms.certificates import (
+    Ambient,
     MonomialMap,
     fabc_ambient,
     flag_ambient,
@@ -27,7 +28,7 @@ from realforms.certificates import (
     verify_involution,
     wps_ambient,
 )
-from realforms.exact import Poly, VerificationError
+from realforms.exact import Poly, VerificationError, solve_linear
 from realforms.lattices import FamilyId
 from realforms.registry import torus_shape_of_involution, validate_all
 
@@ -87,6 +88,83 @@ def test_grading_violation_is_a_domain_error():
     swap = "[conj(z0):conj(y1); conj(y0):conj(z1):conj(z2)]"
     with pytest.raises(ValueError, match="grading violation"):
         verify_involution(swap, pb_ambient(1))
+
+
+def _grading_oracle(structure):
+    """The grading solve as one rational (n*r) x r^2 system."""
+    ambient = structure.ambient
+    rank = ambient.rank
+    rows = []
+    rhs = []
+    for i, source in enumerate(ambient.weights):
+        target = ambient.weights[structure.perm[i]]
+        for k in range(rank):
+            row = [Fraction(0)] * (rank * rank)
+            for l in range(rank):
+                row[k * rank + l] = Fraction(source[l])
+            rows.append(row)
+            rhs.append(Fraction(target[k]))
+    solution = solve_linear(rows, rhs)
+    if solution is None:
+        return None
+    matrix = [[solution[k * rank + l] for l in range(rank)]
+              for k in range(rank)]
+    for i, source in enumerate(ambient.weights):
+        target = ambient.weights[structure.perm[i]]
+        for k in range(rank):
+            if sum(matrix[k][l] * source[l] for l in range(rank)) != target[k]:
+                return None
+    if any(v.denominator != 1 for row in matrix for v in row):
+        return None
+    matrix = [[int(v) for v in row] for row in matrix]
+    diagonal, _, _ = certificates._diagonalize_int(matrix)
+    if any(abs(diagonal[k][k]) != 1 for k in range(rank)):
+        return None
+    return matrix
+
+
+def test_grading_matches_the_rational_oracle_on_every_checked_structure(
+        monkeypatch):
+    seen = []
+    solve = certificates._grading_matrix
+
+    def recording(structure):
+        seen.append(structure)
+        return solve(structure)
+
+    monkeypatch.setattr(certificates, "_grading_matrix", recording)
+    validate_all()
+    verify.run("involutions", 12)
+    verify.run("witnesses", 12)
+    assert len(seen) == 62
+    assert {s.ambient.name for s in seen} >= {"F_0^{1,1}", "flag(P2 x P2)",
+                                              "P^3", "P(1,1,1,2)"}
+    for structure in seen:
+        grading = solve(structure)
+        assert grading is not None and all(
+            type(v) is int for row in grading for v in row)
+        assert grading == _grading_oracle(structure), structure
+
+
+# (ambient weights, structure): no rational solution, a rational but
+# non-integral one, and an integral one that is not unimodular (the
+# weights have rank 1 in a rank-2 torus, so the entries left free are
+# zero and M is singular)
+_GRADING_REFUSALS = (
+    (((1,), (2,)), "[conj(b):conj(a)]"),
+    (((2, 0), (0, 1)), "[conj(b):conj(a)]"),
+    (((1, 0), (1, 0)), "[conj(a):conj(b)]"),
+)
+
+
+@pytest.mark.parametrize("weights,text", _GRADING_REFUSALS)
+def test_grading_refusals(weights, text):
+    ambient = Ambient("test", ("a", "b"), weights, ((0, 1),))
+    structure = parse_structure(text, ambient)
+    assert certificates._grading_matrix(structure) is None
+    assert _grading_oracle(structure) is None
+    with pytest.raises(ValueError, match="grading violation"):
+        verify_involution(structure)
 
 
 def test_square_outside_the_torus_fails_verification():

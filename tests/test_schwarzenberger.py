@@ -59,3 +59,12 @@ def test_verify_refuses_a_gluing_range_past_the_bound():
     for suite in ("schwarzenberger", "all"):
         with pytest.raises(ValueError, match="at most %d" % bound):
             verify.run(suite, bound + 1)
+
+
+def test_verify_refuses_a_gluing_range_below_one():
+    from realforms import verify
+    assert verify.run("schwarzenberger", 1)[-1]["check"] == "gluing b = 1"
+    for suite in ("schwarzenberger", "all"):
+        for b_max in (0, -5):
+            with pytest.raises(ValueError, match="at least 1"):
+                verify.run(suite, b_max)
