@@ -813,33 +813,6 @@ class Poly2(Poly):
                                  Poly2(1, {(1, 0): m10, (0, 1): m11})))
         return Poly2(self.degree, image.terms)
 
-    def evaluate(self, v0, v1) -> Cyclo:
-        v0, v1 = as_cyclo(v0), as_cyclo(v1)
-        total = ZERO
-        for (a, b), c in self.terms.items():
-            total = total + c * v0 ** a * v1 ** b
-        return total
-
-    def derivative(self, var: int) -> "Poly2":
-        out = {}
-        for (a, b), c in self.terms.items():
-            if var == 0 and a > 0:
-                out[(a - 1, b)] = c * a
-            elif var == 1 and b > 0:
-                out[(a, b - 1)] = c * b
-        return Poly2(max(self.degree - 1, 0), out)
-
-    def leading(self):
-        """(monomial, coeff) for the lex-largest monomial (u0 first)."""
-        key = max(self.terms)
-        return key, self.terms[key]
-
-    def monic(self) -> "Poly2":
-        if self.is_zero():
-            return self
-        _, c = self.leading()
-        return self * c.inverse()
-
     def real_coefficients(self) -> bool:
         return all(c == c.conjugate() for c in self.terms.values())
 
@@ -981,10 +954,6 @@ def root_multiplicities(g: Poly2):
     return sorted(mults, reverse=True)
 
 
-def odd_multiplicity_root_count(g: Poly2) -> int:
-    return sum(1 for m in root_multiplicities(g) if m % 2 == 1)
-
-
 def square_test(g: Poly2):
     """Decide whether g = scalar * h^2 for a binary form h.
 
@@ -1020,18 +989,6 @@ def square_test(g: Poly2):
         result["note"] = "scalar square root not representable within " \
                          "cyclotomic scalars"
     return result
-
-
-def gcd_forms(g: Poly2, h: Poly2) -> Poly2:
-    """Monic gcd of two binary forms (including u0/u1 factors)."""
-    if g.is_zero():
-        return h.monic()
-    if h.is_zero():
-        return g.monic()
-    e0g, e1g, pg = _to_univariate(g)
-    e0h, e1h, ph = _to_univariate(h)
-    core = _ugcd(pg, ph)
-    return (_from_univariate(min(e0g, e0h), min(e1g, e1h), core)).monic()
 
 
 # ----------------------------------------------------------------------
@@ -1154,9 +1111,6 @@ class Mat2:
         """Entrywise complex conjugation."""
         return Mat2(self.a.conjugate(), self.b.conjugate(),
                     self.c.conjugate(), self.d.conjugate())
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
 
     def is_scalar(self) -> bool:
         return self.b.is_zero() and self.c.is_zero() and self.a == self.d

@@ -117,10 +117,9 @@ def generators(spec: GroupSpec):
 class FiniteGroup:
     """A closed finite subgroup of PGL2, elements in canonical form."""
 
-    __slots__ = ("label", "elements", "generators", "_members")
+    __slots__ = ("elements", "generators", "_members")
 
-    def __init__(self, label, elements, gens):
-        object.__setattr__(self, "label", label)
+    def __init__(self, elements, gens):
         object.__setattr__(self, "elements",
                            tuple(sorted(elements, key=mat_key)))
         object.__setattr__(self, "generators", tuple(gens))
@@ -145,8 +144,7 @@ class FiniteGroup:
         return all(m.conj() in self._members for m in self.elements)
 
     def __repr__(self):
-        name = self.label.name if self.label else "<ad hoc>"
-        return "FiniteGroup(%s, order %d)" % (name, self.order)
+        return "FiniteGroup(order %d)" % self.order
 
 
 def close(gens, bound: int = CLOSURE_BOUND) -> FiniteGroup:
@@ -177,19 +175,18 @@ def close(gens, bound: int = CLOSURE_BOUND) -> FiniteGroup:
                         raise RuntimeError(
                             "group closure exceeded %d elements" % bound)
         frontier = nxt
-    return FiniteGroup(None, elements, gens)
+    return FiniteGroup(elements, gens)
 
 
 @cache
 def catalog(spec: GroupSpec) -> FiniteGroup:
     """The closed group for a catalog label, with its standard generators."""
-    gens = generators(spec)
-    grp = close(gens)
+    grp = close(generators(spec))
     if grp.order != spec.order():
         raise VerificationError(
             "closure of %s has %d elements, expected %d"
             % (spec.name, grp.order, spec.order()))
-    return FiniteGroup(spec, grp.elements, gens)
+    return grp
 
 
 def group_elements(spec: GroupSpec):

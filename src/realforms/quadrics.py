@@ -33,15 +33,14 @@ This module provides:
   multiplies the bundle degree by an extra real factor h.
 
 Everything is exact: scalars are cyclotomic numbers, polynomial
-identities are checked coefficient by coefficient, and the enumerated
-equations are produced by substitution into frozen invariant triples of
-the finite subgroups, cross-checked against their syzygy.
+identities are checked coefficient by coefficient, and the twisted
+equation over a class [a] is g composed with a splitting matrix b of
+the class (b * conj(b)^-1 = a), rescaled into real coefficients by an
+exact square root.
 """
 
-from fractions import Fraction
-from functools import cache
 from itertools import permutations
-from math import comb, gcd
+from math import gcd
 
 from .exact import (
     Cyclo,
@@ -59,7 +58,6 @@ from .groups import (
     BETA,
     F_SWAP,
     GroupSpec,
-    semi_invariant_character,
 )
 from .parsing import render_poly
 
@@ -516,84 +514,7 @@ _TWO_ROOT_NOTE = {
 
 
 # ----------------------------------------------------------------------
-# invariant triples of the finite subgroups
-
-
-def _mono(a, b, c=1):
-    return Poly2.monomial(a, b, c)
-
-
-def _sum_of_squares():
-    return Poly2(2, {(2, 0): _ONE, (0, 2): _ONE})
-
-
-def invariant_triple(spec):
-    """Generating triple (f1, f2, f3) of the semi-invariant algebra.
-
-    These are the classical generators in standard coordinates: their
-    root divisors are the exceptional orbits of the group action, and
-    every semi-invariant form with trivial character is a weighted
-    polynomial in them (subject to one syzygy, found by _syzygy).
-    """
-    if spec.kind == "A":
-        l = spec.l
-        return (_mono(2 * l, 0), _mono(1, 1), _mono(0, 2 * l))
-    if spec.kind == "D":
-        l = spec.l
-        diff_l = _mono(l, 0) - _mono(0, l)
-        diff_2l = _mono(2 * l, 0) - _mono(0, 2 * l)
-        if l % 2 == 1:
-            return (_mono(2, 2), diff_2l, _mono(1, 1) * diff_l ** 2)
-        return (_mono(2, 2), diff_l ** 2, _mono(1, 1) * diff_2l)
-    if spec.kind == "E6":
-        return (
-            Poly2(6, {(5, 1): _ONE, (1, 5): -_ONE}),
-            Poly2(8, {(8, 0): _ONE, (4, 4): as_cyclo(14), (0, 8): _ONE}),
-            Poly2(12, {(12, 0): _ONE, (8, 4): as_cyclo(-33),
-                       (4, 8): as_cyclo(-33), (0, 12): _ONE}),
-        )
-    if spec.kind == "E7":
-        return (
-            Poly2(8, {(8, 0): _ONE, (4, 4): as_cyclo(14), (0, 8): _ONE}),
-            Poly2(12, {(10, 2): _ONE, (6, 6): as_cyclo(-2), (2, 10): _ONE}),
-            Poly2(18, {(17, 1): _ONE, (13, 5): as_cyclo(-34),
-                       (5, 13): as_cyclo(34), (1, 17): -_ONE}),
-        )
-    return (
-        Poly2(12, {(11, 1): _ONE, (6, 6): as_cyclo(11), (1, 11): -_ONE}),
-        Poly2(20, {(20, 0): _ONE, (15, 5): as_cyclo(-228),
-                   (10, 10): as_cyclo(494), (5, 15): as_cyclo(228),
-                   (0, 20): _ONE}),
-        Poly2(30, {(30, 0): _ONE, (25, 5): as_cyclo(522),
-                   (20, 10): as_cyclo(-10005), (10, 20): as_cyclo(-10005),
-                   (5, 25): as_cyclo(-522), (0, 30): _ONE}),
-    )
-
-
-def _dihedral_twisted_f(l):
-    """The generator triple conjugated by the reflection-class cocycle.
-
-    Valid for both parities of l; only the leading sign pattern and the
-    power of i differ.  All three forms have real coefficients.
-    """
-    s2 = _sum_of_squares()
-    f1 = -(s2 ** 2)
-    even_sum = Poly2(2 * l, {
-        (2 * (l - k), 2 * k): as_cyclo(2 * comb(2 * l, 2 * k) * (-1) ** k)
-        for k in range(l + 1)})
-    odd_sum = Poly2(2 * l, {
-        (2 * (l - k) - 1, 2 * k + 1):
-            as_cyclo(2 * comb(2 * l, 2 * k + 1) * (-1) ** k)
-        for k in range(l)})
-    i_pow = Cyclo.i() ** l
-    if l % 2 == 1:
-        f2 = even_sum
-        f3 = (s2 ** (l + 1)) * (i_pow * Cyclo.i() * Fraction(-2)) \
-            - s2 * odd_sum
-    else:
-        f2 = (s2 ** l) * (i_pow * Fraction(-2)) + even_sum
-        f3 = -(s2 * odd_sum)
-    return (f1, f2, f3)
+# the twisting classes and their splitting matrices
 
 
 _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
@@ -605,167 +526,31 @@ def _rotation_half(l):
     return Mat2.diag(z, z.inverse())
 
 
-class _TwistClass:
-    """One Galois-twisting class of the fiberwise symmetry group."""
-
-    __slots__ = ("label", "triple", "conjugator")
-
-    def __init__(self, label, triple=None, conjugator=None):
-        self.label = label
-        self.triple = triple
-        self.conjugator = conjugator
-
-    @property
-    def carries_equation(self):
-        return self.label != "[h]"
-
-
 def _twist_classes(spec):
-    """Twisting classes in canonical order, with their twisted data.
+    """(label, b) for the twisting classes, in canonical order.
 
-    For each class other than [h] the entry carries the conjugated
-    generator triple (always real) and the conjugating matrix b with
-    b * conj(b)^-1 in the class, so twisted equations can be produced
-    either by substitution or by direct conjugation.  The classes match
-    the cohomology of the group under entrywise conjugation.
+    b splits the class: b * conj(b)^-1 lies in it, so g o b is the
+    twisted fiber equation up to a scalar (explicit Galois descent).
+    b is None for [I2], whose equation is g itself, and for [h], which
+    carries none.  The classes match the cohomology of the group under
+    entrywise conjugation.
     """
-    ident = _TwistClass("[I2]")
     if spec.kind == "A":
         if spec.l % 2 == 1:
-            return [ident]
-        f1, f2, f3 = invariant_triple(spec)
-        return [
-            ident,
-            _TwistClass("[omega_%d]" % (2 * spec.l), (-f1, f2, -f3),
-                        _rotation_half(spec.l)),
-        ]
+            return [("[I2]", None)]
+        return [("[I2]", None),
+                ("[omega_%d]" % (2 * spec.l), _rotation_half(spec.l))]
     if spec.kind == "D":
         l = spec.l
         if l % 2 == 1:
-            return [
-                ident,
-                _TwistClass("[f]", _dihedral_twisted_f(l), _MF),
-            ]
-        f1, f2, f3 = invariant_triple(spec)
-        plus = _mono(l, 0) + _mono(0, l)
-        return [
-            ident,
-            _TwistClass("[omega_%d]" % (2 * l),
-                        (f1, -(plus ** 2), -f3), _rotation_half(l)),
-            _TwistClass("[f]", _dihedral_twisted_f(l), _MF),
-            _TwistClass("[h]"),
-        ]
+            return [("[I2]", None), ("[f]", _MF)]
+        return [("[I2]", None), ("[omega_%d]" % (2 * l), _rotation_half(l)),
+                ("[f]", _MF), ("[h]", None)]
     if spec.kind == "E7":
-        twisted = (
-            Poly2(8, {(8, 0): -_ONE, (4, 4): as_cyclo(14), (0, 8): -_ONE}),
-            Poly2(12, {(10, 2): -_ONE, (6, 6): as_cyclo(-2),
-                       (2, 10): -_ONE}),
-            Poly2(18, {(17, 1): _ONE, (13, 5): as_cyclo(34),
-                       (5, 13): as_cyclo(-34), (1, 17): -_ONE}),
-        )
-        return [
-            ident,
-            _TwistClass("[omega_8]", twisted, _rotation_half(4)),
-            _TwistClass("[h]"),
-        ]
+        return [("[I2]", None), ("[omega_8]", _rotation_half(4)),
+                ("[h]", None)]
     # E6 and E8
-    return [ident, _TwistClass("[h]")]
-
-
-# ----------------------------------------------------------------------
-# expressing g in the invariant triple, and the syzygy
-
-
-def _weighted_monomials(degrees, total):
-    d1, d2, d3 = degrees
-    out = []
-    for a in range(total // d1, -1, -1):
-        rest1 = total - a * d1
-        for b in range(rest1 // d2, -1, -1):
-            rest2 = rest1 - b * d2
-            if rest2 % d3 == 0:
-                out.append((a, b, rest2 // d3))
-    return out
-
-
-def _triple_power(triple, expo):
-    f1, f2, f3 = triple
-    a, b, c = expo
-    return (f1 ** a) * (f2 ** b) * (f3 ** c)
-
-
-def _linear_fit(columns, target_poly):
-    keys = set(target_poly.terms)
-    for col in columns:
-        keys |= set(col.terms)
-    keys = sorted(keys)
-    rows = [[col.coeff(*k) for col in columns] for k in keys]
-    rhs = [target_poly.coeff(*k) for k in keys]
-    return solve_linear(rows, rhs)
-
-
-def _express(g, triple):
-    """g as a weighted polynomial in the triple, or None.
-
-    Returns a list of ((a, b, c), coefficient) with
-    g = sum coeff * f1^a f2^b f3^c.  Monomials are tried in descending
-    lexicographic order and the linear solver resolves underdetermined
-    fits deterministically (first solvable pivot pattern wins).
-    """
-    degrees = tuple(f.degree for f in triple)
-    monos = _weighted_monomials(degrees, g.degree)
-    if not monos:
-        return None
-    cols = [_triple_power(triple, m) for m in monos]
-    sol = _linear_fit(cols, g)
-    if sol is None:
-        return None
-    return [(m, c) for m, c in zip(monos, sol) if not c.is_zero()]
-
-
-@cache
-def _syzygy(spec):
-    """The generating relation among (f1, f2, f3), found generically.
-
-    Returns (total_degree, [((a,b,c), coefficient), ...]) with
-    sum coeff * f1^a f2^b f3^c == 0, normalized so that the first
-    monomial solved for has coefficient one.
-    """
-    triple = invariant_triple(spec)
-    degrees = tuple(f.degree for f in triple)
-    for total in range(2, 2 * sum(degrees) + 1):
-        monos = _weighted_monomials(degrees, total)
-        if len(monos) < 2:
-            continue
-        cols = [_triple_power(triple, m) for m in monos]
-        for j in range(len(monos)):
-            others = cols[:j] + cols[j + 1:]
-            target = -cols[j]
-            sol = _linear_fit(others, target)
-            if sol is None:
-                continue
-            relation = [(monos[j], _ONE)]
-            rest = monos[:j] + monos[j + 1:]
-            relation += [(m, c) for m, c in zip(rest, sol)
-                         if not c.is_zero()]
-            return (total, relation)
-    raise RuntimeError("no syzygy found for %s" % spec.name)
-
-
-def _relation_value(relation, triple):
-    total, terms = relation
-    acc = Poly2.zero(total)
-    for expo, coeff in terms:
-        acc = acc + _triple_power(triple, expo) * coeff
-    return acc
-
-
-def _substitute(expression, triple):
-    acc = None
-    for expo, coeff in expression:
-        piece = _triple_power(triple, expo) * coeff
-        acc = piece if acc is None else acc + piece
-    return acc
+    return [("[I2]", None), ("[h]", None)]
 
 
 def _realify(h):
@@ -925,70 +710,32 @@ _H_FIBER_AUT0 = (PGL2R, PGL2R, SO3R, SO3R)
 
 
 def _finite_forms(g, spec):
-    triple = invariant_triple(spec)
-    classes = _twist_classes(spec)
-    expression = None
-    expression_ready = False
-    relation = None
     n = g.degree // 2
     merge = (n % 2 == 1) and not (spec.kind == "A" and spec.l % 2 == 1)
     forms = []
     index = 0
-    for cls in classes:
-        if not cls.carries_equation:
+    for label, b in _twist_classes(spec):
+        if label == "[h]":
             for tag_i, aut0 in enumerate(_H_FIBER_AUT0, start=1):
                 forms.append(FormDescriptor("H%d" % tag_i, None,
                                             NO_REAL_POINTS, aut0, "[h]"))
             continue
         index += 1
-        if cls.triple is None:
-            gi = g
-        else:
-            if not expression_ready:
-                expression = _express(g, triple)
-                expression_ready = True
-                if expression is not None:
-                    relation = _syzygy(spec)
-                    if not _relation_value(relation, triple).is_zero():
-                        raise VerificationError(
-                            "the syzygy of %s does not vanish" % spec.name)
-                else:
-                    # g is semi-invariant with a nontrivial character,
-                    # so it is not a polynomial in the invariant triple
-                    chars = semi_invariant_character(g, spec)
-                    if chars is None:
-                        raise ValueError(
-                            "g is not semi-invariant under %s; the detected "
-                            "symmetry is inconsistent" % spec.name)
-                    if all(v == _ONE for v in chars.values()):
-                        raise ValueError(
-                            "g has trivial character but is not expressible "
-                            "in the invariant triple of %s" % spec.name)
-            if expression is not None:
-                if not _relation_value(relation, cls.triple).is_zero():
-                    raise ValueError(
-                        "twisted triple for %s violates the syzygy"
-                        % cls.label)
-                gi = _substitute(expression, cls.triple)
-            else:
-                # conjugate directly and rescale into real coefficients
-                gi = _realify(g.compose(cls.conjugator))
-            if not gi.real_coefficients():
-                raise ValueError("twisted equation failed to be real")
+        gi = g if b is None else _realify(g.compose(b))
         if merge:
             forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
-                                        PGL2R, cls.label, merged_pair=True))
+                                        PGL2R, label, merged_pair=True))
             forms.append(FormDescriptor("Y%d" % index, gi, UNKNOWN,
-                                        SO3R, cls.label, merged_pair=True))
+                                        SO3R, label, merged_pair=True))
         else:
             forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
-                                        PGL2R, cls.label))
+                                        PGL2R, label))
             forms.append(FormDescriptor("X%d" % index, gi, RATIONAL,
-                                        PGL2R, cls.label))
+                                        PGL2R, label))
             forms.append(FormDescriptor("Y%d" % index, gi, UNKNOWN,
-                                        SO3R, cls.label))
+                                        SO3R, label))
             forms.append(FormDescriptor("Z%d" % index, gi, UNKNOWN,
-                                        SO3R, cls.label))
+                                        SO3R, label))
     return forms
 
 
@@ -997,11 +744,11 @@ def enumerate_forms(q):
 
     The input form must already have real coefficients (use
     ``realizable`` first if it does not).  The symmetry type is
-    detected in the given coordinates; twisted equations are produced
-    by substituting conjugated invariant triples (checked against the
-    syzygy) or, for semi-invariants with nontrivial character, by
-    direct conjugation and exact rescaling.  The tally of statuses is
-    checked against ``form_counts`` before returning.
+    detected in the given coordinates.  Over each twisting class other
+    than [I2] and [h] the equation is g composed with the class's
+    splitting matrix, rescaled into real coefficients by an exact
+    square root; the character of g plays no part.  The tally of
+    statuses is checked against ``form_counts`` before returning.
     """
     q = _coerce_instance(q)
     g = q.g

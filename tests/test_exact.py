@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
-                             from_factors, gcd_forms,
-                             odd_multiplicity_root_count,
-                             root_multiplicities, solve_linear, square_test)
+                             from_factors, root_multiplicities, solve_linear,
+                             square_test)
 
 
 def test_rational_arithmetic():
@@ -153,13 +152,6 @@ def test_real_coefficients():
     assert p({(2, 0): v}).real_coefficients()
 
 
-def test_evaluate_and_derivative():
-    f = p({(2, 0): 1, (1, 1): 3, (0, 2): 1})
-    assert f.evaluate(1, 1) == 5
-    fx = f.derivative(0)
-    assert fx.coeff(1, 0) == 2 and fx.coeff(0, 1) == 3
-
-
 def test_from_factors_and_multiplicities():
     one = Cyclo.rational(1)
     factors = (((one, Cyclo.rational(0)), 2),      # u1^2
@@ -168,13 +160,11 @@ def test_from_factors_and_multiplicities():
     g = from_factors(factors)
     assert g.degree == 6
     assert root_multiplicities(g) == [3, 2, 1]
-    assert odd_multiplicity_root_count(g) == 2
 
 
 def test_multiplicities_of_products():
     g = p({(1, 0): 1, (0, 1): 1}) ** 3 * p({(1, 0): 1, (0, 1): -1})
     assert root_multiplicities(g) == [3, 1]
-    assert odd_multiplicity_root_count(g) == 2
 
 
 def test_square_test():
@@ -188,13 +178,6 @@ def test_square_test():
     assert not square_test(p({(3, 0): 1, (0, 3): 1}))["is_square"]
 
 
-def test_gcd_forms():
-    a = p({(1, 0): 1, (0, 1): 1})
-    b = p({(1, 0): 1, (0, 1): -1})
-    g = gcd_forms(a * a * b, a * b * b)
-    assert g.monic() == (a * b).monic()
-
-
 # ----------------------------------------------------------------------
 # matrices and linear solving
 
@@ -203,7 +186,6 @@ def test_mat2_algebra():
     m = Mat2(1, 2, 3, 4)
     assert m.det() == -2
     assert m * m.inverse() == Mat2.identity()
-    assert m.transpose() == Mat2(1, 3, 2, 4)
     assert Mat2.diag(2, 3).det() == 6
 
 

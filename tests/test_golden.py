@@ -25,8 +25,10 @@ GOLDEN = Path(__file__).with_name("golden")
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 # fast cases replayed under ``python -O``, where assert statements vanish
 OPTIMIZED = ("h1-A4", "forms-Q3", "links-H1", "torus-d2", "lattice-Wb",
-             "classify-D4", "verify-schwarzenberger", "verify-involutions",
-             "verify-witnesses", "error-parse", "error-square")
+             "classify-D4", "classify-E7", "classify-D3",
+             "verify-schwarzenberger", "verify-involutions",
+             "verify-witnesses", "verify-qg-table", "error-parse",
+             "error-square")
 
 
 def _run(args):

@@ -1,12 +1,14 @@
 """Classification of real forms of the quadric bundles over the line."""
 
 import random
+from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
 from realforms import groups, quadrics
-from realforms.exact import Cyclo, Mat2, Poly2
+from realforms.exact import Cyclo, Mat2, Poly2, as_cyclo
 from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
                               mat_key, rotation_gen,
                               semi_invariant_character, unimodular_lift)
@@ -16,12 +18,61 @@ from realforms.quadrics import (AmbiguousSymmetryError, ApplicabilityError,
                                 UndecidableError, _finite_symmetry,
                                 check_psi_h, check_real_structure,
                                 detect_symmetry, enumerate_forms,
-                                form_counts, invariant_triple,
-                                psi_pullback_identity, realizable)
+                                form_counts, psi_pullback_identity,
+                                realizable)
+
+_ONE = Cyclo.rational(1)
 
 
 def inst(text):
     return QgInstance(parse_poly(text))
+
+
+def _mono(a, b, c=1):
+    return Poly2.monomial(a, b, c)
+
+
+def invariant_triple(spec):
+    """Generating triple (f1, f2, f3) of the semi-invariant algebra.
+
+    These are the classical generators in standard coordinates: their
+    root divisors are the exceptional orbits of the group action, and
+    every semi-invariant form with trivial character is a weighted
+    polynomial in them (subject to one syzygy).
+    """
+    if spec.kind == "A":
+        l = spec.l
+        return (_mono(2 * l, 0), _mono(1, 1), _mono(0, 2 * l))
+    if spec.kind == "D":
+        l = spec.l
+        diff_l = _mono(l, 0) - _mono(0, l)
+        diff_2l = _mono(2 * l, 0) - _mono(0, 2 * l)
+        if l % 2 == 1:
+            return (_mono(2, 2), diff_2l, _mono(1, 1) * diff_l ** 2)
+        return (_mono(2, 2), diff_l ** 2, _mono(1, 1) * diff_2l)
+    if spec.kind == "E6":
+        return (
+            Poly2(6, {(5, 1): _ONE, (1, 5): -_ONE}),
+            Poly2(8, {(8, 0): _ONE, (4, 4): as_cyclo(14), (0, 8): _ONE}),
+            Poly2(12, {(12, 0): _ONE, (8, 4): as_cyclo(-33),
+                       (4, 8): as_cyclo(-33), (0, 12): _ONE}),
+        )
+    if spec.kind == "E7":
+        return (
+            Poly2(8, {(8, 0): _ONE, (4, 4): as_cyclo(14), (0, 8): _ONE}),
+            Poly2(12, {(10, 2): _ONE, (6, 6): as_cyclo(-2), (2, 10): _ONE}),
+            Poly2(18, {(17, 1): _ONE, (13, 5): as_cyclo(-34),
+                       (5, 13): as_cyclo(34), (1, 17): -_ONE}),
+        )
+    return (
+        Poly2(12, {(11, 1): _ONE, (6, 6): as_cyclo(11), (1, 11): -_ONE}),
+        Poly2(20, {(20, 0): _ONE, (15, 5): as_cyclo(-228),
+                   (10, 10): as_cyclo(494), (5, 15): as_cyclo(228),
+                   (0, 20): _ONE}),
+        Poly2(30, {(30, 0): _ONE, (25, 5): as_cyclo(522),
+                   (20, 10): as_cyclo(-10005), (10, 20): as_cyclo(-10005),
+                   (5, 25): as_cyclo(-522), (0, 30): _ONE}),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +403,28 @@ def test_classification_factors_and_detects_once(monkeypatch):
     assert calls == {"yun": 1, "finite": 1}
 
 
-@pytest.mark.parametrize("text", ["u0^6 + u1^6", "u0^5*u1 - u0*u1^5"])
-def test_character_is_computed_once_per_classification(monkeypatch, text):
-    # D6 has two twisted classes that carry an equation, and u0^6 + u1^6
-    # is not a polynomial in its invariant triple
-    import realforms.quadrics as quadrics
+@pytest.mark.parametrize("text,group,composes", [
+    ("u0^6 + u1^6", "D6", 2),                    # [omega_12] and [f]
+    ("u0^5*u1 - u0*u1^5", "E7", 1),              # [omega_8]
+    ("u0^8 + 14*u0^4*u1^4 + u1^8", "E7", 1),
+    ("u0^2*u1*(u0^3 - u1^3)", "A3", 0),          # [I2] only
+])
+def test_one_compose_per_twisted_equation(monkeypatch, text, group, composes):
+    # after detection, each class other than [I2] that carries an
+    # equation costs one composition with its splitting matrix, and the
+    # character of g is never computed
+    q = inst(text)
+    assert detect_symmetry(q).report_name == group
     calls = []
-    original = quadrics.semi_invariant_character
+    original = Poly2.compose
 
-    def counting(g, spec):
-        calls.append(spec.name)
-        return original(g, spec)
+    def counting(self, m):
+        calls.append(m)
+        return original(self, m)
 
-    monkeypatch.setattr(quadrics, "semi_invariant_character", counting)
-    report = enumerate_forms(inst(text))
-    assert len(calls) == 1 and calls[0] == report.symmetry.group.name
+    monkeypatch.setattr(Poly2, "compose", counting)
+    enumerate_forms(q)
+    assert len(calls) == composes
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +582,120 @@ def test_cyclic_reports():
     report = enumerate_forms(inst("u0^6*u1^2 + u1^8"))
     assert report.symmetry.name == "Finite(A6)"
     assert tuple(report.counts()) == (4, 4, 0)
+
+
+# ----------------------------------------------------------------------
+# enumeration: the twisted equations against frozen twisted triples
+#
+# Over a class [a] split by b the generator triple twists to real forms
+# (f1', f2', f3'), so g = P(f1, f2, f3) twists to P(f1', f2', f3') with
+# no solver involved.  The triples are those of the classical tables.
+
+
+def _dihedral_twisted_f(l):
+    """The D_l generator triple twisted over the flip class [f]."""
+    s2 = Poly2(2, {(2, 0): _ONE, (0, 2): _ONE})
+    f1 = -(s2 ** 2)
+    even_sum = Poly2(2 * l, {
+        (2 * (l - k), 2 * k): as_cyclo(2 * comb(2 * l, 2 * k) * (-1) ** k)
+        for k in range(l + 1)})
+    odd_sum = Poly2(2 * l, {
+        (2 * (l - k) - 1, 2 * k + 1):
+            as_cyclo(2 * comb(2 * l, 2 * k + 1) * (-1) ** k)
+        for k in range(l)})
+    i_pow = Cyclo.i() ** l
+    if l % 2 == 1:
+        f2 = even_sum
+        f3 = (s2 ** (l + 1)) * (i_pow * Cyclo.i() * Fraction(-2)) \
+            - s2 * odd_sum
+    else:
+        f2 = (s2 ** l) * (i_pow * Fraction(-2)) + even_sum
+        f3 = -(s2 * odd_sum)
+    return (f1, f2, f3)
+
+
+def _twisted_triples(spec):
+    """Class label -> the generator triple twisted over that class."""
+    f1, f2, f3 = invariant_triple(spec)
+    l = spec.l
+    if spec.kind == "A":
+        return {} if l % 2 else {"[omega_%d]" % (2 * l): (-f1, f2, -f3)}
+    if spec.kind == "D":
+        out = {"[f]": _dihedral_twisted_f(l)}
+        if l % 2 == 0:
+            plus = _mono(l, 0) + _mono(0, l)
+            out["[omega_%d]" % (2 * l)] = (f1, -(plus ** 2), -f3)
+        return out
+    if spec.kind == "E7":
+        return {"[omega_8]": (
+            Poly2(8, {(8, 0): -_ONE, (4, 4): as_cyclo(14), (0, 8): -_ONE}),
+            Poly2(12, {(10, 2): -_ONE, (6, 6): as_cyclo(-2),
+                       (2, 10): -_ONE}),
+            Poly2(18, {(17, 1): _ONE, (13, 5): as_cyclo(34),
+                       (5, 13): as_cyclo(-34), (1, 17): -_ONE}))}
+    return {}
+
+
+def _evaluate(expression, triple, degree):
+    acc = Poly2.zero(degree)
+    for (a, b, c), coeff in expression:
+        acc = acc + triple[0] ** a * triple[1] ** b * triple[2] ** c * coeff
+    return acc
+
+
+ORACLE_GROUPS = ["A%d" % l for l in range(1, 9)] \
+    + ["D%d" % l for l in range(2, 9)] + ["E6", "E7", "E8"]
+ORACLE_COEFFS = (-3, -2, -1, 1, 2, 3, Cyclo.zeta(5) + Cyclo.zeta(5, 4))
+
+
+def _oracle_inputs(seed=1493):
+    """(spec, expression, g): g = sum coeff * f1^a f2^b f3^c, degree <= 16,
+    a valid bundle datum whose detected group is the generating one."""
+    rng = random.Random(seed)
+    out = []
+    for name in ORACLE_GROUPS:
+        spec = GroupSpec.parse(name)
+        triple = invariant_triple(spec)
+        d1, d2, d3 = (f.degree for f in triple)
+        for degree in range(2, 17, 2):
+            monos = [(a, b, (degree - a * d1 - b * d2) // d3)
+                     for a in range(degree // d1 + 1)
+                     for b in range((degree - a * d1) // d2 + 1)
+                     if (degree - a * d1 - b * d2) % d3 == 0]
+            for draw in range(3 if monos else 0):
+                # the first draw uses every monomial, the others a subset
+                picked = rng.sample(monos, len(monos) if draw == 0
+                                    else rng.randint(1, len(monos)))
+                expression = [(m, as_cyclo(rng.choice(ORACLE_COEFFS)))
+                              for m in picked]
+                g = _evaluate(expression, triple, degree)
+                try:
+                    q = QgInstance(g)
+                    label = detect_symmetry(q)
+                except (ValueError, AmbiguousSymmetryError):
+                    continue  # a square, or a monomial
+                if label == FLabel.finite(spec):
+                    out.append((spec, expression, q))
+    return out
+
+
+def test_twisted_equations_match_the_twisted_triples():
+    inputs = _oracle_inputs()
+    assert {spec.name for spec, _, _ in inputs} == set(ORACLE_GROUPS)
+    twisted = 0
+    for spec, expression, q in inputs:
+        expected = {label: _evaluate(expression, triple, q.g.degree)
+                    for label, triple in _twisted_triples(spec).items()}
+        expected["[I2]"] = q.g
+        printed = {}
+        for form in enumerate_forms(q).forms:
+            if form.equation is not None:
+                printed[form.over_class] = render_poly(form.equation)
+        assert printed == {label: render_poly(g)
+                           for label, g in expected.items()}, \
+            (spec.name, render_poly(q.g))
+        twisted += len(expected) - 1
+    assert twisted >= 100
 
 
 def test_torus_fiber_report():
