@@ -18,9 +18,11 @@ entry per variable, negative entries allowed) to nonzero scalars.  It
 serves the multihomogeneous ambient equations of `certificates`, the
 Laurent polynomials of the Schwarzenberger gluing, and the loose values
 of the parser.  ``Poly2`` is its homogeneous two-variable subclass, the
-binary forms; gcd / squarefree machinery works on their dehomogenized
-coefficient lists.  ``row_reduce`` is the one Gaussian elimination, over
-Fraction or Cyclo entries, behind ``solve_linear`` and every rank.
+binary forms.  ``Poly2.compose`` is Horner on integer vectors at one
+conductor, with one canonicalization per output coefficient; gcd /
+squarefree machinery works on dehomogenized coefficient lists.
+``row_reduce`` is the one Gaussian elimination, over Fraction or Cyclo
+entries, behind ``solve_linear`` and every rank.
 """
 
 from __future__ import annotations
@@ -692,6 +694,19 @@ class Poly:
                 else Poly._result(self, power)
         if k < 0:
             raise ValueError("only a monomial has an inverse")
+        if len(self.terms) == 2:
+            # (x + y)^k = sum C(k, j) x^j y^(k-j), no two terms alike
+            (ex, cx), (ey, cy) = self.terms.items()
+            y_powers = [ONE]
+            for _ in range(k):
+                y_powers.append(y_powers[-1] * cy)
+            power, x_power, binomial = {}, ONE, 1
+            for j in range(k + 1):
+                exps = tuple(j * a + (k - j) * b for a, b in zip(ex, ey))
+                power[exps] = x_power * y_powers[k - j] * binomial
+                x_power = x_power * cx
+                binomial = binomial * (k - j) // (j + 1)
+            return self._result(power)
         result = self._one()
         base = self
         while k:
@@ -762,6 +777,29 @@ class Poly:
         return "%s<%s>" % (type(self).__name__, " + ".join(bits) or "0")
 
 
+def _addmul(acc, x, y):
+    """acc[i + j] += x[i] * y[j] for integer lists; x is the sparser."""
+    for j, c in enumerate(x):
+        if c:
+            for i, v in enumerate(y, j):
+                acc[i] += c * v
+
+
+def _times_linear(form, p, q):
+    """The binary form ``form`` times p u0 + q u1, unreduced: form[a] is
+    the integer list of u0^a, and so is each product coefficient
+    p form[a-1] + q form[a]."""
+    out = []
+    for a in range(len(form) + 1):
+        acc = [0] * (2 * len(p) - 1)
+        if a:
+            _addmul(acc, p, form[a - 1])
+        if a < len(form):
+            _addmul(acc, q, form[a])
+        out.append(acc)
+    return out
+
+
 class Poly2(Poly):
     """A homogeneous binary form: a Poly in u0, u1 of fixed ``degree``.
 
@@ -807,11 +845,54 @@ class Poly2(Poly):
         return Poly.__add__(self, other)
 
     def compose(self, m) -> "Poly2":
-        """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1)."""
-        (m00, m01), (m10, m11) = m
-        image = self.substitute((Poly2(1, {(1, 0): m00, (0, 1): m01}),
-                                 Poly2(1, {(1, 0): m10, (0, 1): m11})))
-        return Poly2(self.degree, image.terms)
+        """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1).
+
+        A diagonal or antidiagonal m sends each term to one term.  Any
+        other m runs homogeneous Horner on integer vectors: the entries
+        of m and the coefficients of g are lifted to one conductor N and
+        put over common denominators, so m = M / D_m and g = G / D_g.
+        With L0 = M00 u0 + M01 u1 and L1 = M10 u0 + M11 u1, H_d = G_d
+        and H_j = H_(j+1) L0 + G_j L1^(d-j), the powers of L1 built
+        alongside; every ring product is reduced mod Phi_N, and each
+        coefficient of H_0 / (D_g D_m^d) becomes a Cyclo once, at its
+        minimal conductor.
+        """
+        (m00, m01), (m10, m11) = [[as_cyclo(x) for x in row] for row in m]
+        d = self.degree
+        if not (m01 or m10) or not (m00 or m11):
+            swap = bool(m01 or m10)
+            x, y = (m01, m10) if swap else (m00, m11)
+            terms = {}
+            for (a, b), c in self.terms.items():
+                c = c * x ** a * y ** b
+                if c:
+                    terms[(b, a) if swap else (a, b)] = c
+            return self._result(terms)
+        coeffs = self.terms
+        entries = (m00, m01, m10, m11)
+        n = lcm(*(x.n for x in entries), *(c.n for c in coeffs.values()))
+        d_m = lcm(*(x.den for x in entries))
+        d_g = lcm(*(c.den for c in coeffs.values()))
+
+        def lift(x, den):
+            return [v * (den // x.den) for v in x._embed(n)]
+
+        a00, a01, a10, a11 = [lift(x, d_m) for x in entries]
+        g = [lift(coeffs[(j, d - j)], d_g) if (j, d - j) in coeffs else None
+             for j in range(d + 1)]
+        phi = euler_phi(n)
+        power = [[1] + [0] * (phi - 1)]
+        horner = [g[d] or [0] * phi]
+        for j in range(d - 1, -1, -1):
+            power = [_reduce(n, v) for v in _times_linear(power, a10, a11)]
+            horner = _times_linear(horner, a00, a01)
+            if g[j]:
+                for acc, v in zip(horner, power):
+                    _addmul(acc, g[j], v)
+            horner = [_reduce(n, acc) for acc in horner]
+        den = d_g * d_m ** d
+        return self._result({(a, d - a): _make(n, vec, den)
+                             for a, vec in enumerate(horner) if any(vec)})
 
     def real_coefficients(self) -> bool:
         return all(c == c.conjugate() for c in self.terms.values())

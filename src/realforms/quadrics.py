@@ -57,6 +57,7 @@ from .groups import (
     ALPHA,
     BETA,
     F_SWAP,
+    H_ROT,
     GroupSpec,
 )
 from .parsing import render_poly
@@ -247,7 +248,8 @@ def _finite_symmetry(g, n):
     differences of g's u0-exponents.  Orders run up to 2n: a rotation
     fixing three or more points is the identity.  D_l adds F_SWAP, whose
     single test serves every l.  E6 = <D2, ALPHA>, E7 = <E6, A4> and
-    E8 = <A5, H_ROT, BETA>, with H_ROT = F_SWAP * rotation_gen(2).
+    E8 = <A5, H_ROT, BETA>; the monomial F_SWAP and H_ROT compose term
+    by term.
 
     A matched group preserves the roots of g.  With one or two roots
     that leaves cyclic and dihedral groups only; with three or more, the
@@ -260,16 +262,12 @@ def _finite_symmetry(g, n):
     """
     exps = [a for a, _ in g.terms]
     d = gcd(*(a - exps[0] for a in exps))
-    swapped = g.compose(F_SWAP)
-    swap = swapped.proportionality(g) is not None
+    swap = g.compose(F_SWAP).proportionality(g) is not None
     if swap and d in (2, 4) \
             and g.compose(ALPHA).proportionality(g) is not None:
         return GroupSpec("E7" if d == 4 else "E6")
     if d == 5 and not swap:
-        # g o H_ROT is g o F_SWAP with u0^a u1^b scaled by (-1)^(a - n)
-        turned = Poly2(g.degree, {(a, b): c if (a - n) % 2 == 0 else -c
-                                  for (a, b), c in swapped.terms.items()})
-        if turned.proportionality(g) is not None \
+        if g.compose(H_ROT).proportionality(g) is not None \
                 and g.compose(BETA).proportionality(g) is not None:
             return GroupSpec("E8")
     # every A/D match divides one of these orders (for d > 0, d itself)
@@ -393,7 +391,7 @@ def realizable(g):
     lower = sorted(a for (a, b) in h.terms if a != r)
     if not lower:
         lam = c_r.inverse()
-        if not (g.compose(shear) * lam).real_coefficients():
+        if not (h * lam).real_coefficients():
             raise VerificationError("the sheared form is not real")
         return (lam, shear)
 
@@ -602,10 +600,10 @@ class FormDescriptor:
         self.over_class = over_class
         self.merged_pair = merged_pair
 
-    def as_dict(self):
+    def as_dict(self, render=render_poly):
         out = {"form": self.tag}
         if self.equation is not None:
-            out["equation"] = render_poly(self.equation)
+            out["equation"] = render(self.equation)
         out["status"] = self.status
         out["aut0"] = self.aut0
         out["over_class"] = self.over_class
@@ -638,11 +636,20 @@ class RealFormReport:
 
     def as_dict(self):
         counts = self.counts()
+        # the forms over one class share one equation object, and those
+        # over [I2] share g: render each object once
+        text = {}
+
+        def render(p):
+            if id(p) not in text:
+                text[id(p)] = render_poly(p)
+            return text[id(p)]
+
         out = {
-            "g": render_poly(self.instance.g),
+            "g": render(self.instance.g),
             "n": self.instance.n,
             "F": self.symmetry.report_name,
-            "forms": [f.as_dict() for f in self.forms],
+            "forms": [f.as_dict(render) for f in self.forms],
             "counts": {
                 "rational": counts.rational,
                 "unknown": counts.unknown,

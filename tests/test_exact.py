@@ -1,9 +1,11 @@
 """Exact cyclotomic scalars, binary forms, and 2x2 matrices."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              from_factors, root_multiplicities, solve_linear,
                              square_test)
@@ -142,6 +144,112 @@ def test_compose_is_right_action():
     m1 = Mat2(1, 2, 0, 1)
     m2 = Mat2(0, 1, -1, 0)
     assert f.compose(m1 * m2) == f.compose(m1).compose(m2)
+
+
+def _substitute_compose(f, m):
+    """compose as it was defined before its integer kernel: the generic
+    substitution of two linear forms."""
+    (m00, m01), (m10, m11) = m
+    l0 = Poly2(1, {(1, 0): m00, (0, 1): m01})
+    l1 = Poly2(1, {(1, 0): m10, (0, 1): m11})
+    return Poly2(f.degree, f.substitute((l0, l1)).terms)
+
+
+COMPOSE_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 20, 24, 60)
+COMPOSE_SHAPES = ("diagonal", "antidiagonal", "upper", "lower", "dense",
+                  "singular", "zero row")
+
+
+def _scalar(rng, n):
+    """A nonzero int, Fraction or Cyclo (at most conductor n, with a
+    denominator) for the compose sweep."""
+    kind = rng.randrange(3)
+    if kind == 0 or n == 1:
+        value = rng.choice([-3, -2, -1, 1, 2, 5])
+        return value if kind == 0 else Fraction(value, rng.choice([2, 3, 7]))
+    coeffs = [0] * n
+    for _ in range(rng.randint(1, 3)):
+        coeffs[rng.randrange(n)] = Fraction(rng.choice([-2, -1, 1, 3]),
+                                            rng.choice([1, 2, 5]))
+    value = Cyclo(n, coeffs)
+    return value if value else Cyclo.zeta(n)
+
+
+def _sweep_matrix(rng, shape, n):
+    a, b, c, d = (_scalar(rng, n) for _ in range(4))
+    if shape == "singular":  # rank one: the second row is t times the first
+        t = _scalar(rng, n)
+        return ((a, b), (as_cyclo(a) * t, as_cyclo(b) * t))
+    return {"diagonal": ((a, 0), (0, d)),
+            "antidiagonal": ((0, b), (c, 0)),
+            "upper": ((a, b), (0, d)),
+            "lower": ((a, 0), (c, d)),
+            "dense": ((a, b), (c, d)),
+            "zero row": ((a, b), (0, 0))}[shape]
+
+
+def _sweep_form(rng, degree, n):
+    return Poly2(degree, {(a, degree - a): _scalar(rng, n)
+                          for a in range(degree + 1) if rng.random() < 0.7})
+
+
+def test_compose_matches_substitution_on_seeded_sweep():
+    rng = random.Random(20240321)
+    cases = []
+    for i, degree in enumerate(list(range(31)) * 2):
+        shape = COMPOSE_SHAPES[i % len(COMPOSE_SHAPES)]
+        n_form = COMPOSE_CONDUCTORS[i % len(COMPOSE_CONDUCTORS)]
+        n_matrix = rng.choice(COMPOSE_CONDUCTORS)
+        cases.append((_sweep_form(rng, degree, n_form),
+                      _sweep_matrix(rng, shape, n_matrix)))
+    for shape in COMPOSE_SHAPES:
+        cases.append((Poly2.zero(7), _sweep_matrix(rng, shape, 12)))
+    cases.append((cases[3][0], ((0, 0), (0, 0))))
+    sparse = Poly2(200, {(200, 0): 1, (117, 83): Fraction(-2, 3),
+                         (0, 200): Cyclo.zeta(4)})
+    cases.append((sparse, ((1, Fraction(1, 2)), (-3, 2))))
+    cases.append((sparse, Mat2(0, Cyclo.zeta(8), 2, 0)))
+    for f, m in cases:
+        got = f.compose(m)
+        assert type(got) is Poly2 and got.degree == f.degree
+        assert got == _substitute_compose(f, m), (f, m)
+
+
+def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
+    rng = random.Random(60)
+    f = Poly2(30, {(a, 30 - a): _scalar(rng, 60) for a in range(31)})
+    m = Mat2(Cyclo.zeta(60), Fraction(1, 3), Cyclo.zeta(60, 7) + 2, -1)
+    expected = _substitute_compose(f, m)
+    built = []
+    make = exact._make
+
+    def counting_make(*args):
+        built.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(exact, "_make", counting_make)
+    got = f.compose(m)
+    monkeypatch.setattr(exact, "_make", make)
+    assert got == expected
+    assert len(built) <= 31
+
+
+def _repeated_product(base, k):
+    out = base._one()
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def test_two_term_power_matches_repeated_multiplication():
+    u0, u1 = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    base = u0 + u1 * Cyclo.zeta(251)
+    power = base ** 200
+    assert type(power) is Poly2 and len(power.terms) == 201
+    assert power == _repeated_product(base, 200)
+    laurent = Poly({(2, 0, 1): Fraction(2, 3), (-1, 3, 0): -Cyclo.zeta(12)})
+    for k in (0, 1, 2, 9):
+        assert laurent ** k == _repeated_product(laurent, k)
 
 
 def test_real_coefficients():

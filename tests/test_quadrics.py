@@ -340,13 +340,30 @@ def test_semi_invariant_character_matches_exhaustive_scan():
 
 
 def test_h_rot_is_swap_then_half_turn():
-    # _finite_symmetry reads g o H_ROT off g o F_SWAP by this identity
+    # the E8 generator that _finite_symmetry composes g with
     assert F_SWAP * rotation_gen(2) == H_ROT
     assert generators(GroupSpec("E8"))[1] == H_ROT
 
 
+def test_report_renders_each_equation_once(monkeypatch):
+    # E7: eight forms over [I2], [omega_8] and [h]; the first two
+    # classes carry g and one twisted equation
+    report = enumerate_forms(inst("u0^5*u1 - u0*u1^5"))
+    expected = report.as_dict()
+    rendered = []
+
+    def counting_render(p):
+        rendered.append(p)
+        return render_poly(p)
+
+    monkeypatch.setattr(quadrics, "render_poly", counting_render)
+    assert report.as_dict() == expected
+    assert len(expected["forms"]) == 8 and len(rendered) == 2
+
+
 @pytest.mark.parametrize("text,composes,label", [
-    ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 2, "E8"),
+    # F_SWAP, H_ROT and BETA
+    ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 3, "E8"),
     ("u0^24 + u1^24", 1, "D24"),
 ])
 def test_detection_op_counts(monkeypatch, text, composes, label):
