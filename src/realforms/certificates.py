@@ -3,8 +3,10 @@
 Next to each real form the registry (`registry`) may store an
 antiholomorphic coordinate formula on a toric or multihomogeneous
 ambient, and next to a link a birational witness.  This module builds
-the ambients, checks the shape of each formula `parsing.parse_formula`
-reads, and proves what the formulas claim:
+the ambients (the toric families Fabc, Pb, Wb and Rmn on the Cox data of
+`lattices.cox_data`, the only copy of their weights), checks the shape
+of each formula `parsing.parse_formula` reads, and proves what the
+formulas claim:
 
 * `verify_involution` proves that a stored conjugation respects the
   multigrading of the ambient coordinate ring (so it descends to the
@@ -31,7 +33,7 @@ suites and the registry's validation sweep use this module.
 
 from fractions import Fraction
 
-from . import quadrics, registry
+from . import lattices, quadrics, registry
 from .errors import VerificationError
 from .exact import Cyclo, Poly
 from .parsing import parse_formula, parse_poly, render_scalar
@@ -206,34 +208,23 @@ class Ambient:
 
 def fabc_ambient(a, b, c):
     """Coordinates and torus weights of the decomposable double bundle."""
-    coords = ("x0", "x1", "y0", "y1", "z0", "z1")
-    weights = ((1, -b, 0), (1, 0, -c), (0, 1, -a), (0, 1, 0),
-               (0, 0, 1), (0, 0, 1))
-    return Ambient("F_%d^{%d,%d}" % (a, b, c), coords, weights,
-                   ((0, 1), (2, 3), (4, 5)))
+    return Ambient(*lattices.cox_data("Fabc", (a, b, c)))
 
 
 def p1cube_ambient():
-    ambient = fabc_ambient(0, 0, 0)
-    return Ambient("(P1)^3", ambient.coords, ambient.weights, ambient.blocks)
+    return Ambient("(P1)^3", *lattices.cox_data("Fabc", (0, 0, 0))[1:])
 
 
 def pb_ambient(b):
-    coords = ("y0", "y1", "z0", "z1", "z2")
-    weights = ((1, -b), (1, 0), (0, 1), (0, 1), (0, 1))
-    return Ambient("P_%d" % b, coords, weights, ((0, 1), (2, 3, 4)))
+    return Ambient(*lattices.cox_data("Pb", (b,)))
 
 
 def wb_ambient(b):
-    coords = ("y0", "y1", "z0", "z1", "z2")
-    weights = ((1, 1 - 2 * b), (1, 0), (0, 1), (0, 1), (0, 2))
-    return Ambient("W_%d" % b, coords, weights, ((0, 1), (2, 3, 4)))
+    return Ambient(*lattices.cox_data("Wb", (b,)))
 
 
 def rmn_ambient(m, n):
-    coords = ("x0", "x1", "x2", "y0", "y1")
-    weights = ((1, -m), (1, -n), (1, 0), (0, 1), (0, 1))
-    return Ambient("R_(%d,%d)" % (m, n), coords, weights, ((0, 1, 2), (3, 4)))
+    return Ambient(*lattices.cox_data("Rmn", (m, n)))
 
 
 def flag_ambient():

@@ -1,31 +1,30 @@
 """Intersection lattices of the ambient threefold families.
 
-Each family of Mori fiber spaces handled by the package carries a small
-amount of numerical data: a basis of the divisor class group, a basis of
-the curve class group, the intersection pairing between them, the
-canonical class, and the generators of the cone of effective curves with
-their intersection numbers against the canonical class.  For the
-decomposable bundles over Hirzebruch surfaces and for the quadric cone
-bundles over P(1,1,2) the full tables are stored; the other families are
-recorded at the resolution actually needed downstream — the extremal
-rays with their K-intersections and the meaning of each contraction.
+Each family member carries a basis of the divisor and of the curve
+class group, the pairing between them, the canonical class, and the
+extremal rays of the cone of curves with their K-degrees.  The toric
+families Fabc, Pb, Wb and Rmn are given once, by their Cox data
+(`cox_data`), and all of this is computed from it; names such as l1-l4
+or H_x0 are labels on computed classes.  The families that are not
+toric (Uabc, Sb, Vb, Qg) keep quoted rays.
 
-Everything is exact.  Integral values (every pairing, canonical
-coefficient, K-degree and relation except on W_b) are stored as ``int``
-and only the genuinely fractional ones of W_b as `fractions.Fraction`,
-so the tables sum in integer arithmetic; ``str`` prints both the same
-way.  The closed-form K-intersection numbers are re-derived from the
-stored pairing whenever a full table is available, so the two
-presentations can never drift apart.
+The arithmetic is exact and on integers.  A value is an ``int`` when it
+is integral and a `fractions.Fraction` only when it is not (the halves
+of W_b); ``str`` prints both the same way.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 from .errors import VerificationError
 
 __all__ = [
     "FamilyId",
     "LatticeModel",
+    "cox_data",
     "Ray",
     "model",
     "pairing",
@@ -34,7 +33,10 @@ __all__ = [
     "aut_component_count",
 ]
 
-FAMILY_KINDS = ("Fabc", "Pb", "Uabc", "Sb", "Vb", "Wb", "Rmn", "Qg")
+# the family kinds, with the format of a member's label
+_LABELS = {"Fabc": "F_%d^{%d,%d}", "Pb": "P_%d", "Uabc": "U_%d^{%d,%d}",
+           "Sb": "S_%d", "Vb": "V_%d", "Wb": "W_%d", "Rmn": "R_(%d,%d)",
+           "Qg": "Q_g[deg 2n, n=%d]"}
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +57,7 @@ class FamilyId:
     __slots__ = ("kind", "params")
 
     def __init__(self, kind, params):
-        if kind not in FAMILY_KINDS:
+        if kind not in _LABELS:
             raise ValueError("unknown family kind: %r" % (kind,))
         params = tuple(int(p) for p in params)
         normalize = getattr(self, "_norm_" + kind)
@@ -182,23 +184,7 @@ class FamilyId:
 
     @property
     def label(self):
-        if self.kind == "Fabc":
-            a, b, c = self.params
-            return "F_%d^{%d,%d}" % (a, b, c)
-        if self.kind == "Pb":
-            return "P_%d" % self.params
-        if self.kind == "Uabc":
-            a, b, c = self.params
-            return "U_%d^{%d,%d}" % (a, b, c)
-        if self.kind == "Sb":
-            return "S_%d" % self.params
-        if self.kind == "Vb":
-            return "V_%d" % self.params
-        if self.kind == "Wb":
-            return "W_%d" % self.params
-        if self.kind == "Rmn":
-            return "R_(%d,%d)" % self.params
-        return "Q_g[deg 2n, n=%d]" % self.params
+        return _LABELS[self.kind] % self.params
 
     def __eq__(self, other):
         return (isinstance(other, FamilyId)
@@ -248,9 +234,9 @@ class LatticeModel:
 
     ``pairing_matrix`` maps ``(curve, divisor)`` name pairs to exact
     intersection numbers and ``canonical`` gives the canonical class in
-    the divisor basis; both are empty for the families recorded only at
-    extremal-ray resolution.  ``relations`` stores named derived curve
-    classes as combinations of the basis.
+    the divisor basis; both are empty for the families that name no
+    divisors (Pb, Rmn and the quoted families).  ``relations`` holds
+    named derived curve classes as combinations of the basis.
     """
 
     __slots__ = ("family", "divisor_basis", "curve_basis", "pairing_matrix",
@@ -266,7 +252,6 @@ class LatticeModel:
         self.cone_generators = tuple(cone_generators)
         self.k_dots = dict(k_dots)
         self.relations = dict(relations)
-        self._check_consistency()
 
     @property
     def has_full_table(self):
@@ -281,29 +266,9 @@ class LatticeModel:
         raise KeyError("unknown curve class %r" % (name,))
 
     def k_dot_from_table(self, name):
-        """Pair the canonical class with a curve using the stored table."""
-        if not self.has_full_table:
-            raise ValueError("family %s is stored at ray resolution only"
-                             % self.family.label)
-        vec = self.curve_vector(name)
-        total = 0
-        for coeff, base in zip(vec, self.curve_basis):
-            if not coeff:
-                continue
-            for divisor, kcoeff in self.canonical.items():
-                total += coeff * kcoeff * self.pairing_matrix[(base, divisor)]
-        return total
-
-    def _check_consistency(self):
-        if not self.has_full_table:
-            return
-        for name, expected in self.k_dots.items():
-            got = self.k_dot_from_table(name)
-            if got != expected:
-                raise VerificationError(
-                    "inconsistent tables for %s: K.%s is %s from the "
-                    "pairing but %s in closed form"
-                    % (self.family.label, name, got, expected))
+        """Pair the canonical class with a curve using the pairing table."""
+        value = pairing(self, name, self.canonical)
+        return value.numerator if value.denominator == 1 else value
 
     def as_dict(self):
         return {
@@ -327,162 +292,228 @@ class LatticeModel:
         return "LatticeModel(%s)" % self.family.label
 
 
-def _fabc_model(family):
-    a, b, c = family.params
-    divisors = ("H_z0", "H_y0", "H_x0")
-    curves = ("l1", "l2", "l3")
-    # Rows: curve, columns: divisor.  The triangular shape reflects that
-    # l3 is a fiber of the bundle projection, l2 a fiber direction of the
-    # intermediate Hirzebruch surface, and l1 a section-type class.
-    table = {
-        ("l1", "H_z0"): 1, ("l1", "H_y0"): -a, ("l1", "H_x0"): c,
-        ("l2", "H_z0"): 0, ("l2", "H_y0"): 1, ("l2", "H_x0"): -b,
-        ("l3", "H_z0"): 0, ("l3", "H_y0"): 0, ("l3", "H_x0"): 1,
-    }
-    canonical = {
-        "H_z0": -(a * (b + 1) + 2 - c),
-        "H_y0": -(b + 2),
-        "H_x0": -2,
-    }
-    k_dots = {
-        "l1": a - c - 2,
-        "l2": b - 2,
-        "l3": -2,
-        "l4": a + c - 2,
-    }
-    relations = {"l4": (1, 0, -c)}
-    fiber_note = "fibration: structure morphism to F_%d" % a
-    if c <= 0:
-        gens = (
-            Ray("l1", (1, 0, 0), k_dots["l1"]),
-            Ray("l2", (0, 1, 0), k_dots["l2"]),
-            Ray("l3", (0, 0, 1), k_dots["l3"], fiber_note),
-        )
-    else:
-        gens = (
-            Ray("l4", (1, 0, -c), k_dots["l4"]),
-            Ray("l2", (0, 1, 0), k_dots["l2"]),
-            Ray("l3", (0, 0, 1), k_dots["l3"], fiber_note),
-        )
-    return LatticeModel(family, divisors, curves, table, canonical,
-                        gens, k_dots, relations)
+# ----------------------------------------------------------------------
+# the toric families, computed from their Cox data
+
+_FIBRATION = "fibration: structure morphism to "
 
 
-def _wb_model(family):
-    (b,) = family.params
-    divisors = ("F", "S")
-    curves = ("f", "l")
-    table = {
-        ("f", "F"): 0, ("f", "S"): 1,
-        ("l", "F"): 1, ("l", "S"): Fraction(1 - 2 * b, 2),
-    }
-    canonical = {"F": Fraction(-(2 * b + 3), 2), "S": -2}
-    k_dots = {"f": -2, "l": Fraction(2 * b - 5, 2)}
-    gens = (
-        Ray("f", (1, 0), k_dots["f"],
-            "fibration: structure morphism to P(1,1,2)"),
-        Ray("l", (0, 1), k_dots["l"]),
-    )
-    return LatticeModel(family, divisors, curves, table, canonical,
-                        gens, k_dots)
+def cox_data(kind, params):
+    """Label, coordinates, torus weights and blocks of a toric member.
+
+    ``weights[i]`` is the class of the divisor ``coords[i] = 0``; the
+    coordinates of a block never vanish together.  The parameters are
+    taken as given.  This is the only copy of the data: `model` and the
+    ambients of ``certificates`` are built on it.
+    """
+    label = _LABELS[kind] % tuple(params)
+    if kind == "Fabc":
+        a, b, c = params
+        return (label, ("x0", "x1", "y0", "y1", "z0", "z1"),
+                ((1, -b, 0), (1, 0, -c), (0, 1, -a), (0, 1, 0),
+                 (0, 0, 1), (0, 0, 1)),
+                ((0, 1), (2, 3), (4, 5)))
+    if kind == "Rmn":
+        m, n = params
+        return (label, ("x0", "x1", "x2", "y0", "y1"),
+                ((1, -m), (1, -n), (1, 0), (0, 1), (0, 1)),
+                ((0, 1, 2), (3, 4)))
+    (b,) = params
+    y0, z2 = {"Pb": ((1, -b), (0, 1)), "Wb": ((1, 1 - 2 * b), (0, 2))}[kind]
+    return (label, ("y0", "y1", "z0", "z1", "z2"),
+            (y0, (1, 0), (0, 1), (0, 1), z2), ((0, 1), (2, 3, 4)))
 
 
-def _ray_model(family, rays):
-    curves = tuple(ray.name for ray in rays)
-    k_dots = {ray.name: ray.k_dot for ray in rays}
-    return LatticeModel(family, (), curves, {}, {}, tuple(rays), k_dots)
+# Labels on computed classes: the divisors D_x as (name, x); the curves
+# C{p,q} as (name, p, q), the first `rank` the curve basis; the order in
+# which named curves claim extremal directions; the fiber and its base.
+# Pb and Rmn name no divisors, so they print no pairing table.
+_TORIC_LABELS = {
+    "Fabc": ((("H_z0", "z0"), ("H_y0", "y0"), ("H_x0", "x0")),
+             (("l1", "x0", "y0"), ("l2", "x0", "z0"), ("l3", "y0", "z0"),
+              ("l4", "x1", "y0")),
+             ("l1", "l4", "l2", "l3"), ("l3", "F_{0}")),
+    # f is the fiber over a smooth point; C{z0,z1} is half of it
+    "Wb": ((("F", "z2"), ("S", "y0")),
+           (("f", "z0", "z2"), ("l", "y0", "z0")), ("f", "l"),
+           ("f", "P(1,1,2)")),
+    "Pb": ((), (("f", "z0", "z1"), ("l", "y0", "z0")), ("f", "l"),
+           ("f", "P^2")),
+    "Rmn": ((), (("f", "x0", "y0"), ("l", "x0", "x1")), ("f", "l"),
+            ("f", "P^1")),
+}
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _cofactors(vectors):
+    """The n with n.w = det(vectors, w) for every w, in rank 2 or 3."""
+    if len(vectors) == 1:
+        ((x, y),) = vectors
+        return (-y, x)
+    (a0, a1, a2), (b0, b1, b2) = vectors
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _det(rows):
+    return _dot(_cofactors(rows[:-1]), rows[-1])
+
+
+def _exact(num, den):
+    """num/den as an ``int`` when it is integral, else a `Fraction`."""
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
+
+
+def _primitive(vector, sign):
+    step = math.gcd(*vector) * (1 if sign > 0 else -1)
+    return tuple(x // step for x in vector)
+
+
+@lru_cache(maxsize=None)
+def _walls(blocks):
+    """The walls tau, pairs of coordinates holding no whole block, each
+    with ``fixed``: the r-1 coordinates N left alone in their blocks,
+    which do not vanish on the curve tau = 0, and ``ends``: the two left
+    in one block, the coordinates a, b of that curve."""
+    walls = []
+    for tau in map(frozenset, combinations(range(sum(map(len, blocks))), 2)):
+        if not any(tau.issuperset(block) for block in blocks):
+            fixed, ends = [], []
+            for block in blocks:
+                left = [k for k in block if k not in tau]
+                (fixed if len(left) == 1 else ends).extend(left)
+            walls.append((tau, tuple(fixed), tuple(ends)))
+    return tuple(walls)
+
+
+def _curve_class(weights, fixed, ends):
+    """The class of a wall's curve as ``(n, d)``: it meets the divisor of
+    class w in n.w / d.  With n the cofactors of W_N the curve is the
+    weighted line P(n.w_a, n.w_b), so d = (n.w_a) |n.w_b|.
+    """
+    n = _cofactors([weights[k] for k in fixed])
+    a, b = ends
+    return n, _dot(n, weights[a]) * abs(_dot(n, weights[b]))
+
+
+def _cone(directions):
+    """The extreme directions and inward facet normals of the
+    full-dimensional cone spanned by the primitive ``directions``.  A
+    facet passes through r-1 of them with all on one side; in rank 2 and
+    3 a direction is extreme when it lies on r-1 distinct facets."""
+    r = len(directions[0])
+    facets = set()
+    for spanning in combinations(directions, r - 1):
+        normal = _cofactors(spanning)
+        dots = [_dot(normal, g) for g in directions]
+        # +1 or -1 when all directions lie on that side, else 0
+        side = (min(dots) >= 0) - (max(dots) <= 0)
+        if side:
+            facets.add(_primitive(normal, side))
+    extreme = {u for u in directions
+               if sum(not _dot(f, u) for f in facets) >= r - 1}
+    return extreme, facets
+
+
+def _toric_model(family):
+    _, coords, weights, blocks = cox_data(family.kind, family.params)
+    divisor_labels, curve_labels, scan, (fiber, base) = \
+        _TORIC_LABELS[family.kind]
+    rank = len(weights[0])
+    walls = {tau: _curve_class(weights, fixed, ends)
+             for tau, fixed, ends in _walls(blocks)}
+    curves = {name: walls[frozenset((coords.index(p), coords.index(q)))]
+              for name, p, q in curve_labels}
+    # The Mori cone is spanned by the classes of all walls.  When each of
+    # them lies in the cone of the named curves, the two cones are equal
+    # and every extremal ray has a name.
+    directions = {name: _primitive(*curves[name]) for name in scan}
+    extreme, facets = _cone(list(set(directions.values())))
+    if any(_dot(f, n) * d < 0
+           for n, d in set(walls.values()) for f in facets):
+        raise VerificationError("an extremal ray of %s carries no name"
+                                % family.label)
+    basis = [name for name, _, _ in curve_labels[:rank]]
+    rows = [curves[name][0] for name in basis]
+    rows_det = _det(rows)
+    # the other named curves in the curve basis, by Cramer's rule
+    relations = {}
+    for name, _, _ in curve_labels[rank:]:
+        n, d = curves[name]
+        relations[name] = tuple(
+            _exact(_det(rows[:i] + [n] + rows[i + 1:]) * curves[b][1],
+                   d * rows_det) for i, b in enumerate(basis))
+    anticanonical = tuple(map(sum, zip(*weights)))
+    k_dots = {name: _exact(-_dot(n, anticanonical), d)
+              for name, (n, d) in curves.items()}
+    divisors = [weights[coords.index(x)] for _, x in divisor_labels]
+    pairing_matrix = {(b, name): _exact(_dot(curves[b][0], w), curves[b][1])
+                      for b in basis
+                      for (name, _), w in zip(divisor_labels, divisors)}
+    divisors_det = _det(divisors) if divisors else 1
+    canonical = {name: _exact(-_det(divisors[:i] + [anticanonical]
+                                    + divisors[i + 1:]), divisors_det)
+                 for i, (name, _) in enumerate(divisor_labels)}
+    notes = {fiber: _FIBRATION + base.format(*family.params)}
+    if (family.kind, family.params) == ("Pb", (1,)):
+        notes["l"] = ("divisorial: blow-down to P^3 "
+                      "(P_1 is P^3 blown up in a point)")
+    lattice = LatticeModel(family, [name for name, _ in divisor_labels],
+                           basis, pairing_matrix, canonical, (), k_dots,
+                           relations)
+    gens = []
+    for name in scan:
+        if directions[name] in extreme:
+            extreme.discard(directions[name])
+            gens.append(Ray(name, lattice.curve_vector(name), k_dots[name],
+                            notes.get(name)))
+    lattice.cone_generators = tuple(gens)
+    return lattice
 
 
 def model(family):
-    """The stored lattice model of a family member.
+    """The lattice model of a family member.
 
-    Decomposable-bundle and quadric-cone families come with full
-    intersection tables; the remaining families are recorded at
-    extremal-ray resolution with their quoted K-intersections.
+    The toric families are computed from their Cox data: the Mori cone
+    of a toric variety is spanned by its torus-invariant curves, and -K
+    is the sum of the weight columns.  The other families are quoted.
     """
     if not isinstance(family, FamilyId):
         raise TypeError("expected a FamilyId")
     kind = family.kind
-    if kind == "Fabc":
-        return _fabc_model(family)
-    if kind == "Wb":
-        return _wb_model(family)
-    if kind == "Pb":
-        (b,) = family.params
-        contraction = None
-        if b == 1:
-            contraction = ("divisorial: blow-down to P^3 "
-                           "(P_1 is P^3 blown up in a point)")
-        rays = [
-            Ray("f", (1, 0), -2, "fibration: structure morphism to P^2"),
-            Ray("l", (0, 1), b - 3, contraction),
-        ]
-        return _ray_model(family, rays)
+    if kind in _TORIC_LABELS:
+        return _toric_model(family)
+    # quoted rays of the families that are not toric
     if kind == "Uabc":
         a, b, c = family.params
-        k = (c - 2) // a
-        rays = [
-            Ray("f", (1, 0, 0), -2,
-                "fibration: structure morphism to F_%d" % a),
-            Ray("s", (0, 1, 0), b - 2),
-        ]
-        if c > 2:
-            rays.append(Ray("l", (0, 0, 1), a * (k + 1)))
-        else:
-            rays.append(Ray("r", (0, 0, 1), a - 2))
-        return _ray_model(family, rays)
-    if kind == "Sb":
-        (b,) = family.params
-        rays = [
-            Ray("f", (1, 0), -2, "fibration: structure morphism to P^2"),
-            Ray("s1", (0, 1), b - 3),
-        ]
-        return _ray_model(family, rays)
-    if kind == "Vb":
-        (b,) = family.params
-        rays = [
-            Ray("f", (1, 0), -2, "fibration: structure morphism to P^2"),
-            Ray("s", (0, 1), b - 3),
-        ]
-        return _ray_model(family, rays)
-    if kind == "Rmn":
-        m, n = family.params
-        rays = [
-            Ray("f", (1, 0), -3, "fibration: structure morphism to P^1"),
-            Ray("l", (0, 1), m + n - 2),
-        ]
-        return _ray_model(family, rays)
-    # Qg
-    (n,) = family.params
-    rays = [
-        Ray("f", (1, 0), -2, "fibration: structure morphism to P^1"),
-        Ray("h", (0, 1), n - 2),
-    ]
-    return _ray_model(family, rays)
+        rays = [Ray("f", (1, 0, 0), -2, _FIBRATION + "F_%d" % a),
+                Ray("s", (0, 1, 0), b - 2),
+                Ray("l", (0, 0, 1), a * ((c - 2) // a + 1)) if c > 2
+                else Ray("r", (0, 0, 1), a - 2)]
+    else:
+        (p,) = family.params
+        second, base, shift = {"Sb": ("s1", "P^2", 3), "Vb": ("s", "P^2", 3),
+                               "Qg": ("h", "P^1", 2)}[kind]
+        rays = [Ray("f", (1, 0), -2, _FIBRATION + base),
+                Ray(second, (0, 1), p - shift)]
+    return LatticeModel(family, (), [ray.name for ray in rays], {}, {}, rays,
+                        {ray.name: ray.k_dot for ray in rays})
 
 
 # ----------------------------------------------------------------------
 # queries
 
 
-def _as_combination(model_obj, expr, names, what):
-    if isinstance(expr, str):
-        if what == "curve":
-            vec = model_obj.curve_vector(expr)
-            return dict(zip(model_obj.curve_basis, vec))
-        if expr not in names:
-            raise KeyError("unknown %s class %r" % (what, expr))
-        return {expr: Fraction(1)}
-    combo = {}
-    for name, coeff in dict(expr).items():
-        if what == "curve":
-            vec = model_obj.curve_vector(name)
-            for base, v in zip(model_obj.curve_basis, vec):
-                combo[base] = combo.get(base, Fraction(0)) + Fraction(coeff) * v
-        else:
-            if name not in names:
-                raise KeyError("unknown %s class %r" % (what, name))
-            combo[name] = combo.get(name, Fraction(0)) + Fraction(coeff)
+def _as_combination(expr, basis, vector_of):
+    """A class name or a dict of rational coefficients, over ``basis``."""
+    terms = {expr: 1} if isinstance(expr, str) else dict(expr)
+    combo = dict.fromkeys(basis, Fraction(0))
+    for name, coeff in terms.items():
+        for base, v in zip(basis, vector_of(name)):
+            combo[base] += Fraction(coeff) * v
     return combo
 
 
@@ -494,18 +525,22 @@ def pairing(model_obj, curve, divisor):
     rational coefficients over the respective basis.
     """
     if not model_obj.has_full_table:
-        raise ValueError("family %s is stored at ray resolution only; "
+        raise ValueError("family %s is kept at ray resolution only; "
                          "only K-intersections are available"
                          % model_obj.family.label)
-    curve_combo = _as_combination(model_obj, curve,
-                                  model_obj.curve_basis, "curve")
-    divisor_combo = _as_combination(model_obj, divisor,
-                                    model_obj.divisor_basis, "divisor")
-    total = Fraction(0)
-    for cname, ccoeff in curve_combo.items():
-        for dname, dcoeff in divisor_combo.items():
-            total += ccoeff * dcoeff * model_obj.pairing_matrix[(cname, dname)]
-    return total
+    divisors = model_obj.divisor_basis
+
+    def divisor_vector(name):
+        if name not in divisors:
+            raise KeyError("unknown divisor class %r" % (name,))
+        return tuple(int(name == base) for base in divisors)
+
+    curve_combo = _as_combination(curve, model_obj.curve_basis,
+                                  model_obj.curve_vector)
+    divisor_combo = _as_combination(divisor, divisors, divisor_vector)
+    return sum((ccoeff * dcoeff * model_obj.pairing_matrix[(cname, dname)]
+                for cname, ccoeff in curve_combo.items()
+                for dname, dcoeff in divisor_combo.items()), Fraction(0))
 
 
 def k_negative_rays(model_obj):
@@ -584,12 +619,9 @@ def aut_component_count(family):
             else:
                 formula = "[x0:x1; z0:z1; y0:y1]"
             return {"kind": "two_components", "involution": formula}
-        if b == 0 and a == abs(c) != 0:
-            if c > 0:
-                formula = "[y0:y1; x1:x0; z0:z1]"
-            else:
-                formula = "[y0:y1; x0:x1; z0:z1]"
-            return {"kind": "two_components", "involution": formula}
+        if b == 0 and a == c != 0:  # b = 0 forces c >= 0
+            return {"kind": "two_components",
+                    "involution": "[y0:y1; x1:x0; z0:z1]"}
         return dict(_CONNECTED)
     if kind == "Sb":
         if family.params[0] == 1:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from realforms.lattices import (FamilyId, aut_component_count,
-                                in_theorem_list, k_negative_rays, model,
-                                pairing)
+from realforms.lattices import (FamilyId, LatticeModel, Ray,
+                                aut_component_count, in_theorem_list,
+                                k_negative_rays, model, pairing)
 
 
 def test_family_id_normalization():
@@ -161,6 +161,94 @@ def test_wb_keeps_its_halves():
 
 
 # ----------------------------------------------------------------------
+# oracle: the hand-entered tables the models were once stored as
+
+
+def _fabc_table(family):
+    a, b, c = family.params
+    table = {
+        ("l1", "H_z0"): 1, ("l1", "H_y0"): -a, ("l1", "H_x0"): c,
+        ("l2", "H_z0"): 0, ("l2", "H_y0"): 1, ("l2", "H_x0"): -b,
+        ("l3", "H_z0"): 0, ("l3", "H_y0"): 0, ("l3", "H_x0"): 1,
+    }
+    canonical = {"H_z0": -(a * (b + 1) + 2 - c), "H_y0": -(b + 2),
+                 "H_x0": -2}
+    k_dots = {"l1": a - c - 2, "l2": b - 2, "l3": -2, "l4": a + c - 2}
+    fiber = Ray("l3", (0, 0, 1), -2,
+                "fibration: structure morphism to F_%d" % a)
+    if c <= 0:
+        first = Ray("l1", (1, 0, 0), k_dots["l1"])
+    else:
+        first = Ray("l4", (1, 0, -c), k_dots["l4"])
+    gens = (first, Ray("l2", (0, 1, 0), k_dots["l2"]), fiber)
+    return LatticeModel(family, ("H_z0", "H_y0", "H_x0"), ("l1", "l2", "l3"),
+                        table, canonical, gens, k_dots, {"l4": (1, 0, -c)})
+
+
+def _wb_table(family):
+    (b,) = family.params
+    table = {("f", "F"): 0, ("f", "S"): 1,
+             ("l", "F"): 1, ("l", "S"): Fraction(1 - 2 * b, 2)}
+    canonical = {"F": Fraction(-(2 * b + 3), 2), "S": -2}
+    k_dots = {"f": -2, "l": Fraction(2 * b - 5, 2)}
+    gens = (Ray("f", (1, 0), -2, "fibration: structure morphism to P(1,1,2)"),
+            Ray("l", (0, 1), k_dots["l"]))
+    return LatticeModel(family, ("F", "S"), ("f", "l"), table, canonical,
+                        gens, k_dots)
+
+
+def _two_ray_table(family, base, fiber_k, l_k, note=None):
+    gens = (Ray("f", (1, 0), fiber_k,
+                "fibration: structure morphism to %s" % base),
+            Ray("l", (0, 1), l_k, note))
+    return LatticeModel(family, (), ("f", "l"), {}, {}, gens,
+                        {"f": fiber_k, "l": l_k})
+
+
+def _pb_table(family):
+    (b,) = family.params
+    note = None
+    if b == 1:
+        note = "divisorial: blow-down to P^3 (P_1 is P^3 blown up in a point)"
+    return _two_ray_table(family, "P^2", -2, b - 3, note)
+
+
+def _rmn_table(family):
+    m, n = family.params
+    return _two_ray_table(family, "P^1", -3, m + n - 2)
+
+
+_ORACLE_GRID = (
+    [(_fabc_table, FamilyId.fabc(a, b, c))
+     for a in range(6) for b in range(6) for c in range(-5, 6)]
+    + [(_wb_table, FamilyId.wb(b)) for b in range(2, 11)]
+    + [(_pb_table, FamilyId.pb(b)) for b in range(9)]
+    + [(_rmn_table, FamilyId.rmn(m, n)) for m in range(7) for n in range(7)])
+
+
+def _typed(lattice):
+    """Every number of a model with its type, beside its layout."""
+    def typed(values):
+        return [(type(v), v) for v in values]
+
+    return (
+        lattice.divisor_basis, lattice.curve_basis,
+        [(key, type(v), v) for key, v in lattice.pairing_matrix.items()],
+        [(key, type(v), v) for key, v in lattice.canonical.items()],
+        [(key, type(v), v) for key, v in lattice.k_dots.items()],
+        [(key, typed(vec)) for key, vec in lattice.relations.items()],
+        [(ray.name, typed(ray.vector), type(ray.k_dot), ray.k_dot,
+          ray.contraction) for ray in lattice.cone_generators])
+
+
+def test_computed_models_equal_the_hand_entered_tables():
+    for table, family in _ORACLE_GRID:
+        lattice, expected = model(family), table(family)
+        assert lattice.as_dict() == expected.as_dict(), family
+        assert _typed(lattice) == _typed(expected), family
+
+
+# ----------------------------------------------------------------------
 # ray-resolution families
 
 
@@ -244,6 +332,9 @@ def test_aut_components_boundary_involutions():
     assert out["involution"] == "[x0:x1; z0:z1; y0:y1]"
     out = aut_component_count(FamilyId.fabc(2, 0, 2))
     assert out["kind"] == "two_components"
+    # F_2^{0,-2} is F_2^{0,2}: b = 0 forces c >= 0
+    assert aut_component_count(FamilyId.fabc(2, 0, -2))["involution"] \
+        == "[y0:y1; x1:x0; z0:z1]"
 
 
 def test_aut_components_triple_product():

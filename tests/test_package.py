@@ -53,15 +53,21 @@ RUNS = {
     ("classify-qg", "--poly", "u0^2 + * u1^2"):
         (2, {"errors", "exact", "parsing"}),
     ("lattice", *FABC): (0, {"errors", "lattices"}),
+    ("lattice", "--family", "Pb", "--b", "1"): (0, {"errors", "lattices"}),
+    ("lattice", "--family", "Wb", "--b", "5"): (0, {"errors", "lattices"}),
+    ("lattice", "--family", "Rmn", "--m", "2", "--n", "1"):
+        (0, {"errors", "lattices"}),
     ("forms", *FABC): (0, LOOKUP | {"lattices"}),
     ("forms", "--family", "Q3"): (0, LOOKUP),
     ("links", "--form", "H_1"): (0, LOOKUP),
     ("torus", "--d", "2"): (0, LOOKUP),
     ("forms", "--family", "Xabc"): (2, LOOKUP),
     ("lattice", "--family", "Qg", "--n", "0"): (2, {"errors", "lattices"}),
+    # the certificates build their toric ambients on the Cox data of
+    # ``lattices``
     ("verify", "--suite", "witnesses"):
-        (0, {"certificates", "errors", "exact", "groups", "parsing",
-             "quadrics", "registry", "verify"}),
+        (0, {"certificates", "errors", "exact", "groups", "lattices",
+             "parsing", "quadrics", "registry", "verify"}),
 }
 # runs ``python -m realforms.cli <args>`` and reports, on the last line of
 # stderr, the library modules executed and whether click was imported

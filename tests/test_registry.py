@@ -26,6 +26,7 @@ from realforms.certificates import (
     signature,
     torus_equivalent,
     verify_involution,
+    wb_ambient,
     wps_ambient,
 )
 from realforms.exact import Poly, VerificationError, solve_linear
@@ -46,6 +47,38 @@ def _maps_weights(verdict, ambient, structure_text):
         if image != target:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# ambients
+
+
+def _literal_ambients(a, b, c):
+    """The toric ambients with their weights written out by hand."""
+    return [
+        ("F_%d^{%d,%d}" % (a, b, c), ("x0", "x1", "y0", "y1", "z0", "z1"),
+         ((1, -b, 0), (1, 0, -c), (0, 1, -a), (0, 1, 0), (0, 0, 1),
+          (0, 0, 1)), ((0, 1), (2, 3), (4, 5))),
+        ("P_%d" % b, ("y0", "y1", "z0", "z1", "z2"),
+         ((1, -b), (1, 0), (0, 1), (0, 1), (0, 1)), ((0, 1), (2, 3, 4))),
+        ("W_%d" % b, ("y0", "y1", "z0", "z1", "z2"),
+         ((1, 1 - 2 * b), (1, 0), (0, 1), (0, 1), (0, 2)),
+         ((0, 1), (2, 3, 4))),
+        ("R_(%d,%d)" % (a, c), ("x0", "x1", "x2", "y0", "y1"),
+         ((1, -a), (1, -c), (1, 0), (0, 1), (0, 1)), ((0, 1, 2), (3, 4))),
+    ]
+
+
+@pytest.mark.parametrize("a,b,c", [(0, 0, 0), (2, 3, -1), (-1, -2, 4),
+                                   (5, 0, 2), (1, 7, 7)])
+def test_ambients_read_the_cox_data_of_lattices(a, b, c):
+    built = (fabc_ambient(a, b, c), pb_ambient(b), wb_ambient(b),
+             rmn_ambient(a, c))
+    for ambient, (name, coords, weights, blocks) in zip(
+            built, _literal_ambients(a, b, c)):
+        assert (ambient.name, ambient.coords, ambient.weights,
+                ambient.blocks, ambient.equations) == (
+                    name, coords, weights, blocks, ())
 
 
 # ----------------------------------------------------------------------
