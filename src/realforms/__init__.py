@@ -2,15 +2,16 @@
 spaces carrying a maximal connected symmetry group.
 
 The heart of the package is exact cyclotomic arithmetic with its one
-sparse polynomial type and one row reduction (`exact`), the
-finite subgroups of PGL2 with their Galois cohomology (`groups`), and
-the classification machinery for quadric fibrations over the line with
-prescribed symmetry (`quadrics`).  Supporting modules cover the
-intersection lattices of the ambient families (`lattices`), the curated
-registry of real forms and links (`registry`) with the exact checks
-behind its stored formulas and witnesses (`certificates`), the twisted
-P1-bundle gluing checks (`schwarzenberger`), `VerificationError`
-(`errors`) and the verification suites of the command line (`verify`).
+sparse polynomial type (`exact`), the finite subgroups of PGL2 with
+their Galois cohomology (`groups`), and the classification machinery
+for quadric fibrations over the line with prescribed symmetry
+(`quadrics`).  Supporting modules cover the intersection lattices of
+the ambient families with the one integer linear-algebra kernel
+(`lattices`), the curated registry of real forms and links
+(`registry`) with the exact checks behind its stored formulas and
+witnesses (`certificates`), the twisted P1-bundle gluing checks
+(`schwarzenberger`), `VerificationError` (`errors`) and the
+verification suites of the command line (`verify`).
 """
 
 import sys

@@ -26,9 +26,9 @@ formulas claim:
 Equations and their pullbacks are ``exact.Poly`` values in the ambient
 coordinates.  The weight data is integral, and so is its linear
 algebra: the grading solve, the torus relations and the fiberwise
-torus factors all go through one Smith-style diagonalization
-(`_diagonalize_int`) and integer back-substitution.  Only the ``verify``
-suites and the registry's validation sweep use this module.
+torus factors all go through the one integer kernel of `lattices`
+(`lattices.diagonalize`, `back_substitute` and `kernel`).  Only the
+``verify`` suites and the registry's validation sweep use this module.
 """
 
 from fractions import Fraction
@@ -62,97 +62,6 @@ __all__ = [
 ]
 
 _ONE = Cyclo.rational(1)
-
-
-def _identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _diagonalize_int(matrix):
-    """U . A . V = D with U, V unimodular and D diagonal (all integer)."""
-    d = [[int(v) for v in row] for row in matrix]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = _identity_int(m)
-    v = _identity_int(n)
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] and (pivot is None
-                                or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
-        if j != t:
-            for row in d:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
-        dirty = False
-        for r in range(t + 1, m):
-            if d[r][t]:
-                q = d[r][t] // d[t][t]
-                if q:
-                    d[r] = [a - q * b for a, b in zip(d[r], d[t])]
-                    u[r] = [a - q * b for a, b in zip(u[r], u[t])]
-                if d[r][t]:
-                    dirty = True
-        for c in range(t + 1, n):
-            if d[t][c]:
-                q = d[t][c] // d[t][t]
-                if q:
-                    for row in d:
-                        row[c] -= q * row[t]
-                    for row in v:
-                        row[c] -= q * row[t]
-                if d[t][c]:
-                    dirty = True
-        if not dirty:
-            t += 1
-    return d, u, v
-
-
-def _back_substitute(diagonalized, rhs):
-    """An integer x with A . x = rhs from U . A . V = D, or None."""
-    d, u, v = diagonalized
-    m = len(u)
-    n = len(v)
-    c = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        if d[i][i]:
-            if c[i] % d[i][i]:
-                return None
-            y[i] = c[i] // d[i][i]
-        elif c[i]:
-            return None
-    for i in range(min(m, n), m):
-        if c[i]:
-            return None
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
-def _int_solve(matrix, rhs):
-    """An integer solution of matrix . x = rhs, or None."""
-    return _back_substitute(_diagonalize_int(matrix), rhs)
-
-
-def _int_kernel(matrix):
-    """An integral basis of the kernel of an integer matrix."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    d, _, v = _diagonalize_int(matrix)
-    basis = []
-    for j in range(n):
-        if j >= min(m, n) or d[j][j] == 0:
-            basis.append([v[i][j] for i in range(n)])
-    return basis
 
 
 # ----------------------------------------------------------------------
@@ -427,15 +336,15 @@ def _grading_matrix(structure):
     the entries left free are zero.
     """
     weights = structure.ambient.weights
-    diagonalized = _diagonalize_int(weights)
+    diagonalized = lattices.diagonalize(weights)
     matrix = []
     for k in range(structure.ambient.rank):
-        row = _back_substitute(diagonalized,
-                               [weights[p][k] for p in structure.perm])
+        row = lattices.back_substitute(
+            diagonalized, [weights[p][k] for p in structure.perm])
         if row is None:
             return None
         matrix.append(row)
-    diagonal, _, _ = _diagonalize_int(matrix)
+    diagonal, _, _ = lattices.diagonalize(matrix)
     if any(abs(diagonal[k][k]) != 1 for k in range(len(matrix))):
         return None
     return matrix
@@ -449,8 +358,7 @@ def _torus_realizes_scalars(ambient, scalars):
     relations are generated by an integral kernel basis of the weight
     matrix.
     """
-    kernel = _int_kernel(ambient.weight_matrix())
-    for relation in kernel:
+    for relation in lattices.kernel(ambient.weight_matrix()):
         product = _ONE
         for scalar, exponent in zip(scalars, relation):
             if exponent:
@@ -540,7 +448,7 @@ def torus_equivalent(target_ambient, first, second):
         ratios.append((c1 * c2.inverse(),
                        tuple(a - b for a, b in zip(e1, e2))))
     weight_rows = target_ambient.weight_matrix()
-    for relation in _int_kernel(weight_rows):
+    for relation in lattices.kernel(weight_rows):
         coeff = _ONE
         exps = [0] * nsrc
         for (rc, re), exponent in zip(ratios, relation):
@@ -549,11 +457,12 @@ def torus_equivalent(target_ambient, first, second):
                 exps = [a + exponent * b for a, b in zip(exps, re)]
         if coeff != _ONE or any(exps):
             return False
-    transpose = [[weight_rows[k][c] for k in range(target_ambient.rank)]
-                 for c in range(ncoords)]
+    transpose = lattices.diagonalize(
+        [[weight_rows[k][c] for k in range(target_ambient.rank)]
+         for c in range(ncoords)])
     for j in range(nsrc):
         rhs = [ratios[c][1][j] for c in range(ncoords)]
-        if _int_solve(transpose, rhs) is None:
+        if lattices.back_substitute(transpose, rhs) is None:
             return False
     return True
 

@@ -1,7 +1,8 @@
-"""Exact arithmetic: cyclotomic scalars, sparse polynomials, linear algebra.
+"""Exact arithmetic: cyclotomic scalars, sparse polynomials, 2x2 matrices.
 
-This is the only module that does polynomial arithmetic or linear
-algebra over a field.
+This is the only module that does polynomial arithmetic over a field.
+The integer linear algebra of weight matrices and character lattices
+lives in `lattices`.
 
 Scalars (``Cyclo``) live in Q(zeta_N) for varying N: integer numerators
 on the power basis 1, z, ..., z^{phi(N)-1} modulo the N-th cyclotomic
@@ -21,8 +22,6 @@ of the parser.  ``Poly2`` is its homogeneous two-variable subclass, the
 binary forms.  ``Poly2.compose`` is Horner on integer vectors at one
 conductor, with one canonicalization per output coefficient; gcd /
 squarefree machinery works on dehomogenized coefficient lists.
-``row_reduce`` is the one Gaussian elimination, over Fraction or Cyclo
-entries, behind ``solve_linear`` and every rank.
 """
 
 from __future__ import annotations
@@ -1070,63 +1069,6 @@ def square_test(g: Poly2):
         result["note"] = "scalar square root not representable within " \
                          "cyclotomic scalars"
     return result
-
-
-# ----------------------------------------------------------------------
-# exact linear algebra over Q and the cyclotomic fields
-
-
-def row_reduce(rows, ncols=None):
-    """Bring ``rows`` to reduced row echelon form in place.
-
-    Entries are Fractions or Cyclos (ints mix with either).  Only the
-    first ``ncols`` columns (default: all) get pivots, so an augmented
-    right-hand side rides along.  Returns the pivot columns; their
-    number is the rank.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        inv = lead.inverse() if isinstance(lead, Cyclo) else 1 / Fraction(lead)
-        rows[r] = [x * inv for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
-        pivots.append(c)
-    return pivots
-
-
-def solve_linear(rows, rhs):
-    """One solution x of rows * x = rhs, or None if there is none.
-
-    Over Q when every entry is rational, otherwise over the cyclotomic
-    scalars (the solution then consists of Cyclo values); unknowns
-    without a pivot are set to zero.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    field = as_cyclo if any(isinstance(x, Cyclo) for row in aug for x in row) \
-        else Fraction
-    aug = [[field(x) for x in row] for row in aug]
-    pivots = row_reduce(aug, ncols)
-    if any(row[ncols] for row in aug[len(pivots):]):
-        return None
-    sol = [field(0)] * ncols
-    for row, c in zip(aug, pivots):
-        sol[c] = row[ncols]
-    return sol
 
 
 # ----------------------------------------------------------------------

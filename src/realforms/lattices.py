@@ -10,7 +10,10 @@ toric (Uabc, Sb, Vb, Qg) keep quoted rays.
 
 The arithmetic is exact and on integers.  A value is an ``int`` when it
 is integral and a `fractions.Fraction` only when it is not (the halves
-of W_b); ``str`` prints both the same way.
+of W_b); ``str`` prints both the same way.  The package's one integer
+linear-algebra kernel is here too: D = U A V with U, V unimodular
+(`diagonalize`, `back_substitute`, `kernel`), for the weight matrices
+of ``certificates`` and the involutions of ``registry``.
 """
 
 import math
@@ -25,6 +28,9 @@ __all__ = [
     "FamilyId",
     "LatticeModel",
     "cox_data",
+    "diagonalize",
+    "back_substitute",
+    "kernel",
     "Ray",
     "model",
     "pairing",
@@ -322,6 +328,97 @@ def cox_data(kind, params):
     y0, z2 = {"Pb": ((1, -b), (0, 1)), "Wb": ((1, 1 - 2 * b), (0, 2))}[kind]
     return (label, ("y0", "y1", "z0", "z1", "z2"),
             (y0, (1, 0), (0, 1), (0, 1), z2), ((0, 1), (2, 3, 4)))
+
+
+# ----------------------------------------------------------------------
+# integer linear algebra, for weight matrices and character lattices
+
+
+def diagonalize(matrix):
+    """U . A . V = D with U, V unimodular and D diagonal (all integer).
+
+    Returns ``(D, U, V)``.  Each step moves the entry of least absolute
+    value to the pivot and reduces its row and column by it (Cohen,
+    *A Course in Computational Algebraic Number Theory*, 1993, 2.4).
+    """
+    d = [[int(v) for v in row] for row in matrix]
+    m = len(d)
+    n = len(d[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] and (pivot is None
+                                or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+            for row in v:
+                row[t], row[j] = row[j], row[t]
+        dirty = False
+        for r in range(t + 1, m):
+            if d[r][t]:
+                q = d[r][t] // d[t][t]
+                if q:
+                    d[r] = [a - q * b for a, b in zip(d[r], d[t])]
+                    u[r] = [a - q * b for a, b in zip(u[r], u[t])]
+                if d[r][t]:
+                    dirty = True
+        for c in range(t + 1, n):
+            if d[t][c]:
+                q = d[t][c] // d[t][t]
+                if q:
+                    for row in d:
+                        row[c] -= q * row[t]
+                    for row in v:
+                        row[c] -= q * row[t]
+                if d[t][c]:
+                    dirty = True
+        if not dirty:
+            t += 1
+    return d, u, v
+
+
+def back_substitute(diagonalized, rhs):
+    """An integer x with A . x = rhs from U . A . V = D, or None."""
+    d, u, v = diagonalized
+    m = len(u)
+    n = len(v)
+    c = [sum(u[i][k] * rhs[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(min(m, n)):
+        if d[i][i]:
+            if c[i] % d[i][i]:
+                return None
+            y[i] = c[i] // d[i][i]
+        elif c[i]:
+            return None
+    for i in range(min(m, n), m):
+        if c[i]:
+            return None
+    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+
+
+def kernel(matrix):
+    """An integral basis of the kernel of an integer matrix."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    d, _, v = diagonalize(matrix)
+    basis = []
+    for j in range(n):
+        if j >= min(m, n) or d[j][j] == 0:
+            basis.append([v[i][j] for i in range(n)])
+    return basis
 
 
 # Labels on computed classes: the divisors D_x as (name, x); the curves

@@ -51,7 +51,6 @@ from .exact import (
     as_cyclo,
     from_factors,
     root_multiplicities,
-    solve_linear,
 )
 from .groups import (
     ALPHA,
@@ -59,6 +58,7 @@ from .groups import (
     F_SWAP,
     H_ROT,
     GroupSpec,
+    rotation_gen,
 )
 from .parsing import render_poly
 
@@ -285,19 +285,21 @@ def _finite_symmetry(g, n):
 def _three_point_map(p1, p2, p3):
     """Matrix sending [0:1], [1:0], [1:1] to the three given points.
 
-    Columns are scalings of p1 and p2 chosen so that their sum is p3;
-    returns None if the points fail to be in general position (they
-    never do when pairwise distinct).
+    Columns are scalings s, t of p2 and p1 chosen so that their sum is
+    p3, by Cramer's rule; returns None if the points fail to be in
+    general position (they never do when pairwise distinct).  The
+    determinant is s * t * delta, so it vanishes only in those cases.
     """
     (a1, b1), (a2, b2), (a3, b3) = p1, p2, p3
-    sol = solve_linear([[a2, a1], [b2, b1]], [a3, b3])
-    if sol is None:
+    delta = a2 * b1 - a1 * b2
+    if delta.is_zero():
         return None
-    s, t = sol
+    inv = delta.inverse()
+    s = (a3 * b1 - a1 * b3) * inv
+    t = (a2 * b3 - a3 * b2) * inv
     if s.is_zero() or t.is_zero():
         return None
-    m = Mat2(a2 * s, a1 * t, b2 * s, b1 * t)
-    return None if m.det().is_zero() else m
+    return Mat2(a2 * s, a1 * t, b2 * s, b1 * t)
 
 
 def detect_symmetry(q, moebius_search=False):
@@ -518,34 +520,30 @@ _TWO_ROOT_NOTE = {
 _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
 
 
-def _rotation_half(l):
-    """diag(zeta_4l, zeta_4l^-1): a square root of the l-rotation."""
-    z = Cyclo.zeta(4 * l)
-    return Mat2.diag(z, z.inverse())
-
-
 def _twist_classes(spec):
     """(label, b) for the twisting classes, in canonical order.
 
     b splits the class: b * conj(b)^-1 lies in it, so g o b is the
     twisted fiber equation up to a scalar (explicit Galois descent).
     b is None for [I2], whose equation is g itself, and for [h], which
-    carries none.  The classes match the cohomology of the group under
-    entrywise conjugation.
+    carries none; for [omega_2l] it is the (2l)-rotation, a square root
+    of the l-rotation.  The classes match the cohomology of the group
+    under entrywise conjugation.
     """
     if spec.kind == "A":
         if spec.l % 2 == 1:
             return [("[I2]", None)]
         return [("[I2]", None),
-                ("[omega_%d]" % (2 * spec.l), _rotation_half(spec.l))]
+                ("[omega_%d]" % (2 * spec.l), rotation_gen(2 * spec.l))]
     if spec.kind == "D":
         l = spec.l
         if l % 2 == 1:
             return [("[I2]", None), ("[f]", _MF)]
-        return [("[I2]", None), ("[omega_%d]" % (2 * l), _rotation_half(l)),
+        return [("[I2]", None),
+                ("[omega_%d]" % (2 * l), rotation_gen(2 * l)),
                 ("[f]", _MF), ("[h]", None)]
     if spec.kind == "E7":
-        return [("[I2]", None), ("[omega_8]", _rotation_half(4)),
+        return [("[I2]", None), ("[omega_8]", rotation_gen(8)),
                 ("[h]", None)]
     # E6 and E8
     return [("[I2]", None), ("[h]", None)]

@@ -18,9 +18,10 @@ this module instantiates it per parameter value:
 
 The checks themselves (the ambient coordinate rings, the formula
 parser, `verify_involution`, `verify_witness`, `signature`) live in
-`certificates`.  This module reaches `certificates`, `exact` and
-`lattices` only through qualified names on their lazy stubs, so a
-lookup executes none of them.
+`certificates`; the involutions are classified by the integer kernel
+of `lattices`.  This module reaches `certificates` and `lattices` only
+through qualified names on their lazy stubs, so a lookup executes
+none of them.
 """
 
 import json
@@ -29,7 +30,7 @@ from functools import cache
 from hashlib import sha256
 from importlib import resources
 
-from . import certificates, exact, lattices, schwarzenberger
+from . import certificates, lattices, schwarzenberger
 from .errors import VerificationError
 
 __all__ = [
@@ -55,21 +56,6 @@ UNKNOWN = "unknown"
 
 # ----------------------------------------------------------------------
 # real tori
-
-
-def _rank_mod2(matrix):
-    """Rank over GF(2): rows as bit masks; each nonzero row taken as a
-    pivot clears its lowest bit from the remaining rows."""
-    rows = [sum((int(v) % 2) << j for j, v in enumerate(row))
-            for row in matrix]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        if pivot:
-            rank += 1
-            low = pivot & -pivot
-            rows = [r ^ pivot if r & low else r for r in rows]
-    return rank
 
 
 class TorusShape(tuple):
@@ -150,10 +136,17 @@ def torus_shape_of_involution(matrix):
     """Classify an integral Galois involution on a character lattice.
 
     The lattice splits into swapped pairs (restriction of scalars),
-    anti-fixed lines (circle factors), and fixed lines (split factors);
-    the counts are recovered from exact ranks.
+    anti-fixed lines (circle factors), and fixed lines (split factors).
+    The counts are read off the diagonal forms D = U (M -/+ I) V of
+    `lattices.diagonalize`: d minus the number of nonzero entries is the
+    rank of the fixed and of the anti-fixed sublattice, and the odd
+    entries of D(M - I) count the pairs (its rank over GF(2), since U
+    and V stay invertible mod 2).
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    rows = [list(row) for row in matrix]
+    if any(getattr(v, "denominator", 0) != 1 for row in rows for v in row):
+        raise ValueError("matrix entries must be integers")
+    rows = [[int(v) for v in row] for row in rows]
     d = len(rows)
     for row in rows:
         if len(row) != d:
@@ -162,13 +155,17 @@ def torus_shape_of_involution(matrix):
                for j in range(d)] for i in range(d)]
     if square != [[int(i == j) for j in range(d)] for i in range(d)]:
         raise ValueError("matrix must be an involution")
-    minus = [[rows[i][j] - (1 if i == j else 0) for j in range(d)]
-             for i in range(d)]
-    plus = [[rows[i][j] + (1 if i == j else 0) for j in range(d)]
-            for i in range(d)]
-    pairs = _rank_mod2(minus)
-    fixed = d - len(exact.row_reduce(minus))
-    anti = d - len(exact.row_reduce(plus))
+
+    def diagonal(sign):
+        form, _, _ = lattices.diagonalize(
+            [[v + sign * (i == j) for j, v in enumerate(row)]
+             for i, row in enumerate(rows)])
+        return [form[k][k] for k in range(d)]
+
+    minus, plus = diagonal(-1), diagonal(1)
+    pairs = sum(v % 2 for v in minus)
+    fixed = d - sum(1 for v in minus if v)
+    anti = d - sum(1 for v in plus if v)
     shape = TorusShape(pairs, anti - pairs, fixed - pairs)
     if shape.dimension != d:
         raise VerificationError("involution does not decompose; this "

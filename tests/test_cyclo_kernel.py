@@ -21,7 +21,8 @@ from math import gcd, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realforms.exact import Cyclo, cyclotomic_poly, euler_phi, solve_linear
+from gauss_jordan import solve
+from realforms.exact import Cyclo, cyclotomic_poly, euler_phi
 
 SETTINGS = settings(max_examples=40, deadline=None)
 CONDUCTORS = (4, 8, 9, 12, 15, 20, 24, 60)
@@ -72,7 +73,7 @@ def _canonicalize(n, coeffs):
             cols = [_reduce_exponents(n, [(j * p, 1)])
                     for j in range(euler_phi(m))]
             rows = [[col[i] for col in cols] for i in range(len(coeffs))]
-            return _canonicalize(m, solve_linear(rows, list(coeffs)))
+            return _canonicalize(m, solve(rows, list(coeffs)))
     if n > 1 and not any(coeffs[1:]):
         return 1, [coeffs[0]]
     return n, list(coeffs)
@@ -115,7 +116,7 @@ class FractionCyclo:
                 for j in range(euler_phi(self.n))]
         rows = [[col[i] for col in cols] for i in range(euler_phi(self.n))]
         one = [Fraction(int(i == 0)) for i in range(euler_phi(self.n))]
-        return FractionCyclo(self.n, solve_linear(rows, one), True)
+        return FractionCyclo(self.n, solve(rows, one), True)
 
     def galois(self, k):
         return FractionCyclo(self.n, _reduce_exponents(

@@ -7,8 +7,7 @@ import pytest
 
 from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
-                             from_factors, root_multiplicities, solve_linear,
-                             square_test)
+                             from_factors, root_multiplicities, square_test)
 
 
 def test_rational_arithmetic():
@@ -314,15 +313,3 @@ def test_mat2_immutable():
     m = Mat2.identity()
     with pytest.raises(AttributeError):
         m.a = Cyclo.rational(5)
-
-
-def test_solve_linear():
-    rows = [[as_cyclo(1), as_cyclo(1)], [as_cyclo(1), as_cyclo(-1)]]
-    rhs = [as_cyclo(3), as_cyclo(1)]
-    sol = solve_linear(rows, rhs)
-    assert sol is not None
-    assert sol[0] == 2 and sol[1] == 1
-    bad = solve_linear([[as_cyclo(1), as_cyclo(1)],
-                        [as_cyclo(2), as_cyclo(2)]],
-                       [as_cyclo(0), as_cyclo(1)])
-    assert bad is None

@@ -1,12 +1,16 @@
 """Intersection lattices, extremal rays, and the classification list."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realforms.lattices import (FamilyId, LatticeModel, Ray,
-                                aut_component_count, in_theorem_list,
-                                k_negative_rays, model, pairing)
+                                aut_component_count, back_substitute,
+                                diagonalize, in_theorem_list, k_negative_rays,
+                                kernel, model, pairing)
 
 
 def test_family_id_normalization():
@@ -350,3 +354,74 @@ def test_aut_components_flag_variety():
 def test_aut_components_refuses_quadric_fibrations():
     with pytest.raises(ValueError, match="fiber polynomial"):
         aut_component_count(FamilyId.qg(2))
+
+
+# ----------------------------------------------------------------------
+# the integer kernel: D = U . A . V with U and V unimodular
+
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
+entries = st.integers(-5, 5)
+
+
+def _matrices(data):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 4))
+    return [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _apply(a, x):
+    return [sum(r * v for r, v in zip(row, x)) for row in a]
+
+
+def _product(a, b):
+    return [_apply(list(zip(*b)), row) for row in a]
+
+
+def _det(square):
+    # the Leibniz formula, independent of the elimination it checks
+    total = 0
+    for perm in permutations(range(len(square))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                           for j in range(i + 1, len(perm)))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= square[i][j]
+        total += term
+    return total
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_diagonalize_is_a_unimodular_equivalence(data):
+    a = _matrices(data)
+    d, u, v = diagonalize(a)
+    assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+    assert _product(_product(u, a), v) == d
+    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0]))
+               if i != j)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_back_substitution_solves_consistent_systems(data):
+    a = _matrices(data)
+    x0 = [data.draw(entries) for _ in a[0]]
+    b = _apply(a, x0)
+    x = back_substitute(diagonalize(a), b)
+    assert x is not None and all(type(v) is int for v in x)
+    assert _apply(a, x) == b
+    # the sum of all rows with a right-hand side off by one
+    total = [sum(col) for col in zip(*a)]
+    assert back_substitute(diagonalize(a + [total]), b + [sum(b) + 1]) \
+        is None
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_kernel_is_annihilated_and_has_the_corank(data):
+    a = _matrices(data)
+    d, _, _ = diagonalize(a)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    basis = kernel(a)
+    assert len(basis) == len(a[0]) - rank
+    assert all(_apply(a, vector) == [0] * len(a) for vector in basis)

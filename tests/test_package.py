@@ -63,6 +63,8 @@ RUNS = {
     ("torus", "--d", "2"): (0, LOOKUP),
     ("forms", "--family", "Xabc"): (2, LOOKUP),
     ("lattice", "--family", "Qg", "--n", "0"): (2, {"errors", "lattices"}),
+    # the integer kernel lives in ``lattices`` and pulls in no other module
+    ("verify", "--suite", "lattices"): (0, {"errors", "lattices", "verify"}),
     # the certificates build their toric ambients on the Cox data of
     # ``lattices``
     ("verify", "--suite", "witnesses"):

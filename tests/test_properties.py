@@ -1,14 +1,11 @@
 """Algebraic properties of the exact kernel, checked on random inputs:
 the ring laws of ``Poly`` (Laurent exponents included), ``substitute`` as
-a ring homomorphism, ``Poly2.compose`` as a substitution, and
-``solve_linear`` over Q and over the cyclotomic fields."""
-
-from fractions import Fraction
+a ring homomorphism and ``Poly2.compose`` as a substitution."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realforms.exact import Cyclo, Mat2, Poly, Poly2, solve_linear
+from realforms.exact import Cyclo, Mat2, Poly, Poly2
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -84,30 +81,3 @@ def test_compose_is_substitution_of_linear_forms(values):
             Poly2(1, {(1, 0): m10, (0, 1): m11}))
     assert isinstance(composed, Poly2) and composed.degree == g.degree
     assert composed == g.substitute(rows)
-
-
-def _check_solver(entries, data):
-    nrows = data.draw(st.integers(1, 4))
-    ncols = data.draw(st.integers(1, 4))
-    a = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
-    x0 = [data.draw(entries) for _ in range(ncols)]
-    b = [sum((r * x for r, x in zip(row, x0)), Fraction(0)) for row in a]
-    x = solve_linear(a, b)
-    assert x is not None
-    assert [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a] \
-        == b
-    # the sum of all rows with a right-hand side off by one
-    total = [sum((row[j] for row in a), Fraction(0)) for j in range(ncols)]
-    assert solve_linear(a + [total], b + [sum(b, Fraction(0)) + 1]) is None
-
-
-@SETTINGS
-@given(st.data())
-def test_solver_over_the_rationals(data):
-    _check_solver(st.fractions(-5, 5, max_denominator=4), data)
-
-
-@SETTINGS
-@given(st.data())
-def test_solver_over_cyclotomic_fields(data):
-    _check_solver(cyclos(data.draw(conductors)), data)

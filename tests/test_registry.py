@@ -3,13 +3,15 @@ involution and witness checks, quadratic forms, real tori, links, and the
 full validation sweep."""
 
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from realforms import certificates, registry, verify
+from gauss_jordan import solve
+from realforms import certificates, lattices, registry, verify
 from realforms.certificates import (
     Ambient,
     MonomialMap,
@@ -29,9 +31,10 @@ from realforms.certificates import (
     wb_ambient,
     wps_ambient,
 )
-from realforms.exact import Poly, VerificationError, solve_linear
+from realforms.exact import Poly, VerificationError
 from realforms.lattices import FamilyId
-from realforms.registry import torus_shape_of_involution, validate_all
+from realforms.registry import (torus_forms, torus_shape_of_involution,
+                                validate_all)
 
 EXCHANGE = "[conj(x0):conj(x1); conj(z0):conj(z1); conj(y0):conj(y1)]"
 CIRCLE = "[conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]"
@@ -137,7 +140,7 @@ def _grading_oracle(structure):
                 row[k * rank + l] = Fraction(source[l])
             rows.append(row)
             rhs.append(Fraction(target[k]))
-    solution = solve_linear(rows, rhs)
+    solution = solve(rows, rhs)
     if solution is None:
         return None
     matrix = [[solution[k * rank + l] for l in range(rank)]
@@ -150,7 +153,7 @@ def _grading_oracle(structure):
     if any(v.denominator != 1 for row in matrix for v in row):
         return None
     matrix = [[int(v) for v in row] for row in matrix]
-    diagonal, _, _ = certificates._diagonalize_int(matrix)
+    diagonal, _, _ = lattices.diagonalize(matrix)
     if any(abs(diagonal[k][k]) != 1 for k in range(rank)):
         return None
     return matrix
@@ -309,6 +312,52 @@ def test_torus_shape_rejects_non_involutions():
         torus_shape_of_involution(((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="square"):
         torus_shape_of_involution(((1, 0),))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[Fraction(3, 2), 0], [0, 1]],
+    [[1.9, 0], [0, -1.2]],
+    [["1", 0], [0, 1]],
+    [[float("inf"), 0], [0, 1]],
+    [[None, 0], [0, 1]],
+])
+def test_torus_shape_refuses_entries_that_are_not_integers(matrix):
+    with pytest.raises(ValueError, match="integers"):
+        torus_shape_of_involution(matrix)
+
+
+def _block_involution(p, q, r):
+    """p swapped pairs, then q entries -1, then r entries 1."""
+    d = 2 * p + q + r
+    matrix = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(p):
+        matrix[2 * k][2 * k] = matrix[2 * k + 1][2 * k + 1] = 0
+        matrix[2 * k][2 * k + 1] = matrix[2 * k + 1][2 * k] = 1
+    for k in range(2 * p, 2 * p + q):
+        matrix[k][k] = -1
+    return matrix
+
+
+def test_torus_shape_of_conjugated_block_involutions():
+    # U . P . U^-1 for seeded unimodular U, built from elementary row
+    # operations on U and the inverse column operations on U^-1
+    rng = random.Random(13)
+    for d in range(1, 7):
+        for shape in torus_forms(d):
+            for _ in range(6):
+                u = [[int(i == j) for j in range(d)] for i in range(d)]
+                u_inv = [row[:] for row in u]
+                for _ in range(3 * d if d > 1 else 0):
+                    i, j = rng.sample(range(d), 2)
+                    c = rng.choice((-2, -1, 1, 2))
+                    u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+                    for row in u_inv:
+                        row[j] -= c * row[i]
+                block = _block_involution(*shape)
+                conjugate = [[sum(u[i][k] * block[k][l] * u_inv[l][j]
+                                  for k in range(d) for l in range(d))
+                              for j in range(d)] for i in range(d)]
+                assert torus_shape_of_involution(conjugate) == shape
 
 
 def test_torus_forms_refuse_dimensions_past_the_bound():
