@@ -21,7 +21,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # executed when one of its names is first looked up (PEP 562)
 _EXPORTS = {
     "errors": "VerificationError",
-    "exact": "Cyclo Mat2 Poly Poly2 square_test",
+    "exact": "Cyclo Mat2 Poly Poly2",
     "groups": "GroupSpec group_elements h1_classes h1_named h1_names "
               "semi_invariant_character",
     "lattices": "FamilyId aut_component_count in_theorem_list model",

@@ -34,7 +34,7 @@ torus factors all go through the one integer kernel of `lattices`
 from fractions import Fraction
 
 from . import lattices, quadrics, registry
-from .errors import VerificationError
+from .errors import VerificationError, as_int
 from .exact import Cyclo, Poly
 from .parsing import parse_formula, parse_poly, render_scalar
 
@@ -80,7 +80,8 @@ class Ambient:
 
     def __init__(self, name, coords, weights, blocks, equations=()):
         coords = tuple(coords)
-        weights = tuple(tuple(int(w) for w in vec) for vec in weights)
+        weights = tuple(tuple(as_int(w, "weights") for w in vec)
+                        for vec in weights)
         if len(weights) != len(coords):
             raise ValueError("one weight vector per coordinate")
         rank = len(weights[0]) if weights else 0
@@ -146,7 +147,7 @@ def flag_ambient():
 
 def wps_ambient(*degrees):
     coords = tuple("t%d" % i for i in range(len(degrees)))
-    weights = tuple((int(d),) for d in degrees)
+    weights = tuple((d,) for d in degrees)
     name = "P(%s)" % ",".join(str(d) for d in degrees)
     return Ambient(name, coords, weights, (tuple(range(len(degrees))),))
 

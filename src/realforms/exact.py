@@ -263,15 +263,13 @@ class Cyclo:
 
     __slots__ = ("n", "num", "den")
 
-    def __init__(self, n, coeffs, reduced=False):
+    def __init__(self, n, coeffs):
         if n < 1:
             raise ValueError("conductor must be positive")
         coeffs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
-        if not reduced:
-            num = _reduce(n, num)
-        n, num = _minimal_conductor(n, num or [0])
+        n, num = _minimal_conductor(n, _reduce(n, num) or [0])
         g = gcd(den, *num)
         _set_n(self, n)
         _set_num(self, tuple([c // g for c in num]))
@@ -902,9 +900,9 @@ class Poly2(Poly):
 #
 # A binary form factors as u0^e0 * u1^e1 * h where h has nonzero
 # coefficients at both ends; h corresponds to a univariate polynomial in
-# t = u0/u1 with nonzero constant term.  All the root structure we need
-# (distinct roots, odd-multiplicity count, square part) is read off the
-# pair (e0, e1) and Yun's decomposition of that univariate polynomial.
+# t = u0/u1 with nonzero constant term.  The root multiplicities are
+# read off the pair (e0, e1) and Yun's decomposition of that univariate
+# polynomial.
 
 
 def _to_univariate(g: Poly2):
@@ -921,16 +919,6 @@ def _to_univariate(g: Poly2):
     return e0, e1, p
 
 
-def _from_univariate(e0, e1, p):
-    terms = {}
-    d = len(p) - 1
-    for k, c in enumerate(p):
-        if isinstance(c, Cyclo) and c.is_zero():
-            continue
-        terms[(k + e0, d - k + e1)] = c
-    return Poly2(e0 + e1 + d, terms)
-
-
 def _udeg(p):
     d = len(p) - 1
     while d >= 0 and p[d].is_zero():
@@ -944,16 +932,6 @@ def _utrim(p):
 
 def _usub(p, q):
     return [a - b for a, b in zip_longest(p, q, fillvalue=ZERO)]
-
-
-def _umul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 def _udivmod(p, q):
@@ -1032,43 +1010,6 @@ def root_multiplicities(g: Poly2):
         d = _udeg(f)
         mults.extend([i] * d)
     return sorted(mults, reverse=True)
-
-
-def square_test(g: Poly2):
-    """Decide whether g = scalar * h^2 for a binary form h.
-
-    Returns a dict with keys 'is_square', and when true also 'h',
-    'scalar', and 'scalar_sqrt' (None when the scalar has no square
-    root within cyclotomic scalars, in which case 'note' explains).
-    """
-    if g.is_zero():
-        return {"is_square": True, "h": Poly2.zero(0), "scalar": ZERO,
-                "scalar_sqrt": ZERO}
-    if g.degree % 2 == 1:
-        return {"is_square": False}
-    e0, e1, p = _to_univariate(g)
-    if e0 % 2 or e1 % 2:
-        return {"is_square": False}
-    parts = yun_decomposition(p)
-    if any(_udeg(f) > 0 for i, f in enumerate(parts, start=1) if i % 2 == 1):
-        return {"is_square": False}
-    h_uni = [ONE]
-    for i, f in enumerate(parts, start=1):
-        for _ in range(i // 2 if _udeg(f) > 0 else 0):
-            h_uni = _umul(h_uni, f)
-    h = _from_univariate(e0 // 2, e1 // 2, h_uni)
-    hh = h * h
-    # scalar = g / h^2, read off any monomial present in both
-    key = next(iter(hh.terms))
-    scalar = g.coeff(*key) * hh.terms[key].inverse()
-    if h * h * scalar != g:
-        raise VerificationError("square part times scalar does not rebuild g")
-    root = scalar.sqrt()
-    result = {"is_square": True, "h": h, "scalar": scalar, "scalar_sqrt": root}
-    if root is None:
-        result["note"] = "scalar square root not representable within " \
-                         "cyclotomic scalars"
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1158,19 +1099,16 @@ class Mat2:
         return "Mat2[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
 
 
-def from_factors(factors, scalar=1) -> Poly2:
-    """Binary form with prescribed roots: scalar times monic linear factors.
+def from_factors(factors) -> Poly2:
+    """Binary form with prescribed roots: a product of monic linear factors.
 
     factors: iterable of ((p, q), multiplicity) with [p:q] pairwise
     distinct points of the projective line.  The factor for [p:q] is
     u0 - (p/q) u1, or u1 for the point at infinity, so root data is
     recovered exactly by repeated division.
     """
-    scalar = as_cyclo(scalar)
-    if scalar.is_zero():
-        raise ValueError("leading scalar must be nonzero")
     seen = []
-    out = Poly2(0, {(0, 0): scalar})
+    out = Poly2(0, {(0, 0): ONE})
     for (p, q), mult in factors:
         p, q = as_cyclo(p), as_cyclo(q)
         if p.is_zero() and q.is_zero():

@@ -320,6 +320,10 @@ def h1_names(spec: GroupSpec) -> list:
     dihedral groups of even order all of omega_{2l}, f and the
     quaternionic class h; the octahedral group omega_8 and h; the
     tetrahedral and icosahedral groups just h.
+
+    This is the package's one table of classes: `h1_named` certifies it
+    against the computed cohomology, and `quadrics` builds the twisted
+    forms and their counts from it.
     """
     if spec.kind == "A":
         if spec.l % 2 == 1:

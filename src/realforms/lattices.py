@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
-from .errors import VerificationError
+from .errors import VerificationError, as_int
 
 __all__ = [
     "FamilyId",
@@ -65,7 +65,7 @@ class FamilyId:
     def __init__(self, kind, params):
         if kind not in _LABELS:
             raise ValueError("unknown family kind: %r" % (kind,))
-        params = tuple(int(p) for p in params)
+        params = tuple(as_int(p, "family parameters") for p in params)
         normalize = getattr(self, "_norm_" + kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", normalize(params))
@@ -341,7 +341,7 @@ def diagonalize(matrix):
     value to the pivot and reduces its row and column by it (Cohen,
     *A Course in Computational Algebraic Number Theory*, 1993, 2.4).
     """
-    d = [[int(v) for v in row] for row in matrix]
+    d = [[as_int(v, "matrix entries") for v in row] for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)]

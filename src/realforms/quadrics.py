@@ -58,6 +58,7 @@ from .groups import (
     F_SWAP,
     H_ROT,
     GroupSpec,
+    h1_names,
     rotation_gen,
 )
 from .parsing import render_poly
@@ -452,22 +453,10 @@ class FormCounts(tuple):
         return sum(self)
 
 
-_RANK_ONE = {("A", 1), ("E6", 0), ("E8", 0)}
-_HAS_H = {"E6", "E7", "E8"}
-
-
-def _invariant_count(spec):
-    """Number of twist classes carrying equations, and whether [h] occurs."""
-    if spec.kind == "A":
-        r = 1 if spec.l % 2 else 2
-        has_h = False
-    elif spec.kind == "D":
-        r = 3 if spec.l % 2 == 0 else 2
-        has_h = spec.l % 2 == 0
-    else:
-        r = 2 if spec.kind == "E7" else 1
-        has_h = True
-    return r, has_h
+def _merged(spec, odd):
+    """Whether the forms over each class merge in pairs (W with X, Y
+    with Z): for n odd, unless F is cyclic of odd order."""
+    return odd and not (spec.kind == "A" and spec.l % 2 == 1)
 
 
 def form_counts(parity, label):
@@ -480,6 +469,11 @@ def form_counts(parity, label):
     obtained by matching the unequal-multiplicity pattern disagrees
     with the fine six-element enumeration (3, 2, 1) that the explicit
     twisting produces; the fine count is returned.
+
+    For a finite F the counts derive from the classes of
+    `groups.h1_names`: each class other than [h] gives k rational and k
+    unknown forms (k = 2, or 1 when the forms merge), and [h] gives
+    four forms without real points.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -493,14 +487,11 @@ def form_counts(parity, label):
                 "a two-root form with equal multiplicities has odd "
                 "half-degree; ('even', GmSemidirectZ2) cannot occur")
         return FormCounts(3, 2, 1, note=_TWO_ROOT_NOTE)
-    spec = label.group
-    r, has_h = _invariant_count(spec)
-    extra = 4 if has_h else 0
-    if parity == "even":
-        return FormCounts(2 * r, 2 * r, extra)
-    if spec.kind == "A" and spec.l % 2 == 1:
-        return FormCounts(2, 2, 0)
-    return FormCounts(r, r, extra)
+    names = h1_names(label.group)
+    has_h = "h" in names
+    r = len(names) - has_h
+    k = 1 if _merged(label.group, parity == "odd") else 2
+    return FormCounts(k * r, k * r, 4 if has_h else 0)
 
 
 _TWO_ROOT_NOTE = {
@@ -521,32 +512,22 @@ _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
 
 
 def _twist_classes(spec):
-    """(label, b) for the twisting classes, in canonical order.
+    """(label, b) for the classes of `groups.h1_names`, in its order.
 
     b splits the class: b * conj(b)^-1 lies in it, so g o b is the
     twisted fiber equation up to a scalar (explicit Galois descent).
     b is None for [I2], whose equation is g itself, and for [h], which
-    carries none; for [omega_2l] it is the (2l)-rotation, a square root
-    of the l-rotation.  The classes match the cohomology of the group
-    under entrywise conjugation.
+    carries none; for [omega_k] it is the k-rotation, a square root
+    of the rotation of order k/2 in F; for [f] it is _MF.
     """
-    if spec.kind == "A":
-        if spec.l % 2 == 1:
-            return [("[I2]", None)]
-        return [("[I2]", None),
-                ("[omega_%d]" % (2 * spec.l), rotation_gen(2 * spec.l))]
-    if spec.kind == "D":
-        l = spec.l
-        if l % 2 == 1:
-            return [("[I2]", None), ("[f]", _MF)]
-        return [("[I2]", None),
-                ("[omega_%d]" % (2 * l), rotation_gen(2 * l)),
-                ("[f]", _MF), ("[h]", None)]
-    if spec.kind == "E7":
-        return [("[I2]", None), ("[omega_8]", rotation_gen(8)),
-                ("[h]", None)]
-    # E6 and E8
-    return [("[I2]", None), ("[h]", None)]
+    classes = []
+    for name in h1_names(spec):
+        if name.startswith("omega"):
+            order = int(name[len("omega"):])
+            classes.append(("[omega_%d]" % order, rotation_gen(order)))
+        else:
+            classes.append(("[%s]" % name, _MF if name == "f" else None))
+    return classes
 
 
 def _realify(h):
@@ -715,8 +696,7 @@ _H_FIBER_AUT0 = (PGL2R, PGL2R, SO3R, SO3R)
 
 
 def _finite_forms(g, spec):
-    n = g.degree // 2
-    merge = (n % 2 == 1) and not (spec.kind == "A" and spec.l % 2 == 1)
+    merge = _merged(spec, g.degree // 2 % 2 == 1)
     forms = []
     index = 0
     for label, b in _twist_classes(spec):

@@ -31,7 +31,7 @@ from hashlib import sha256
 from importlib import resources
 
 from . import certificates, lattices, schwarzenberger
-from .errors import VerificationError
+from .errors import VerificationError, as_int
 
 __all__ = [
     "FormDescriptor",
@@ -63,7 +63,7 @@ class TorusShape(tuple):
     circle factors, and split factors."""
 
     def __new__(cls, p, q, r):
-        p, q, r = int(p), int(q), int(r)
+        p, q, r = (as_int(v, "torus shape entries") for v in (p, q, r))
         if min(p, q, r) < 0:
             raise ValueError("torus shape entries must be >= 0")
         return super().__new__(cls, (p, q, r))
@@ -143,10 +143,7 @@ def torus_shape_of_involution(matrix):
     entries of D(M - I) count the pairs (its rank over GF(2), since U
     and V stay invertible mod 2).
     """
-    rows = [list(row) for row in matrix]
-    if any(getattr(v, "denominator", 0) != 1 for row in rows for v in row):
-        raise ValueError("matrix entries must be integers")
-    rows = [[int(v) for v in row] for row in rows]
+    rows = [[as_int(v, "matrix entries") for v in row] for row in matrix]
     d = len(rows)
     for row in rows:
         if len(row) != d:

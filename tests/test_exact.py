@@ -7,7 +7,7 @@ import pytest
 
 from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
-                             from_factors, root_multiplicities, square_test)
+                             from_factors, root_multiplicities)
 
 
 def test_rational_arithmetic():
@@ -272,17 +272,6 @@ def test_from_factors_and_multiplicities():
 def test_multiplicities_of_products():
     g = p({(1, 0): 1, (0, 1): 1}) ** 3 * p({(1, 0): 1, (0, 1): -1})
     assert root_multiplicities(g) == [3, 1]
-
-
-def test_square_test():
-    sq = p({(1, 0): 1, (0, 1): 2}) ** 2 * 3
-    verdict = square_test(sq)
-    assert verdict["is_square"]
-    assert verdict["h"] * verdict["h"] * verdict["scalar"] == sq
-    # sqrt(3) exists in a cyclotomic field but is outside the handled
-    # domain (rational squares times roots of unity), so None is reported
-    assert verdict["scalar_sqrt"] is None
-    assert not square_test(p({(3, 0): 1, (0, 3): 1}))["is_square"]
 
 
 # ----------------------------------------------------------------------

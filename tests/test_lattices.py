@@ -41,6 +41,14 @@ def test_family_id_validation():
         FamilyId.qg(0)
 
 
+def test_family_id_refuses_parameters_that_are_not_integers():
+    with pytest.raises(ValueError, match="integers"):
+        FamilyId.fabc(Fraction(3, 2), 2, 3)
+    with pytest.raises(ValueError, match="integers"):
+        FamilyId.pb(2.9)
+    assert FamilyId.fabc(Fraction(4, 2), 2, 3).params == (2, 2, 3)
+
+
 def test_family_id_equality():
     assert FamilyId.fabc(2, -3, 1) == FamilyId.fabc(-2, 3, -1)
     assert FamilyId.fabc(2, 3, 1) != FamilyId.fabc(2, 3, 2)
@@ -425,3 +433,15 @@ def test_kernel_is_annihilated_and_has_the_corank(data):
     basis = kernel(a)
     assert len(basis) == len(a[0]) - rank
     assert all(_apply(a, vector) == [0] * len(a) for vector in basis)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[Fraction(1, 2), 1]],
+    [[Fraction(3, 2), 0], [0, 2.7]],
+    [[1, "2"]],
+])
+def test_kernel_refuses_entries_that_are_not_integers(matrix):
+    with pytest.raises(ValueError, match="integers"):
+        diagonalize(matrix)
+    with pytest.raises(ValueError, match="integers"):
+        kernel(matrix)

@@ -65,6 +65,11 @@ RUNS = {
     ("lattice", "--family", "Qg", "--n", "0"): (2, {"errors", "lattices"}),
     # the integer kernel lives in ``lattices`` and pulls in no other module
     ("verify", "--suite", "lattices"): (0, {"errors", "lattices", "verify"}),
+    # the class table of H^1 lives in ``groups``: reading it pulls in
+    # neither the counts of ``quadrics`` nor the classification
+    ("verify", "--suite", "h1"): (0, {"errors", "exact", "groups", "verify"}),
+    ("verify", "--suite", "qg-table"):
+        (0, {"errors", "exact", "groups", "parsing", "quadrics", "verify"}),
     # the certificates build their toric ambients on the Cox data of
     # ``lattices``
     ("verify", "--suite", "witnesses"):

@@ -10,8 +10,9 @@ import pytest
 from realforms import groups, quadrics
 from realforms.exact import Cyclo, Mat2, Poly2, as_cyclo
 from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
-                              mat_key, rotation_gen,
-                              semi_invariant_character, unimodular_lift)
+                              h1_named, mat_key, rotation_gen,
+                              semi_invariant_character, twisted_class_of,
+                              unimodular_lift)
 from realforms.parsing import parse_poly, render_poly
 from realforms.quadrics import (AmbiguousSymmetryError, ApplicabilityError,
                                 FLabel, FormCounts, QgInstance,
@@ -468,6 +469,23 @@ def test_form_counts_finite_table():
     for (name, parity), expected in COUNT_TABLE.items():
         label = FLabel.finite(name)
         assert tuple(form_counts(parity, label)) == expected, (name, parity)
+
+
+def test_twist_classes_are_the_named_classes_and_split_them():
+    """Each twisting class is a class of `h1_named`, in its order, and
+    its splitting matrix b gives b * conj(b)^-1 in that class."""
+    specs = [GroupSpec("A", l) for l in range(1, 25)]
+    specs += [GroupSpec("D", l) for l in range(2, 25)]
+    specs += [GroupSpec(kind) for kind in ("E6", "E7", "E8")]
+    for spec in specs:
+        named = h1_named(spec)
+        classes = quadrics._twist_classes(spec)
+        assert [label for label, _ in classes] == [
+            "[%s]" % name.replace("omega", "omega_") for name, _ in named]
+        for (label, b), (_, rep) in zip(classes, named):
+            if b is not None:
+                split = (b * b.conj().inverse()).normalized()
+                assert split in twisted_class_of(spec, rep), (spec, label)
 
 
 def test_form_counts_torus_cases():

@@ -33,8 +33,8 @@ from realforms.certificates import (
 )
 from realforms.exact import Poly, VerificationError
 from realforms.lattices import FamilyId
-from realforms.registry import (torus_forms, torus_shape_of_involution,
-                                validate_all)
+from realforms.registry import (TorusShape, tori_conjugate, torus_forms,
+                                torus_shape_of_involution, validate_all)
 
 EXCHANGE = "[conj(x0):conj(x1); conj(z0):conj(z1); conj(y0):conj(y1)]"
 CIRCLE = "[conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]"
@@ -203,6 +203,15 @@ def test_grading_refusals(weights, text):
         verify_involution(structure)
 
 
+def test_ambient_refuses_weights_that_are_not_integers():
+    with pytest.raises(ValueError, match="integers"):
+        Ambient("test", ("x0", "x1"), [[Fraction(3, 2)], [1]], [[0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        wps_ambient(1.5, 2)
+    ambient = Ambient("test", ("x0", "x1"), [[Fraction(2, 1)], [1]], [[0, 1]])
+    assert ambient.weights == ((2,), (1,))
+
+
 def test_square_outside_the_torus_fails_verification():
     with pytest.raises(VerificationError, match="outside"):
         verify_involution("[conj(w0):conj(w1):conj(w2):2*conj(w3)]",
@@ -358,6 +367,21 @@ def test_torus_shape_of_conjugated_block_involutions():
                                   for k in range(d) for l in range(d))
                               for j in range(d)] for i in range(d)]
                 assert torus_shape_of_involution(conjugate) == shape
+
+
+def test_torus_shape_refuses_counts_that_are_not_integers():
+    with pytest.raises(ValueError, match="integers"):
+        TorusShape(Fraction(3, 2), 0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        TorusShape(1, 0.0, 1)
+    assert TorusShape(Fraction(2, 2), 0, 1) == (1, 0, 1)
+
+
+def test_tori_conjugate():
+    assert tori_conjugate((1, 0, 1), TorusShape(1, 0, 1))
+    assert not tori_conjugate((1, 0, 1), (0, 2, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        tori_conjugate((1, 0, 1), (1, 0, 0))
 
 
 def test_torus_forms_refuse_dimensions_past_the_bound():
