@@ -5,8 +5,8 @@ antiholomorphic coordinate formula on a toric or multihomogeneous
 ambient, and next to a link a birational witness.  This module builds
 the ambients (the toric families Fabc, Pb, Wb and Rmn on the Cox data of
 `lattices.cox_data`, the only copy of their weights), checks the shape
-of each formula `parsing.parse_formula` reads, and proves what the
-formulas claim:
+of each formula that the one parser, `parsing.parse_formula`, reads, and
+proves what the formulas claim:
 
 * `verify_involution` proves that a stored conjugation respects the
   multigrading of the ambient coordinate ring (so it descends to the
@@ -24,14 +24,20 @@ formulas claim:
   quadratic form by congruence diagonalization.
 
 Equations and their pullbacks are ``exact.Poly`` values in the ambient
-coordinates.  The weight data is integral, and so is its linear
-algebra: the grading solve, the torus relations and the fiberwise
-torus factors all go through the one integer kernel of `lattices`
-(`lattices.diagonalize`, `back_substitute` and `kernel`).  Only the
+coordinates, and a coordinate map is a tuple of them, one per target
+coordinate: maps compose by ``Poly.substitute`` (Laurent monomials
+included) and conjugate componentwise by ``Poly.conj_coeffs``.  The
+weight data is integral, and so is its linear algebra: the grading
+solve, the torus relations and the fiberwise torus factors all go
+through the one integer kernel of `lattices` (`lattices.diagonalize`,
+`back_substitute` and `kernel`).  One relation check serves scalars and
+monomials alike: the product of ``m_i ** e_i`` is one for every vector
+e of an integral kernel basis of the weights.  Only the
 ``verify`` suites and the registry's validation sweep use this module.
 """
 
 from fractions import Fraction
+from math import prod
 
 from . import lattices, quadrics, registry
 from .errors import VerificationError, as_int
@@ -40,7 +46,6 @@ from .parsing import parse_formula, parse_poly, render_scalar
 
 __all__ = [
     "Ambient",
-    "MonomialMap",
     "StructureMap",
     "fabc_ambient",
     "pb_ambient",
@@ -218,13 +223,10 @@ class StructureMap:
         self.text = text
 
     def regular_part(self):
-        n = len(self.ambient.coords)
-        comps = []
-        for scalar, source in zip(self.scalars, self.perm):
-            exps = [0] * n
-            exps[source] = 1
-            comps.append((scalar, tuple(exps)))
-        return MonomialMap(n, tuple(comps))
+        """The map with the conjugations dropped, as a tuple of Polys."""
+        variables = Poly.variables(len(self.ambient.coords))
+        return tuple(variables[source] * scalar
+                     for scalar, source in zip(self.scalars, self.perm))
 
     def __repr__(self):
         return "StructureMap(%s on %s)" % (self.text, self.ambient.name)
@@ -253,64 +255,20 @@ def parse_structure(text, ambient):
     return StructureMap(ambient, scalars, perm, text)
 
 
-class MonomialMap:
-    """A coordinate map whose components are single monomials."""
-
-    __slots__ = ("source_nvars", "components")
-
-    def __init__(self, source_nvars, components):
-        self.source_nvars = int(source_nvars)
-        self.components = tuple(
-            (coeff, tuple(int(e) for e in exps))
-            for coeff, exps in components)
-
-    @classmethod
-    def identity(cls, nvars):
-        comps = []
-        for i in range(nvars):
-            exps = [0] * nvars
-            exps[i] = 1
-            comps.append((_ONE, tuple(exps)))
-        return cls(nvars, comps)
-
-    def conj_coeffs(self):
-        return MonomialMap(
-            self.source_nvars,
-            tuple((c.conjugate(), e) for c, e in self.components))
-
-    def compose(self, inner):
-        """self after inner (apply inner first)."""
-        if self.source_nvars != len(inner.components):
-            raise ValueError("component count of the inner map must match "
-                             "the variable count of the outer map")
-        comps = []
-        for coeff, exps in self.components:
-            total = [0] * inner.source_nvars
-            for j, power in enumerate(exps):
-                if power:
-                    icoeff, iexps = inner.components[j]
-                    coeff = coeff * icoeff ** power
-                    total = [a + power * b for a, b in zip(total, iexps)]
-            comps.append((coeff, tuple(total)))
-        return MonomialMap(inner.source_nvars, comps)
-
-    def as_polys(self):
-        return [Poly({exps: coeff}) for coeff, exps in self.components]
-
-    def __repr__(self):
-        return "MonomialMap(%d -> %d)" % (self.source_nvars,
-                                          len(self.components))
-
-
 def parse_monomial_map(text, source_names):
-    """Parse a regular map with monomial components."""
+    """Parse a regular map with monomial components: a tuple of Polys."""
     names = tuple(source_names)
     out = []
     for component in parse_formula(text, names):
         plain = _regular(component, len(names), "a regular map")
-        exps, coeff = _monomial(plain, "map")
-        out.append((coeff, exps))
-    return MonomialMap(len(names), out)
+        _monomial(plain, "map")
+        out.append(plain)
+    return tuple(out)
+
+
+def _after(outer, inner):
+    """The map ``outer`` after ``inner`` (apply ``inner`` first)."""
+    return tuple(component.substitute(inner) for component in outer)
 
 
 def parse_polynomial(text, source_names):
@@ -351,22 +309,19 @@ def _grading_matrix(structure):
     return matrix
 
 
-def _torus_realizes_scalars(ambient, scalars):
-    """Whether coordinate rescaling by ``scalars`` is a torus element.
+def _obeys_relations(ambient, values, one):
+    """Whether ``values``, one per coordinate, obey the weight relations.
 
-    A rescaling lies on the structure torus exactly when it satisfies
-    every multiplicative relation among the coordinate weights, and the
-    relations are generated by an integral kernel basis of the weight
-    matrix.
+    The values are scalars or monomials with multiplicative identity
+    ``one``.  The multiplicative relations among the coordinate weights
+    are generated by an integral kernel basis of the weight matrix, and
+    the product of ``values[i] ** e_i`` must be one along each of them.
+    For scalars this says that the coordinate rescaling lies on the
+    structure torus.
     """
-    for relation in lattices.kernel(ambient.weight_matrix()):
-        product = _ONE
-        for scalar, exponent in zip(scalars, relation):
-            if exponent:
-                product = product * scalar ** exponent
-        if product != _ONE:
-            return False
-    return True
+    return all(prod((value ** e for value, e in zip(values, relation)
+                     if e), start=one) == one
+               for relation in lattices.kernel(ambient.weight_matrix()))
 
 
 def verify_involution(structure, ambient=None):
@@ -402,11 +357,11 @@ def verify_involution(structure, ambient=None):
     for i in range(ncoords):
         rescaling.append(structure.scalars[i]
                          * structure.scalars[structure.perm[i]].conjugate())
-    if not _torus_realizes_scalars(amb, rescaling):
+    if not _obeys_relations(amb, rescaling, _ONE):
         raise VerificationError(
             "the square rescales the coordinates by a pattern outside "
             "the structure torus of %s" % amb.name)
-    comps = structure.regular_part().as_polys()
+    comps = structure.regular_part()
     preserved = 0
     for equation in amb.equations:
         pulled = equation.substitute(comps).conj_coeffs()
@@ -432,40 +387,27 @@ def torus_equivalent(target_ambient, first, second):
 
     The maps may differ componentwise by ``t^(weight of the component)``
     for a target-torus element ``t`` whose entries are Laurent
-    monomials in the source coordinates.  Existence of ``t`` splits
-    into an integral linear system for the monomial exponents and
-    multiplicative relations for the coefficients along an integral
-    kernel basis of the target weight matrix.
+    monomials in the source coordinates.  Such a ``t`` exists when the
+    componentwise ratios obey the weight relations and their exponents
+    solve an integral linear system in the target weights.
     """
     ncoords = len(target_ambient.coords)
-    if len(first.components) != ncoords or len(second.components) != ncoords:
+    if len(first) != ncoords or len(second) != ncoords:
         raise ValueError("maps must have one component per coordinate of %s"
                          % target_ambient.name)
-    if first.source_nvars != second.source_nvars:
-        raise ValueError("maps must share a source")
-    nsrc = first.source_nvars
-    ratios = []
-    for (c1, e1), (c2, e2) in zip(first.components, second.components):
-        ratios.append((c1 * c2.inverse(),
-                       tuple(a - b for a, b in zip(e1, e2))))
+    ratios = [a * b ** -1 for a, b in zip(first, second)]
+    nsrc = ratios[0].nvars
+    if not _obeys_relations(target_ambient, ratios,
+                            Poly({(0,) * nsrc: 1})):
+        return False
+    exponents = [_monomial(ratio, "a torus factor")[0] for ratio in ratios]
     weight_rows = target_ambient.weight_matrix()
-    for relation in lattices.kernel(weight_rows):
-        coeff = _ONE
-        exps = [0] * nsrc
-        for (rc, re), exponent in zip(ratios, relation):
-            if exponent:
-                coeff = coeff * rc ** exponent
-                exps = [a + exponent * b for a, b in zip(exps, re)]
-        if coeff != _ONE or any(exps):
-            return False
     transpose = lattices.diagonalize(
         [[weight_rows[k][c] for k in range(target_ambient.rank)]
          for c in range(ncoords)])
-    for j in range(nsrc):
-        rhs = [ratios[c][1][j] for c in range(ncoords)]
-        if lattices.back_substitute(transpose, rhs) is None:
-            return False
-    return True
+    return all(lattices.back_substitute(
+        transpose, [exps[j] for exps in exponents]) is not None
+        for j in range(nsrc))
 
 
 # ----------------------------------------------------------------------
@@ -555,17 +497,13 @@ def real_locus_form(quadric, structure):
             raise ValueError("structure must square to the identity on "
                              "coordinates, not merely up to torus")
     imaginary = Cyclo.zeta(4)
-    variables = MonomialMap.identity(n).as_polys()
+    variables = Poly.variables(n)
     args = [None] * n
     next_var = 0
     for i in range(n):
         j = structure.perm[i]
         if j == i:
-            scalar = structure.scalars[i]
-            try:
-                root = scalar.sqrt()
-            except ValueError:
-                root = None
+            root = structure.scalars[i].sqrt()
             if root is None or root * root.conjugate() != _ONE:
                 raise ValueError("fixed-coordinate scalar admits no "
                                  "unit square root")
@@ -608,7 +546,8 @@ def _witness_data(kind):
 
 def _component_weights(ambient, mono_map):
     weights = []
-    for _, exps in mono_map.components:
+    for component in mono_map:
+        (exps,) = component.terms
         vec = [0] * ambient.rank
         for index, power in enumerate(exps):
             if power:
@@ -631,12 +570,12 @@ def _check_psi_g1():
     source = fabc_ambient(0, 1, -1)
     target = p4_ambient()
     psi = parse_monomial_map(data["map"], source.coords)
-    if len(psi.components) != 5:
+    if len(psi) != 5:
         raise VerificationError("the contraction witness must have five "
                                 "components")
     _check_graded_onto_line(source, psi, target.name)
     quadric = parse_polynomial(data["quadric"], target.coords)
-    pulled = quadric.substitute(psi.as_polys())
+    pulled = quadric.substitute(psi)
     if not pulled.is_zero():
         raise VerificationError("the image does not satisfy the stored "
                                 "quadric relation")
@@ -644,12 +583,13 @@ def _check_psi_g1():
     mu = parse_structure(data["target_structure"], target)
     verify_involution(theta)
     verify_involution(mu)
-    twisted = quadric.substitute(mu.regular_part().as_polys()).conj_coeffs()
+    twisted = quadric.substitute(mu.regular_part()).conj_coeffs()
     if twisted.proportionality(quadric) is None:
         raise VerificationError("the target structure does not preserve "
                                 "the quadric relation")
-    left = mu.regular_part().compose(psi.conj_coeffs())
-    right = psi.compose(theta.regular_part())
+    left = _after(mu.regular_part(),
+                  tuple(component.conj_coeffs() for component in psi))
+    right = _after(psi, theta.regular_part())
     if not torus_equivalent(target, left, right):
         raise VerificationError("the contraction does not intertwine the "
                                 "two real structures")
@@ -675,14 +615,14 @@ def _check_delta_h1():
     target = p3_ambient()
     delta = parse_monomial_map(data["map"], source.coords)
     epsilon = parse_monomial_map(data["inverse"], target.coords)
-    if len(delta.components) != 4 or len(epsilon.components) != 6:
+    if len(delta) != 4 or len(epsilon) != 6:
         raise VerificationError("stored chart maps have the wrong shape")
     _check_graded_onto_line(source, delta, target.name)
-    forward = delta.compose(epsilon)
-    if not torus_equivalent(target, forward, MonomialMap.identity(4)):
+    if not torus_equivalent(target, _after(delta, epsilon),
+                            Poly.variables(4)):
         raise VerificationError("the chart section is not a right inverse")
-    backward = epsilon.compose(delta)
-    if not torus_equivalent(source, backward, MonomialMap.identity(6)):
+    if not torus_equivalent(source, _after(epsilon, delta),
+                            Poly.variables(6)):
         raise VerificationError("the chart section is not a left inverse "
                                 "on the dense chart")
     return {

@@ -16,12 +16,14 @@ they were produced.
 
 ``Poly`` is the one polynomial type: a map from exponent tuples (one
 entry per variable, negative entries allowed) to nonzero scalars.  It
-serves the multihomogeneous ambient equations of `certificates`, the
-Laurent polynomials of the Schwarzenberger gluing, and the loose values
-of the parser.  ``Poly2`` is its homogeneous two-variable subclass, the
-binary forms.  ``Poly2.compose`` is Horner on integer vectors at one
-conductor, with one canonicalization per output coefficient; gcd /
-squarefree machinery works on dehomogenized coefficient lists.
+serves the multihomogeneous ambient equations of `certificates` and
+their coordinate maps (a map is a tuple of ``Poly`` values, one per
+target coordinate, composed by ``substitute``), the Laurent polynomials
+of the Schwarzenberger gluing, and the loose values of the parser.
+``Poly2`` is its homogeneous two-variable subclass, the binary forms.
+``Poly2.compose`` is Horner on integer vectors at one conductor, with
+one canonicalization per output coefficient; gcd / squarefree machinery
+works on dehomogenized coefficient lists.
 """
 
 from __future__ import annotations
@@ -630,6 +632,13 @@ class Poly:
         object.__setattr__(out, "nvars", self.nvars)
         object.__setattr__(out, "terms", terms)
         return out
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def variables(nvars: int):
+        """The coordinates x_0, ..., x_{nvars-1} as monomials, cached."""
+        return tuple(Poly({tuple(int(j == k) for j in range(nvars)): 1})
+                     for k in range(nvars))
 
     def _one(self):
         return self._result({(0,) * self.nvars: ONE})

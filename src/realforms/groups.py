@@ -58,8 +58,9 @@ class GroupSpec:
         name = name.strip().upper()
         if name in ("E6", "E7", "E8"):
             return cls(name)
-        if name[:1] in ("A", "D") and name[1:].isdigit():
-            spec = cls(name[:1], int(name[1:]))
+        digits = name[1:]
+        if name[:1] in ("A", "D") and digits.isascii() and digits.isdigit():
+            spec = cls(name[:1], int(digits))
             if spec.order() > CLOSURE_BOUND:
                 raise ValueError("group %s has order %d, past the closure "
                                  "bound %d" % (spec.name, spec.order(),

@@ -84,12 +84,6 @@ def _tokenize(text):
     return tokens
 
 
-def _variables(nvars):
-    return tuple(Poly({tuple(int(j == k) for j in range(nvars)): 1})
-                 for k in range(nvars))
-
-
-
 class _Parser:
     """Recursive descent over the tokens of ``text``.
 
@@ -102,7 +96,7 @@ class _Parser:
         self.k = 0
         self.index = {name: k for k, name in enumerate(names)}
         self.formula = formula
-        self.variables = _variables(len(names) * (2 if formula else 1))
+        self.variables = Poly.variables(len(names) * (2 if formula else 1))
         self.origin = (0,) * len(self.variables)
         self.conductor = 1
 

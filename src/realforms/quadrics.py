@@ -376,7 +376,6 @@ def realizable(g):
     if g.real_coefficients():
         return (_ONE, identity)
     if len(g.terms) == 1:
-        ((_, _),) = g.terms
         coeff = next(iter(g.terms.values()))
         return (coeff.conjugate(), identity)
 
@@ -765,8 +764,7 @@ def enumerate_forms(q):
 
 
 # the x-part of a structure: the images of x0, x1, x2 as linear forms
-_EYE3 = (Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1}))
-_X0, _X1, _X2 = _EYE3
+_X0, _X1, _X2 = Poly.variables(3)
 _TAU3 = (-_X0, _X2, _X1)
 _CONIC = _X0 * _X0 - _X1 * _X2
 _SWAP = Mat2(0, 1, 1, 0)
@@ -780,8 +778,9 @@ def _structure_data(index, n, l=None):
     is (x, u) -> (A3(conj(x)), c3 conj(x3), M conj(u)).
     """
     i = Cyclo.i()
+    eye = Poly.variables(3)
     if index in (1, 2, 3, 4):
-        a3 = _EYE3 if index in (1, 2) else _TAU3
+        a3 = eye if index in (1, 2) else _TAU3
         c3 = _ONE if index in (1, 4) else -_ONE
         return (a3, c3, Mat2.identity())
     if index == 5:
@@ -790,19 +789,19 @@ def _structure_data(index, n, l=None):
                 "mu_5 needs the rotation order l (give it explicitly or "
                 "classify the symmetry first)")
         z = Cyclo.zeta(2 * l)
-        return (_EYE3, _ONE, Mat2.diag(z, z.inverse()))
+        return (eye, _ONE, Mat2.diag(z, z.inverse()))
     if index == 6:
-        return (_EYE3, _ONE, Mat2(0, i, i, 0))
+        return (eye, _ONE, Mat2(0, i, i, 0))
     if index == 7:
         if n % 2 == 1:
             raise ApplicabilityError(
                 "mu_7 squares to the sign flip of x3 when n is odd, so it "
                 "is not a real structure there; it needs n even")
-        return (_EYE3, _ONE, Mat2(0, 1, -1, 0))
+        return (eye, _ONE, Mat2(0, 1, -1, 0))
     if index == 8:
-        return (_EYE3, _ONE, _SWAP)
+        return (eye, _ONE, _SWAP)
     if index == 9:
-        return (_EYE3, -_ONE, _SWAP)
+        return (eye, -_ONE, _SWAP)
     if index == 10:
         return (_TAU3, -_ONE, _SWAP)
     if index == 11:
@@ -844,7 +843,7 @@ def check_real_structure(index, q, l=None):
     # twice x -> A3(conj(x)) is x -> A3(conj(A3)(x))
     square = [a.substitute([b.conj_coeffs() for b in a3]) for a in a3]
     scalar_m = square[0].proportionality(_X0)
-    if scalar_m is None or square != [x * scalar_m for x in _EYE3]:
+    if scalar_m is None or square != [x * scalar_m for x in Poly.variables(3)]:
         raise ApplicabilityError(
             "mu_%d: the x-part of the square is not scalar" % index)
     mm = m * m.conj()
@@ -872,41 +871,25 @@ def check_real_structure(index, q, l=None):
 # the degree-raising link
 
 
-def _quadric_entries(g):
-    """x-quadratic form of Q_g as a dictionary (i, j) -> binary form."""
-    return {
-        (0, 0): Poly2(0, {(0, 0): _ONE}),
-        (1, 2): Poly2(0, {(0, 0): -_ONE}),
-        (3, 3): -g,
-    }
-
-
 def psi_pullback_identity(g, h):
     """Exact pullback identity for the link multiplying x0..x2 by h.
 
     The substitution (x0, x1, x2, x3) -> (h x0, h x1, h x2, x3) carries
     the equation of Q_{g h^2} to h^2 times the equation of Q_g; this
-    verifies that equality entry by entry and returns True.  No
-    validity constraints are imposed on h here, so the composition law
-    (chaining two links equals the link of the product) can be checked
-    directly against this identity.
+    checks that equality as one polynomial identity in (x0, x1, x2, x3,
+    u0, u1) and returns whether it holds.  No validity constraints are
+    imposed on h here, so the composition law (chaining two links
+    equals the link of the product) can be checked directly against
+    this identity.
     """
-    target = _quadric_entries(g * h * h)
-    reference = _quadric_entries(g)
-    hh = h * h
-    keys = set(target) | set(reference)
-    for key in sorted(keys):
-        entry = target.get(key)
-        expected = reference.get(key)
-        if entry is None or expected is None:
-            return False
-        count = sum(1 for idx in key if idx < 3)
-        pulled = entry
-        for _ in range(count):
-            pulled = pulled * h
-        if pulled != expected * hh:
-            return False
-    return True
+    x0, x1, x2, x3, u0, u1 = Poly.variables(6)
+
+    def bundle(form, y0, y1, y2):
+        return y0 * y0 - y1 * y2 - form.substitute((u0, u1)) * x3 * x3
+
+    lifted = h.substitute((u0, u1))
+    return (bundle(g * h * h, lifted * x0, lifted * x1, lifted * x2)
+            == lifted * lifted * bundle(g, x0, x1, x2))
 
 
 def check_psi_h(q, h):
@@ -926,9 +909,11 @@ def check_psi_h(q, h):
         raise ValueError("h must be a nonzero binary form")
     if not h.real_coefficients():
         raise ValueError("h must have real coefficients")
-    if h.degree == 1:
-        pass
-    elif h.degree == 2:
+    if h.degree not in (1, 2):
+        raise ValueError(
+            "h of degree %d is never irreducible over the reals"
+            % h.degree)
+    if h.degree == 2:
         a = h.coeff(2, 0)
         b = h.coeff(1, 1)
         c = h.coeff(0, 2)
@@ -941,10 +926,6 @@ def check_psi_h(q, h):
         if disc >= 0:
             raise ValueError(
                 "h splits over the reals (discriminant %s >= 0)" % disc)
-    else:
-        raise ValueError(
-            "h of degree %d is never irreducible over the reals"
-            % h.degree)
     if not psi_pullback_identity(g, h):
         raise VerificationError("pullback identity failed")
     # the product still has an odd-multiplicity root, so the target is

@@ -16,12 +16,13 @@ this module instantiates it per parameter value:
 * `validate_descriptor` and `validate_all` run every exact check that a
   descriptor or a stored link witness carries.
 
-The checks themselves (the ambient coordinate rings, the formula
-parser, `verify_involution`, `verify_witness`, `signature`) live in
-`certificates`; the involutions are classified by the integer kernel
-of `lattices`.  This module reaches `certificates` and `lattices` only
-through qualified names on their lazy stubs, so a lookup executes
-none of them.
+The checks themselves (the ambient coordinate rings, the coordinate
+maps as tuples of ``exact.Poly``, `verify_involution`, `verify_witness`,
+`signature`) live in `certificates`, and the stored formulas are read by
+the one parser, `parsing.parse_formula`; the involutions are classified
+by the integer kernel of `lattices`.  This module reaches
+`certificates` and `lattices` only through qualified names on their
+lazy stubs, so a lookup executes none of them.
 """
 
 import json
@@ -528,7 +529,7 @@ def links_from(form_name):
         return _instantiate_links("Q^{1,3}", name)
     if name == "U_g":
         return _instantiate_links("U_g", name)
-    match = re.fullmatch(r"([GH])_(\d+)", name)
+    match = re.fullmatch(r"([GH])_([0-9]+)", name)
     if match:
         b = int(match.group(2))
         if b == 0:
@@ -537,7 +538,7 @@ def links_from(form_name):
         if b == 1:
             return _instantiate_links(match.group(1) + "_1", name)
         return []
-    match = re.fullmatch(r"S~_(\d+)", name)
+    match = re.fullmatch(r"S~_([0-9]+)", name)
     if match:
         b = int(match.group(1))
         if b % 2 == 0:
@@ -545,7 +546,7 @@ def links_from(form_name):
                 "the twisted form with even parameter has empty real "
                 "locus and is outside the equivariant link classification")
         return [] if b == 1 else _instantiate_links("S~_b_odd", name)
-    match = re.fullmatch(r"Z_\{(\d+),(\d+),(\d+)\}", name)
+    match = re.fullmatch(r"Z_\{([0-9]+),([0-9]+),([0-9]+)\}", name)
     if match:
         raise ValueError(
             "forms of the triple product without real points are outside "

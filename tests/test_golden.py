@@ -72,6 +72,17 @@ def test_version_prints_the_package_version():
         ("realforms %s\n" % realforms.__version__).encode(), 0)
 
 
+@pytest.mark.parametrize("args", [
+    ["h1", "--group", "A\u0664"],     # ARABIC-INDIC DIGIT FOUR
+    ["h1", "--group", "A\u00b2"],     # SUPERSCRIPT TWO
+    ["links", "--form", "G_\u0661"],  # ARABIC-INDIC DIGIT ONE
+])
+def test_names_take_only_ascii_digits(args, capsys):
+    assert _run(args) == (b"", 2)
+    assert "error: unknown " in capsys.readouterr().err
+    assert _run(["links", "--form", "G_01"])[1] == 0
+
+
 def test_failed_identity_exits_3_with_nothing_on_stdout(monkeypatch, capsys):
     monkeypatch.setattr(schwarzenberger, "sym_identity_holds",
                         lambda k: False)

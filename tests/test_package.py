@@ -6,6 +6,7 @@ package attribute unexecuted; it runs on its first attribute access.
 CLI nor the registry and its helpers, each CLI command executes exactly
 the modules it uses, and every exported name resolves."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -111,6 +112,14 @@ def test_import_loads_nothing_heavy_and_every_name_resolves():
     assert names["VerificationError"] == "realforms.errors"
     assert names["verify_gluing"] == "realforms.schwarzenberger"
     assert all(module.startswith("realforms.") for module in names.values())
+
+
+def test_every_name_in_a_module_all_resolves():
+    for stub in STUBS:
+        module = importlib.import_module(stub)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], stub
 
 
 def test_submodule_import_binds_the_package_attribute():

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from realforms import groups, quadrics
-from realforms.exact import Cyclo, Mat2, Poly2, as_cyclo
+from realforms.exact import Cyclo, Mat2, Poly, Poly2, as_cyclo
 from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
                               h1_named, mat_key, rotation_gen,
                               semi_invariant_character, twisted_class_of,
@@ -910,7 +910,7 @@ def test_structure_verdicts_are_pinned(text):
 def test_tau_structure_has_no_real_conic_point():
     # the fixed points of x -> TAU3(conj(x)) are (i t0, t1 + i t2,
     # t1 - i t2) for real t, where the conic is -(t0^2 + t1^2 + t2^2)
-    t0, t1, t2 = quadrics._EYE3
+    t0, t1, t2 = Poly.variables(3)
     i = Cyclo.i()
     point = (t0 * i, t1 + t2 * i, t1 - t2 * i)
     image = tuple(a.substitute([p.conj_coeffs() for p in point])
@@ -923,7 +923,7 @@ def test_conic_pullback_conjugates_its_coefficients(monkeypatch):
     # x -> (zeta_8 x0, i x1, x2) pulls the conic back to i times itself,
     # so after conjugation the scalar is -i; c3 = zeta_8 balances it
     z = Cyclo.zeta(8)
-    x0, x1, x2 = quadrics._EYE3
+    x0, x1, x2 = Poly.variables(3)
     twisted = (x0 * z, x1 * Cyclo.i(), x2)
     monkeypatch.setattr(quadrics, "_structure_data",
                         lambda index, n, l=None: (twisted, z, Mat2.identity()))

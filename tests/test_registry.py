@@ -14,7 +14,6 @@ from gauss_jordan import solve
 from realforms import certificates, lattices, registry, verify
 from realforms.certificates import (
     Ambient,
-    MonomialMap,
     fabc_ambient,
     flag_ambient,
     p3_ambient,
@@ -31,7 +30,7 @@ from realforms.certificates import (
     wb_ambient,
     wps_ambient,
 )
-from realforms.exact import Poly, VerificationError
+from realforms.exact import Cyclo, Poly, VerificationError
 from realforms.lattices import FamilyId
 from realforms.registry import (TorusShape, tori_conjugate, torus_forms,
                                 torus_shape_of_involution, validate_all)
@@ -290,15 +289,62 @@ def test_real_locus_form_rejects_bad_structures():
 def test_torus_equivalent(text, expected):
     ambient = p3_ambient()
     moved = parse_monomial_map(text, ambient.coords)
-    assert torus_equivalent(ambient, moved, MonomialMap.identity(4)) \
-        is expected
+    assert torus_equivalent(ambient, moved, Poly.variables(4)) is expected
 
 
 def test_torus_equivalent_rejects_mismatched_maps():
     ambient = p3_ambient()
     with pytest.raises(ValueError):
-        torus_equivalent(ambient, MonomialMap.identity(3),
-                         MonomialMap.identity(4))
+        torus_equivalent(ambient, Poly.variables(3), Poly.variables(4))
+
+
+# the exponent arithmetic of composing maps whose components are
+# (coefficient, exponent tuple) pairs, an oracle for Poly.substitute
+
+
+def _oracle_compose(outer, inner, inner_nvars):
+    """outer after inner (apply inner first)."""
+    comps = []
+    for coeff, exps in outer:
+        total = [0] * inner_nvars
+        for j, power in enumerate(exps):
+            if power:
+                icoeff, iexps = inner[j]
+                coeff = coeff * icoeff ** power
+                total = [a + power * b for a, b in zip(total, iexps)]
+        comps.append((coeff, tuple(total)))
+    return comps
+
+
+def _oracle_conj(mapping):
+    return [(coeff.conjugate(), exps) for coeff, exps in mapping]
+
+
+def _as_polys(mapping):
+    return tuple(Poly({exps: coeff}) for coeff, exps in mapping)
+
+
+def test_maps_compose_and_conjugate_like_the_exponent_oracle():
+    rng = random.Random(20240321)
+    scalars = (Cyclo.rational(1), Cyclo.rational(Fraction(-3, 2)),
+               Cyclo.i(), Cyclo.zeta(3), Cyclo.zeta(8, 3) * 2,
+               Cyclo.zeta(5) + Cyclo.zeta(12, 5))
+
+    def monomial_map(nvars, ncomps):
+        # about one component in five is a constant
+        return [(rng.choice(scalars),
+                 (0,) * nvars if rng.random() < 0.2
+                 else tuple(rng.randint(-3, 3) for _ in range(nvars)))
+                for _ in range(ncomps)]
+
+    for _ in range(300):
+        sizes = [rng.randint(1, 4) for _ in range(3)]
+        outer = monomial_map(sizes[1], sizes[0])
+        inner = monomial_map(sizes[2], sizes[1])
+        assert certificates._after(_as_polys(outer), _as_polys(inner)) \
+            == _as_polys(_oracle_compose(outer, inner, sizes[2]))
+        assert tuple(p.conj_coeffs() for p in _as_polys(outer)) \
+            == _as_polys(_oracle_conj(outer))
 
 
 # ----------------------------------------------------------------------
@@ -542,8 +588,8 @@ def test_stored_maps_and_quadric_parse_to_frozen_values():
     witnesses = _stored_entries()["witnesses"]
     for (kind, key), (ambient, components) in STORED_MAPS.items():
         parsed = parse_monomial_map(witnesses[kind][key], ambient.coords)
-        assert parsed.source_nvars == len(ambient.coords)
-        assert parsed.components == components, (kind, key)
+        assert all(p.nvars == len(ambient.coords) for p in parsed)
+        assert parsed == _as_polys(components), (kind, key)
     quadric = parse_polynomial(witnesses["psi_G1"]["quadric"],
                                p4_ambient().coords)
     assert quadric == STORED_QUADRIC and quadric.nvars == 5
