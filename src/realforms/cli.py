@@ -4,8 +4,11 @@ Every command prints one JSON report (stable key order, so identical
 invocations are byte-identical) or, with ``--format text``, a short
 human-readable table of the same data.  Exit codes: 0 on success, 2 on
 a usage error or a domain error (bad input, out-of-range parameters,
-unclassified cases), 3 when a verification suite finds an exact
-identity violated.
+unclassified cases; an integer option takes an optional sign and ASCII
+digits only), 3 when a verification suite finds an exact identity
+violated.  A report whose reader has closed standard output (``realforms
+torus --d 100 | head -1``) ends quietly with code 0: the answer was
+computed, and nothing is left to say.
 
 A cold command runs only the code it uses.  The library modules are
 stubs until first use (see ``realforms/__init__.py``), so this module
@@ -17,6 +20,7 @@ compiles them.
 
 import argparse
 import json
+import os
 import sys
 
 from . import (__version__, errors, groups, lattices, parsing, quadrics,
@@ -29,7 +33,18 @@ _FORMAT = ("--format", dict(dest="fmt", choices=["json", "text"],
                             help="machine JSON (default) or a "
                                  "human-readable rendering"))
 _HELP = dict(action="help", help="show this message and exit")
-_PARAM_OPTIONS = tuple(("--" + key, dict(type=int)) for key in "abcmn")
+
+
+def _integer(text):
+    """An integer option's value: ``int`` also takes other scripts'
+    digits, spaces and underscores, this only a sign and ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
+_PARAM_OPTIONS = tuple(("--" + key, dict(type=_integer)) for key in "abcmn")
 
 
 def _command(name, *options):
@@ -42,10 +57,16 @@ def _command(name, *options):
 
 
 def _emit(data, fmt, renderer):
-    if fmt == "text":
-        print(renderer(data))
-    else:
-        print(json.dumps(data, indent=2, sort_keys=True))
+    text = renderer(data) if fmt == "text" else json.dumps(
+        data, indent=2, sort_keys=True)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush
+        # at shutdown does not report the pipe a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(0)
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +290,7 @@ def _torus_text(data):
 
 
 @_command("torus", ("--d", dict(
-    dest="dimension", type=int, required=True,
+    dest="dimension", type=_integer, required=True,
     help="dimension of the torus")))
 def torus_command(dimension, fmt):
     """Enumerate the real forms of an algebraic torus."""
@@ -290,7 +311,7 @@ def torus_command(dimension, fmt):
 @_command("verify", ("--suite", dict(
     required=True, choices=["h1", "qg-table", "schwarzenberger", "lattices",
                             "witnesses", "involutions", "all"])),
-    ("--b-max", dict(type=int, default=12,
+    ("--b-max", dict(type=_integer, default=12,
                      help="parameter range for the gluing checks "
                           "(default 12)")))
 def verify_command(suite, b_max, fmt):

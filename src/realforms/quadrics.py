@@ -690,8 +690,9 @@ def _two_root_equal(g):
 # structure, but composing with the base conic structures does; the
 # four resulting forms never have real points.  Their identity
 # components come from twisting the displayed conic: the split conic
-# for the first pair, the pointless one for the second.
-_H_FIBER_AUT0 = (PGL2R, PGL2R, SO3R, SO3R)
+# for the first pair, the pointless one for the second.  The tags are
+# constants, so the reports a caller keeps share them.
+_H_FORMS = (("H1", PGL2R), ("H2", PGL2R), ("H3", SO3R), ("H4", SO3R))
 
 
 def _finite_forms(g, spec):
@@ -700,8 +701,8 @@ def _finite_forms(g, spec):
     index = 0
     for label, b in _twist_classes(spec):
         if label == "[h]":
-            for tag_i, aut0 in enumerate(_H_FIBER_AUT0, start=1):
-                forms.append(FormDescriptor("H%d" % tag_i, None,
+            for tag, aut0 in _H_FORMS:
+                forms.append(FormDescriptor(tag, None,
                                             NO_REAL_POINTS, aut0, "[h]"))
             continue
         index += 1

@@ -1,13 +1,18 @@
 """Exact cyclotomic scalars, binary forms, and 2x2 matrices."""
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              from_factors, root_multiplicities)
+from realforms.parsing import parse_poly
 
 
 def test_rational_arithmetic():
@@ -251,6 +256,36 @@ def test_two_term_power_matches_repeated_multiplication():
         assert laurent ** k == _repeated_product(laurent, k)
 
 
+def _seeded_base(rng, t):
+    """A t-term binary form of degree t - 1 with small coefficients,
+    about half of them times a root of unity of conductor dividing 60."""
+    terms = {}
+    for a in range(t):
+        c = Cyclo.rational(Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                    rng.choice([1, 1, 2, 3])))
+        if rng.random() < 0.5:
+            n = rng.choice([3, 4, 5, 12, 15, 20, 60])
+            c = c * Cyclo.zeta(n, rng.randrange(n))
+        terms[(a, t - 1 - a)] = c
+    return Poly2(t - 1, terms)
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_multinomial_power_matches_repeated_multiplication(t):
+    rng = random.Random(t)
+    for k in (0, 1, 2, 5, 11):
+        base = _seeded_base(rng, t)
+        assert base ** k == _repeated_product(base, k)
+    # a Laurent polynomial in three variables and a base whose expansion
+    # has more than _MULTINOMIAL_TERMS terms, which is squared instead
+    laurent = Poly({(1, 0, -2): Cyclo.zeta(7), (0, 2, 1): Fraction(-1, 2),
+                    (3, -1, 0): 2, (0, 0, 0): Cyclo.zeta(12, 5)})
+    assert laurent ** 6 == _repeated_product(laurent, 6)
+    wide = _seeded_base(rng, 10)
+    assert comb(10 + 9, 10) > exact._MULTINOMIAL_TERMS
+    assert wide ** 10 == _repeated_product(wide, 10)
+
+
 def test_real_coefficients():
     assert p({(2, 0): 1, (0, 2): Fraction(-5, 3)}).real_coefficients()
     assert not p({(2, 0): Cyclo.i()}).real_coefficients()
@@ -302,3 +337,173 @@ def test_mat2_immutable():
     m = Mat2.identity()
     with pytest.raises(AttributeError):
         m.a = Cyclo.rational(5)
+
+
+# ----------------------------------------------------------------------
+# arithmetic modulo a split prime
+
+
+def _random_cyclo(rng, n):
+    return Cyclo(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(exact.euler_phi(n))])
+
+
+def _trial_division_prime(p):
+    return p > 1 and all(p % d for d in range(2, exact.isqrt(p) + 1))
+
+
+def test_split_primes_carry_an_element_of_exact_order():
+    for n in (1, 2, 5, 12, 60, 77, 251):
+        pairs = exact._split_primes(n)
+        assert len(pairs) == 3 and len({p for p, _ in pairs}) == 3
+        for p, w in pairs:
+            assert p > 2 ** 30 and (p - 1) % n == 0
+            assert _trial_division_prime(p)
+            assert pow(w, n, p) == 1
+            assert all(pow(w, d, p) != 1 for d in range(1, n) if n % d == 0)
+
+
+def test_reduction_is_a_ring_homomorphism():
+    rng = random.Random(2718)
+    for n in range(1, 61):
+        x = _random_cyclo(rng, n)
+        y = _random_cyclo(rng, rng.choice([d for d in range(1, n + 1)
+                                            if n % d == 0]))
+        assert n % x.n == 0 and n % y.n == 0
+        for p, w in exact._split_primes(n):
+            def image(v):
+                return exact._mod_p(v, n, p, w)
+            assert image(Cyclo.rational(1)) == 1
+            assert image(x + y) == (image(x) + image(y)) % p
+            assert image(x - y) == (image(x) - image(y)) % p
+            assert image(x * y) == image(x) * image(y) % p
+            if x:
+                assert image(x.inverse()) * image(x) % p == 1
+    p, w = exact._split_primes(12)[0]
+    assert exact._mod_p(Cyclo.zeta(12) / p, 12, p, w) is None
+
+
+def _fp_value(a, x, p):
+    return sum(c * pow(x, k, p) for k, c in enumerate(a)) % p
+
+
+def _fp_random(rng, p, degree):
+    a = [rng.randrange(p) for _ in range(degree + 1)]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_fp_divmod_and_gcd_against_brute_force(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        a = _fp_random(rng, p, rng.randint(0, 7))
+        b = _fp_random(rng, p, rng.randint(0, 4)) or [1]
+        q, r = exact._fp_divmod(a, b, p)
+        assert len(r) < len(b) and (not r or r[-1])
+        # q b + r == a, checked at every point and by degree
+        assert len(q) + len(b) - 1 == len(a) or not q and len(a) < len(b)
+        for x in range(p):
+            assert (_fp_value(q, x, p) * _fp_value(b, x, p)
+                    + _fp_value(r, x, p)) % p == _fp_value(a, x, p)
+        # a common factor makes the gcd nontrivial more often
+        common = _fp_random(rng, p, rng.randint(0, 2))
+        if common:
+            a = _fp_mul(a, common, p)
+            b = _fp_mul(b, common, p)
+        g = exact._fp_gcd(a, b, p)
+        if not a and not b:
+            assert g == []
+            continue
+        assert g[-1] == 1
+        assert exact._fp_divmod(a, g, p)[1] == []
+        assert exact._fp_divmod(b, g, p)[1] == []
+        assert {x for x in range(p) if not _fp_value(g, x, p)} == \
+            {x for x in range(p)
+             if not _fp_value(a, x, p) and not _fp_value(b, x, p)}
+
+
+def _yun_multiplicities(g):
+    """Root multiplicities of g by exact Yun alone, the reference."""
+    e0, e1, p = exact._to_univariate(g)
+    mults = [e for e in (e0, e1) if e]
+    for i, f in enumerate(exact.yun_decomposition(p), start=1):
+        mults.extend([i] * exact._udeg(f))
+    return sorted(mults, reverse=True)
+
+
+def _sparse_cyclo(rng, n):
+    return Cyclo.rational(rng.randint(-3, 3)) \
+        + rng.choice([1, -1, 2]) * Cyclo.zeta(n, rng.randrange(n))
+
+
+def test_non_squarefree_forms_take_the_exact_fallback(monkeypatch):
+    calls = []
+    yun = exact.yun_decomposition
+    monkeypatch.setattr(exact, "yun_decomposition",
+                        lambda p: calls.append(p) or yun(p))
+    rng = random.Random(77)
+    checked = 0
+    for n in (5, 7, 8, 12, 15, 21, 35, 60, 77):
+        for _ in range(3):
+            power = rng.choice([2, 3])
+            d = rng.randint(1, 4 // power)
+            h = Poly2(d, {(a, d - a): _sparse_cyclo(rng, n)
+                          for a in range(d + 1)})
+            rest = rng.randint(0, 8 - power * d)
+            f = Poly2(rest, {(a, rest - a): _sparse_cyclo(rng, n)
+                             for a in range(rest + 1)})
+            g = h ** power * f
+            # a monomial h repeats only the roots u0 = 0 and u1 = 0
+            if len(h.terms) < 2 or g.is_zero():
+                continue
+            e0, e1, p = exact._to_univariate(g)
+            checked += 1
+            assert not exact._squarefree_mod_p(p)
+            before = len(calls)
+            got = root_multiplicities(g)
+            assert len(calls) == before + 1
+            assert got == _yun_multiplicities(g)
+    assert checked >= 20
+
+
+def _golden_and_bench_fibers():
+    root = Path(__file__).resolve().parents[1]
+    cases = json.loads((root / "tests" / "golden" / "cases.json")
+                       .read_text(encoding="utf-8"))
+    texts = [args[2] for args in cases.values()
+             if args[:2] == ["classify-qg", "--poly"]]
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", root / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in (0, 2718):
+        for item in inputs.qg_cyclic_dihedral(seed) \
+                + inputs.qg_polyhedral(seed):
+            texts.append(item["text"])
+    return texts
+
+
+def test_multiplicities_equal_exact_yun_on_golden_and_bench_fibers():
+    checked = squarefree = 0
+    for text in _golden_and_bench_fibers():
+        try:
+            g = parse_poly(text)
+        except ValueError:  # the golden corpus's malformed input
+            continue
+        if g.is_zero():
+            continue
+        assert root_multiplicities(g) == _yun_multiplicities(g), text
+        e0, e1, p = exact._to_univariate(g)
+        checked += 1
+        squarefree += len(p) > 1 and exact._squarefree_mod_p(p)
+    assert checked >= 140 and squarefree >= 100

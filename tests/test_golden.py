@@ -99,16 +99,50 @@ def test_unexpected_errors_are_not_mapped_to_an_exit_code(monkeypatch):
         _run(["torus", "--d", "2"])
 
 
-def test_optimized_interpreter_matches_golden():
+def _cli_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_optimized_interpreter_matches_golden():
+    env = _cli_env()
     for name in OPTIMIZED:
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "realforms.cli"] + CASES[name],
             capture_output=True, env=env, timeout=120)
         assert (proc.stdout, proc.returncode) == _expected(name), name
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the command writes its roughly
+    # 0.28 MB report, so the first write meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "realforms.cli", "torus", "--d", "100"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(),
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_conductor_77_fiber_classifies_cold():
+    # Yun's remainder sequence over Q(zeta_77) ran for minutes on this
+    # squarefree fiber; a split prime proves it squarefree at once
+    a, b = "(zeta(7)+zeta(7)^6)", "(zeta(11)+zeta(11)^10)"
+    poly = ("u0^12 + 2*%s*u0^11*u1 - u0^10*u1^2 + u0^9*u1^3 - 2*u0^8*u1^4"
+            " + (1+3*%s)*u0^7*u1^5 + 3*u0^5*u1^7 - 2*u0^4*u1^8"
+            " + 2*u0^3*u1^9 - u0^2*u1^10 + 3*u0*u1^11 - u1^12" % (a, b))
+    proc = subprocess.run(
+        [sys.executable, "-m", "realforms.cli", "classify-qg", "--poly",
+         poly], capture_output=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 6
 
 
 def _record():
