@@ -727,7 +727,8 @@ class Poly:
                 else Poly._result(self, power)
         if k < 0:
             raise ValueError("only a monomial has an inverse")
-        if not self.terms \
+        # k <= 1 would recurse once per term below for a trivial answer
+        if k <= 1 or not self.terms \
                 or comb(k + len(self.terms) - 1, k) > _MULTINOMIAL_TERMS:
             result = self._one()
             base = self
@@ -1178,32 +1179,6 @@ class Mat2:
 
     def __repr__(self):
         return "Mat2[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
-
-
-def from_factors(factors) -> Poly2:
-    """Binary form with prescribed roots: a product of monic linear factors.
-
-    factors: iterable of ((p, q), multiplicity) with [p:q] pairwise
-    distinct points of the projective line.  The factor for [p:q] is
-    u0 - (p/q) u1, or u1 for the point at infinity, so root data is
-    recovered exactly by repeated division.
-    """
-    seen = []
-    out = Poly2(0, {(0, 0): ONE})
-    for (p, q), mult in factors:
-        p, q = as_cyclo(p), as_cyclo(q)
-        if p.is_zero() and q.is_zero():
-            raise ValueError("(0, 0) is not a point of the projective line")
-        for (p0, q0) in seen:
-            if (p * q0 - q * p0).is_zero():
-                raise ValueError("repeated root [%r : %r]" % (p, q))
-        seen.append((p, q))
-        if q.is_zero():
-            lin = Poly2(1, {(0, 1): ONE})
-        else:
-            lin = Poly2(1, {(1, 0): ONE, (0, 1): -(p / q)})
-        out = out * lin ** mult
-    return out
 
 
 # ----------------------------------------------------------------------

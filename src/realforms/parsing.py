@@ -16,7 +16,8 @@ numbered after the plain ones (``certificates`` checks the shapes).
 Huge input fails fast: the parser refuses, before evaluating it, a
 ``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
 would pass it, and a ``zeta(N)`` whose field, together with the other
-``zeta`` and ``i`` of the text, has conductor past `MAX_CONDUCTOR`.
+``zeta`` and ``i`` of the text, has conductor past `MAX_CONDUCTOR`,
+and parentheses nested deeper than `MAX_NESTING`.
 
 render_poly and render_scalar produce text that parse_poly maps back to
 the same object, and scalar_json gives the stable dictionary form
@@ -55,12 +56,23 @@ MAX_DEGREE = 200
 # 30 s at 100003.  At 256 the worst parse stays near the degree bound's.
 MAX_CONDUCTOR = 256
 
+# Deepest nesting of parentheses, checked while tokenizing.  The parser
+# recurses through four frames a level (atom, expr, term, factor), and
+# the innermost ``^`` may add about 315 more: the multinomial
+# `Poly.__pow__` recurses once per base term, and at most that many
+# terms fit under `exact._MULTINOMIAL_TERMS` for an exponent of 2.  At
+# 100 levels, about 400 frames, the worst text stays well inside
+# CPython's default recursion limit of 1000 under a test runner; no
+# stored or tested text nests deeper than 2.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|([A-Za-z][A-Za-z0-9_]*)|(\S)")
 _SYMBOLS = "+-*^():;[]"
 
 
 def _tokenize(text):
     tokens = []
+    depth = 0
     for match in _TOKEN.finditer(text):
         digits, fraction, name, other = match.groups()
         pos = match.start()
@@ -77,6 +89,13 @@ def _tokenize(text):
         elif name:
             tokens.append(("name", name, pos))
         elif other in _SYMBOLS:
+            if other == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError("parentheses nested deeper than %d"
+                                     % MAX_NESTING, pos)
+            elif other == ")":
+                depth -= 1
             tokens.append((other, None, pos))
         else:
             raise ParseError("unexpected character %r" % other, pos)
@@ -164,10 +183,10 @@ class _Parser:
         return degree
 
     def factor(self):
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.take()
-            value, degree = self.factor()
-            return -value, degree
+            negate = not negate
         value, degree = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -181,7 +200,7 @@ class _Parser:
                                  % (k, MAX_DEGREE), pos)
             degree = self.bound_degree(degree * k, pos)
             value = value ** k
-        return value, degree
+        return (-value if negate else value), degree
 
     def constant(self, value):
         return Poly({self.origin: value}), 0

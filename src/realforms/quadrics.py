@@ -15,11 +15,9 @@ dihedral, tetrahedral, octahedral, icosahedral).
 
 This module provides:
 
-* ``QgInstance`` — a validated bundle datum (the binary form, and
-  optionally its exact root divisor);
-* ``detect_symmetry`` — the stabilizer label of the root divisor in
-  its given coordinates, with an optional search over coordinate
-  changes generated by the known roots;
+* ``QgInstance`` — a validated bundle datum (the binary form);
+* ``detect_symmetry`` — the stabilizer label of the root divisor,
+  read off g in its given coordinates;
 * ``realizable`` — an exact witness (scalar, matrix) putting a
   non-real g into real coefficients, when one exists among cyclotomic
   coordinate changes fixing the point at infinity;
@@ -39,7 +37,6 @@ the class (b * conj(b)^-1 = a), rescaled into real coefficients by an
 exact square root.
 """
 
-from itertools import permutations
 from math import gcd
 
 from .exact import (
@@ -48,8 +45,6 @@ from .exact import (
     Poly,
     Poly2,
     VerificationError,
-    as_cyclo,
-    from_factors,
     root_multiplicities,
 )
 from .groups import (
@@ -179,17 +174,13 @@ class QgInstance:
     at least one root of odd multiplicity (no square multiples, so the
     total space stays irreducible with the intended singularities).
 
-    ``factored_roots`` is optional exact root data: a sequence of
-    ``((p, q), multiplicity)`` with [p : q] the distinct roots.  When
-    given it is checked against g by rebuilding the form up to a scalar.
-
     The root multiplicities found while validating are kept, and
     ``detect_symmetry`` keeps its label here, so each is computed once.
     """
 
-    __slots__ = ("g", "factored_roots", "_mults", "_label")
+    __slots__ = ("g", "_mults", "_label")
 
-    def __init__(self, g, factored_roots=None):
+    def __init__(self, g):
         if not isinstance(g, Poly2):
             raise TypeError("g must be a binary form")
         if g.is_zero():
@@ -200,19 +191,7 @@ class QgInstance:
         mults = root_multiplicities(g)
         if not any(m % 2 for m in mults):
             raise ValueError("g is a square (all root multiplicities even)")
-        if factored_roots is not None:
-            factored_roots = tuple(
-                ((as_cyclo(p), as_cyclo(q)), int(m))
-                for ((p, q), m) in factored_roots)
-            if any(m < 1 for _, m in factored_roots):
-                raise ValueError("root multiplicities must be positive")
-            if sum(m for _, m in factored_roots) != g.degree:
-                raise ValueError("root multiplicities must sum to deg g")
-            rebuilt = from_factors(factored_roots)
-            if g.proportionality(rebuilt) is None:
-                raise ValueError("factored roots do not rebuild g")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "factored_roots", factored_roots)
         object.__setattr__(self, "_mults", mults)
         object.__setattr__(self, "_label", None)
 
@@ -283,27 +262,7 @@ def _finite_symmetry(g, n):
     return maximal[0]
 
 
-def _three_point_map(p1, p2, p3):
-    """Matrix sending [0:1], [1:0], [1:1] to the three given points.
-
-    Columns are scalings s, t of p2 and p1 chosen so that their sum is
-    p3, by Cramer's rule; returns None if the points fail to be in
-    general position (they never do when pairwise distinct).  The
-    determinant is s * t * delta, so it vanishes only in those cases.
-    """
-    (a1, b1), (a2, b2), (a3, b3) = p1, p2, p3
-    delta = a2 * b1 - a1 * b2
-    if delta.is_zero():
-        return None
-    inv = delta.inverse()
-    s = (a3 * b1 - a1 * b3) * inv
-    t = (a2 * b3 - a3 * b2) * inv
-    if s.is_zero() or t.is_zero():
-        return None
-    return Mat2(a2 * s, a1 * t, b2 * s, b1 * t)
-
-
-def detect_symmetry(q, moebius_search=False):
+def detect_symmetry(q):
     """Symmetry label of the root divisor of g.
 
     With exactly two distinct roots the stabilizer is infinite: a torus,
@@ -316,12 +275,9 @@ def detect_symmetry(q, moebius_search=False):
     one generator that is not a monomial matrix.  No group is closed.
 
     The scan sees only groups in standard position — rotation axis at
-    [1:0], [0:1] and fixed reflections.  With ``moebius_search=True``
-    and exact root data available, coordinate changes sending root
-    triples to standard position are also tried, and the largest
-    stabilizer found anywhere is reported.  Changes that expose an
-    ambiguity are skipped.  The label in the given coordinates is kept
-    on the instance, so only the search is ever repeated.
+    [1:0], [0:1] and fixed reflections — so F is read off g in its
+    given coordinates.  The label is kept on the instance and computed
+    once.
     """
     q = _coerce_instance(q)
     if q._label is None:
@@ -332,20 +288,7 @@ def detect_symmetry(q, moebius_search=False):
         else:
             label = FLabel.finite(_finite_symmetry(q.g, q.n))
         object.__setattr__(q, "_label", label)
-    if not (moebius_search and q._label.is_finite and q.factored_roots):
-        return q._label
-    best = q._label.group
-    for triple in permutations([pt for pt, _ in q.factored_roots], 3):
-        m = _three_point_map(*triple)
-        if m is None:
-            continue
-        try:
-            found = _finite_symmetry(q.g.compose(m), q.n)
-        except AmbiguousSymmetryError:
-            continue
-        if found.order() > best.order():
-            best = found
-    return FLabel.finite(best)
+    return q._label
 
 
 # ----------------------------------------------------------------------

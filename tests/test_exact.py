@@ -11,7 +11,7 @@ import pytest
 
 from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
-                             from_factors, root_multiplicities)
+                             root_multiplicities)
 from realforms.parsing import parse_poly
 
 
@@ -286,6 +286,16 @@ def test_multinomial_power_matches_repeated_multiplication(t):
     assert wide ** 10 == _repeated_product(wide, 10)
 
 
+def test_power_zero_and_one_of_a_wide_base():
+    # exponents 0 and 1 must not reach the multinomial sum, which
+    # recurses once per base term
+    wide = Poly({(a, -b, a - b): Fraction(a + 1, b + 2)
+                 for a in range(40) for b in range(25)})
+    assert len(wide.terms) == 1000
+    assert wide ** 0 == Poly({(0, 0, 0): 1})
+    assert wide ** 1 == wide
+
+
 def test_real_coefficients():
     assert p({(2, 0): 1, (0, 2): Fraction(-5, 3)}).real_coefficients()
     assert not p({(2, 0): Cyclo.i()}).real_coefficients()
@@ -294,12 +304,9 @@ def test_real_coefficients():
     assert p({(2, 0): v}).real_coefficients()
 
 
-def test_from_factors_and_multiplicities():
-    one = Cyclo.rational(1)
-    factors = (((one, Cyclo.rational(0)), 2),      # u1^2
-               ((one, -one), 1),                   # (u0 - ... ) root [1:-1]
-               ((Cyclo.rational(0), one), 3))      # u0^3
-    g = from_factors(factors)
+def test_multiplicities_of_a_product_of_linear_factors():
+    # u1^2 * (u0 + u1) * u0^3, roots [1:0], [1:-1] and [0:1]
+    g = p({(0, 1): 1}) ** 2 * p({(1, 0): 1, (0, 1): 1}) * p({(1, 0): 1}) ** 3
     assert g.degree == 6
     assert root_multiplicities(g) == [3, 2, 1]
 

@@ -3,14 +3,15 @@
 ``golden/cases.json`` maps a case name to its command-line arguments;
 ``golden/<name>.out`` holds the expected standard output and
 ``golden/exit_codes.json`` the expected exit codes.  Re-record them only
-from code whose output is trusted:
+from code whose output is trusted, all cases or only the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 """
 
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -145,9 +146,50 @@ def test_conductor_77_fiber_classifies_cold():
     assert json.loads(proc.stdout)["n"] == 6
 
 
-def _record():
+def test_record_writes_only_the_named_cases(tmp_path):
+    # on a copy of the corpus: one case spoiled and re-recorded, one
+    # spoiled and left alone, then an unknown name that writes nothing
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    script = tmp_path / "record.py"
+    shutil.copy(__file__, script)
+    copy = tmp_path / "golden"
+    for name in ("classify-D4", "error-parse"):
+        (copy / ("%s.out" % name)).write_bytes(b"stale\n")
+    codes = json.loads((copy / "exit_codes.json").read_text())
+    codes["classify-D4"] = 7
+    (copy / "exit_codes.json").write_text(json.dumps(codes))
+
+    def snapshot():
+        return {f.name: f.read_bytes() for f in copy.iterdir()}
+
+    def record(*names):
+        return subprocess.run(
+            [sys.executable, str(script), "--record", *names],
+            capture_output=True, env=_cli_env(), timeout=120)
+
+    assert record("classify-D4").returncode == 0
+    after = snapshot()
+    assert after["classify-D4.out"] == _expected("classify-D4")[0]
+    assert after["error-parse.out"] == b"stale\n"
+    codes["classify-D4"] = 0
+    assert json.loads(after["exit_codes.json"]) == codes
+    assert {name: data for name, data in after.items()
+            if name not in ("error-parse.out", "exit_codes.json")} == \
+        {f.name: f.read_bytes() for f in GOLDEN.iterdir()
+         if f.name not in ("error-parse.out", "exit_codes.json")}
+    proc = record("classify-D4", "no-such-case")
+    assert proc.returncode != 0
+    assert b"unknown case no-such-case" in proc.stderr
+    assert snapshot() == after
+
+
+def _record(names):
+    """Write the output and exit code of the named cases, or of all."""
     codes = {}
-    for name in sorted(CASES):
+    if names:
+        codes = json.loads(
+            (GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    for name in names or sorted(CASES):
         stdout, code = _run(CASES[name])
         (GOLDEN / ("%s.out" % name)).write_bytes(stdout)
         codes[name] = code
@@ -156,6 +198,10 @@ def _record():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    _record()
+    usage = "usage: python tests/test_golden.py --record [NAME ...]"
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit(usage)
+    unknown = [name for name in sys.argv[2:] if name not in CASES]
+    if unknown:
+        sys.exit("unknown case %s\n%s" % (", ".join(unknown), usage))
+    _record(sys.argv[2:])

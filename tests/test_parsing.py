@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from realforms.exact import Cyclo, Mat2, Poly, Poly2
-from realforms.parsing import (MAX_CONDUCTOR, MAX_DEGREE, ParseError,
-                               matrix_json, parse_formula, parse_poly,
-                               render_poly, render_scalar, scalar_json)
+from realforms.parsing import (MAX_CONDUCTOR, MAX_DEGREE, MAX_NESTING,
+                               ParseError, matrix_json, parse_formula,
+                               parse_poly, render_poly, render_scalar,
+                               scalar_json)
 
 
 def test_basic_polynomials():
@@ -107,11 +108,27 @@ def test_conductor_bound():
 def test_huge_input_fails_before_it_is_evaluated():
     for bad in ("zeta(100003)*u0^4+u1^4", "3^10000000*u0^2+u1^2",
                 "u0^20000+u1^20000", "u0^520+u1^520",
-                "(u0+u1)^3000+u0^3000", "u0^150*u1^150"):
+                "(u0+u1)^3000+u0^3000", "u0^150*u1^150",
+                "(" * 250 + "u0^4+u1^4" + ")" * 250):
         start = time.perf_counter()
         with pytest.raises(ParseError):
             parse_poly(bad)
         assert time.perf_counter() - start < 0.1, bad
+
+
+def test_nesting_bound():
+    deepest = "(" * MAX_NESTING + "u0^4+u1^4" + ")" * MAX_NESTING
+    assert parse_poly(deepest) == parse_poly("u0^4+u1^4")
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_poly("(" + deepest + ")")
+
+
+def test_long_chains_of_unary_minus():
+    short = parse_poly("u0^4+u1^4")
+    assert parse_poly("-" * 2000 + "u0^4+u1^4") == short
+    assert parse_poly("-" * 2001 + "u0^4+u1^4") == parse_poly("-u0^4+u1^4")
+    assert parse_poly("u0^4-" + "-" * 2000 + "u1^4") == \
+        parse_poly("u0^4-u1^4")
 
 
 def test_rejects_inhomogeneous_and_zero():
