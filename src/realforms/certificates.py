@@ -105,13 +105,6 @@ class Ambient:
     def rank(self):
         return len(self.weights[0]) if self.weights else 0
 
-    def index(self, name):
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise ValueError("unknown coordinate %r on %s"
-                             % (name, self.name)) from None
-
     def weight_matrix(self):
         """Torus-rank x coordinate-count integer matrix of weights."""
         return [[self.weights[c][k] for c in range(len(self.coords))]

@@ -144,7 +144,10 @@ def classify_qg_command(poly_text, fmt):
 # lattice
 
 
-# family kind -> the parameters of its FamilyId constructor, in order
+# family kind -> the names of its parameters, in order; a copy of the
+# names in ``lattices._KINDS``, so that a lookup such as ``forms --family
+# Q3`` need not execute ``lattices`` (tests/test_package.py checks that
+# the two agree)
 _FAMILY_PARAMS = {"Fabc": "abc", "Pb": "b", "Uabc": "abc", "Sb": "b",
                   "Vb": "b", "Wb": "b", "Rmn": "mn", "Qg": "n"}
 
@@ -158,8 +161,7 @@ def _family_id(kind, params):
     if missing:
         raise ValueError("family %s needs --%s"
                          % (kind, ", --".join(missing)))
-    return getattr(lattices.FamilyId, kind.lower())(
-        *(params[key] for key in keys))
+    return lattices.FamilyId(kind, [params[key] for key in keys])
 
 
 def _lattice_text(data):

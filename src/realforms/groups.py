@@ -148,10 +148,10 @@ class FiniteGroup:
         return "FiniteGroup(order %d)" % self.order
 
 
-def close(gens, bound: int = CLOSURE_BOUND) -> FiniteGroup:
+def close(gens) -> FiniteGroup:
     """Smallest multiplicatively closed set containing gens and identity.
 
-    Aborts if the closure exceeds `bound` — the usual symptom of a
+    Aborts if the closure exceeds `CLOSURE_BOUND` — the usual symptom of a
     generating set that was mis-entered or generates an infinite group.
     Generators are stored as entered (their scaling matters to character
     computations); the element set holds normalized representatives.
@@ -172,9 +172,9 @@ def close(gens, bound: int = CLOSURE_BOUND) -> FiniteGroup:
                 if y not in elements:
                     elements.add(y)
                     nxt.append(y)
-                    if len(elements) > bound:
-                        raise RuntimeError(
-                            "group closure exceeded %d elements" % bound)
+                    if len(elements) > CLOSURE_BOUND:
+                        raise RuntimeError("group closure exceeded %d "
+                                           "elements" % CLOSURE_BOUND)
         frontier = nxt
     return FiniteGroup(elements, gens)
 

@@ -1,5 +1,10 @@
 """Intersection lattices of the ambient threefold families.
 
+The family kinds are one table, ``_KINDS``: the names of a kind's
+parameters, the format of its labels and the lower bound of its
+parameters.
+`FamilyId` reads it to validate and normalize a member.
+
 Each family member carries a basis of the divisor and of the curve
 class group, the pairing between them, the canonical class, and the
 extremal rays of the cone of curves with their K-degrees.  The toric
@@ -39,10 +44,19 @@ __all__ = [
     "aut_component_count",
 ]
 
-# the family kinds, with the format of a member's label
-_LABELS = {"Fabc": "F_%d^{%d,%d}", "Pb": "P_%d", "Uabc": "U_%d^{%d,%d}",
-           "Sb": "S_%d", "Vb": "V_%d", "Wb": "W_%d", "Rmn": "R_(%d,%d)",
-           "Qg": "Q_g[deg 2n, n=%d]"}
+# kind -> (parameter names, label format, least value of every parameter
+# or None); ``cli._FAMILY_PARAMS`` copies the names, and
+# tests/test_package.py checks the copy
+_KINDS = {
+    "Fabc": ("abc", "F_%d^{%d,%d}", None),
+    "Pb": ("b", "P_%d", None),
+    "Uabc": ("abc", "U_%d^{%d,%d}", None),
+    "Sb": ("b", "S_%d", 1),
+    "Vb": ("b", "V_%d", 2),  # V_1 is the flag variety, listed under Sb
+    "Wb": ("b", "W_%d", 2),
+    "Rmn": ("mn", "R_(%d,%d)", 0),
+    "Qg": ("n", "Q_g[deg 2n, n=%d]", 1),
+}
 
 
 # ----------------------------------------------------------------------
@@ -57,100 +71,43 @@ class FamilyId:
     ``Fabc(|a|, b, c)`` and with ``Fabc(a, -b, -c)`` (exchange of the
     two fiber coordinates), so that ``a >= 0`` and ``b >= 0`` (and
     ``c >= 0`` when ``b == 0``); ``Pb(b)`` with ``Pb(|b|)``; and
-    ``Rmn(m, n)`` with ``Rmn(n, m)``.
+    ``Rmn(m, n)`` with ``Rmn(n, m)``.  ``Uabc(a, b, c)`` exists for
+    ``a, b >= 1`` and ``c = a*k + 2`` with ``0 <= k <= b``.
     """
 
     __slots__ = ("kind", "params")
 
     def __init__(self, kind, params):
-        if kind not in _LABELS:
+        if kind not in _KINDS:
             raise ValueError("unknown family kind: %r" % (kind,))
+        names, _, least = _KINDS[kind]
         params = tuple(as_int(p, "family parameters") for p in params)
-        normalize = getattr(self, "_norm_" + kind)
+        if len(params) != len(names):
+            raise ValueError("%s takes parameters (%s)"
+                             % (kind, ", ".join(names)))
+        if least is not None and min(params) < least:
+            raise ValueError("%s requires %s >= %d"
+                             % (kind, ", ".join(names), least))
+        if kind == "Fabc":
+            a, b, c = params
+            if b < 0 or (b == 0 and c < 0):
+                b, c = -b, -c
+            params = (abs(a), b, c)
+        elif kind == "Pb":
+            params = (abs(params[0]),)
+        elif kind == "Rmn":
+            params = tuple(sorted(params, reverse=True))
+        elif kind == "Uabc":
+            a, b, c = params
+            if a < 1 or b < 1 or (c - 2) % a or not 0 <= (c - 2) // a <= b:
+                raise ValueError(
+                    "Uabc requires a, b >= 1 and c = a*k + 2 with "
+                    "0 <= k <= b; got (a, b, c) = (%d, %d, %d)" % params)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", normalize(params))
+        object.__setattr__(self, "params", params)
 
     def __setattr__(self, *a):
         raise AttributeError("FamilyId is immutable")
-
-    # -- per-family validation ---------------------------------------
-
-    @staticmethod
-    def _norm_Fabc(params):
-        if len(params) != 3:
-            raise ValueError("Fabc takes parameters (a, b, c)")
-        a, b, c = params
-        a = abs(a)
-        if b < 0 or (b == 0 and c < 0):
-            b, c = -b, -c
-        return (a, b, c)
-
-    @staticmethod
-    def _norm_Pb(params):
-        if len(params) != 1:
-            raise ValueError("Pb takes one parameter b")
-        return (abs(params[0]),)
-
-    @staticmethod
-    def _norm_Uabc(params):
-        if len(params) != 3:
-            raise ValueError("Uabc takes parameters (a, b, c)")
-        a, b, c = params
-        if a < 1 or b < 1:
-            raise ValueError("Uabc requires a >= 1 and b >= 1")
-        if c < 2:
-            raise ValueError("Uabc requires c >= 2")
-        k, rem = divmod(c - 2, a)
-        if rem != 0 or not 0 <= k <= b:
-            raise ValueError(
-                "Uabc requires c = a*k + 2 with 0 <= k <= b; "
-                "got (a, b, c) = (%d, %d, %d)" % (a, b, c))
-        return (a, b, c)
-
-    @staticmethod
-    def _norm_Sb(params):
-        if len(params) != 1:
-            raise ValueError("Sb takes one parameter b")
-        if params[0] < 1:
-            raise ValueError("Sb requires b >= 1")
-        return params
-
-    @staticmethod
-    def _norm_Vb(params):
-        if len(params) != 1:
-            raise ValueError("Vb takes one parameter b")
-        if params[0] < 2:
-            raise ValueError("Vb requires b >= 2 (V_1 is the flag "
-                             "variety, listed under Sb)")
-        return params
-
-    @staticmethod
-    def _norm_Wb(params):
-        if len(params) != 1:
-            raise ValueError("Wb takes one parameter b")
-        if params[0] < 2:
-            raise ValueError("Wb requires b >= 2")
-        return params
-
-    @staticmethod
-    def _norm_Rmn(params):
-        if len(params) != 2:
-            raise ValueError("Rmn takes parameters (m, n)")
-        m, n = params
-        if m < 0 or n < 0:
-            raise ValueError("Rmn requires m, n >= 0")
-        if m < n:
-            m, n = n, m
-        return (m, n)
-
-    @staticmethod
-    def _norm_Qg(params):
-        if len(params) != 1:
-            raise ValueError("Qg takes one parameter n (half the fiber "
-                             "polynomial degree)")
-        if params[0] < 1:
-            raise ValueError("Qg requires n >= 1")
-        return params
 
     # -- constructors --------------------------------------------------
 
@@ -190,7 +147,7 @@ class FamilyId:
 
     @property
     def label(self):
-        return _LABELS[self.kind] % self.params
+        return _KINDS[self.kind][1] % self.params
 
     def __eq__(self, other):
         return (isinstance(other, FamilyId)
@@ -312,7 +269,7 @@ def cox_data(kind, params):
     taken as given.  This is the only copy of the data: `model` and the
     ambients of ``certificates`` are built on it.
     """
-    label = _LABELS[kind] % tuple(params)
+    label = _KINDS[kind][1] % tuple(params)
     if kind == "Fabc":
         a, b, c = params
         return (label, ("x0", "x1", "y0", "y1", "z0", "z1"),

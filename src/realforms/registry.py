@@ -611,16 +611,16 @@ def validate_descriptor(descriptor):
     return {"name": descriptor.name, "checks": checks}
 
 
-# the family members the sweep visits: FamilyId constructor, parameters
+# the family members the sweep visits: family kind, parameters
 _VALIDATION_SWEEP = (
-    ("fabc", (0, 0, 0), (0, 2, 1), (0, 3, 3), (0, 2, -2), (0, 4, -4),
+    ("Fabc", (0, 0, 0), (0, 2, 1), (0, 3, 3), (0, 2, -2), (0, 4, -4),
      (0, 5, 5), (2, 1, 1), (2, 2, 2), (2, 3, 4), (3, 2, 2), (4, 2, -2)),
-    ("pb", (0,), (1,), (3,)),
-    ("uabc", (1, 3, 2), (2, 2, 4)),
-    ("sb", *((b,) for b in range(1, 8))),
-    ("vb", (3,)),
-    ("wb", (2,), (5,)),
-    ("rmn", (0, 0), (2, 2), (2, 1), (3, 1), (4, 2)),
+    ("Pb", (0,), (1,), (3,)),
+    ("Uabc", (1, 3, 2), (2, 2, 4)),
+    ("Sb", *((b,) for b in range(1, 8))),
+    ("Vb", (3,)),
+    ("Wb", (2,), (5,)),
+    ("Rmn", (0, 0), (2, 2), (2, 1), (3, 1), (4, 2)),
 )
 
 _NAMED_SWEEP = ("P^3", "Q3", "P(1,1,1,2)", "P(1,1,2,3)",
@@ -632,7 +632,7 @@ def validate_all():
     report = []
     for kind, *members in _VALIDATION_SWEEP:
         for params in members:
-            family = getattr(lattices.FamilyId, kind)(*params)
+            family = lattices.FamilyId(kind, params)
             for descriptor in forms_of(family):
                 report.append(validate_descriptor(descriptor))
     for name in _NAMED_SWEEP:

@@ -84,6 +84,11 @@ def test_names_take_only_ascii_digits(args, capsys):
     assert _run(["links", "--form", "G_01"])[1] == 0
 
 
+def test_missing_family_option_is_named(capsys):
+    assert _run(CASES["error-family-missing-option"]) == (b"", 2)
+    assert "family Fabc needs --b, --c" in capsys.readouterr().err
+
+
 def test_failed_identity_exits_3_with_nothing_on_stdout(monkeypatch, capsys):
     monkeypatch.setattr(schwarzenberger, "sym_identity_holds",
                         lambda k: False)

@@ -52,7 +52,7 @@ def test_spec_parsing_refuses_orders_past_the_closure_bound():
 def test_closure_rejects_infinite_input():
     # a non-torsion diagonal matrix never closes
     with pytest.raises(RuntimeError):
-        close([Mat2.diag(2, 1)], bound=200)
+        close([Mat2.diag(2, 1)])
 
 
 def test_closure_rejects_singular_generator():

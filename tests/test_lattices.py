@@ -1,7 +1,7 @@
 """Intersection lattices, extremal rays, and the classification list."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +52,46 @@ def test_family_id_refuses_parameters_that_are_not_integers():
 def test_family_id_equality():
     assert FamilyId.fabc(2, -3, 1) == FamilyId.fabc(-2, 3, -1)
     assert FamilyId.fabc(2, 3, 1) != FamilyId.fabc(2, 3, 2)
+
+
+def _member_by_the_rules(kind, params):
+    """(params, label) of a member as the rules normalize it, or None."""
+    if kind == "Fabc" and len(params) == 3:
+        a, b, c = params
+        if b < 0 or (b == 0 and c < 0):
+            b, c = -b, -c
+        return (abs(a), b, c), "F_%d^{%d,%d}" % (abs(a), b, c)
+    if kind == "Pb" and len(params) == 1:
+        return (abs(params[0]),), "P_%d" % abs(params[0])
+    if kind == "Uabc" and len(params) == 3:
+        a, b, c = params
+        if a >= 1 and b >= 1 and any(c == a * k + 2 for k in range(b + 1)):
+            return params, "U_%d^{%d,%d}" % params
+        return None
+    if kind == "Rmn" and len(params) == 2:
+        m, n = max(params), min(params)
+        return ((m, n), "R_(%d,%d)" % (m, n)) if n >= 0 else None
+    least = {"Sb": 1, "Vb": 2, "Wb": 2, "Qg": 1}
+    labels = {"Sb": "S_%d", "Vb": "V_%d", "Wb": "W_%d",
+              "Qg": "Q_g[deg 2n, n=%d]"}
+    if kind in least and len(params) == 1 and params[0] >= least[kind]:
+        return params, labels[kind] % params
+    return None
+
+
+def test_family_id_matches_its_rules_on_a_grid():
+    # every kind and an unknown one, 0 to 4 parameters, each in -3..4
+    for kind in ("Fabc", "Pb", "Uabc", "Sb", "Vb", "Wb", "Rmn", "Qg", "Xb"):
+        for arity in range(5):
+            for params in product(range(-3, 5), repeat=arity):
+                expected = _member_by_the_rules(kind, params)
+                try:
+                    family = FamilyId(kind, params)
+                except ValueError:
+                    assert expected is None, (kind, params)
+                    continue
+                assert (family.params, family.label) == expected, \
+                    (kind, params)
 
 
 # ----------------------------------------------------------------------

@@ -142,6 +142,15 @@ def test_each_command_executes_only_the_modules_it_uses():
             assert args[0] == "verify", (args, ran)
 
 
+def test_cli_family_options_are_the_family_kinds():
+    # the CLI keeps its own copy of the parameter names, because reading
+    # them from ``lattices`` would execute it on lookups such as
+    # ``forms --family Q3`` (see RUNS)
+    from realforms import cli, lattices
+    assert cli._FAMILY_PARAMS == {kind: names for kind, (names, _, _)
+                                  in lattices._KINDS.items()}
+
+
 def test_launcher_prints_what_the_cli_prints(tmp_path):
     plain = _python("-m", "realforms.cli", "torus", "--d", "2")
     traced = _python(str(ROOT / "bench" / "launcher.py"),

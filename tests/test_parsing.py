@@ -52,6 +52,19 @@ def test_rejects_garbage():
             parse_poly(bad)
 
 
+def test_leading_plus_is_accepted():
+    assert parse_poly("+u0^4+u1^4") == parse_poly("u0^4+u1^4")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u0^1/2+u1^4", "exponent must be a nonnegative integer"),
+    ("1/u0", "expected digits after '/'"),
+])
+def test_malformed_numbers_are_named(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_poly(text)
+
+
 def test_poly_rejects_the_formula_constructs():
     for bad in ("conj(u0)^4+u1^4", "[u0^4+u1^4]", "u0^4:u1^4", "u0^4;u1^4"):
         with pytest.raises(ParseError):
@@ -139,8 +152,10 @@ def test_rejects_inhomogeneous_and_zero():
 
 
 def test_round_trip_simple():
+    # the constant renders in parentheses, as its scalar has two parts
     for text in ("u0^2 + u1^2", "u0^8 + 14*u0^4*u1^4 + u1^8",
-                 "u0^5*u1 - u0*u1^5", "-u0^3*u1 + i*u0*u1^3"):
+                 "u0^5*u1 - u0*u1^5", "-u0^3*u1 + i*u0*u1^3",
+                 "1 + 2*zeta(12)"):
         g = parse_poly(text)
         assert parse_poly(render_poly(g)) == g
 

@@ -773,6 +773,18 @@ def test_realizable_trivial_cases():
     assert (parse_poly("i*u0^3*u1").compose(phi) * lam).real_coefficients()
 
 
+@pytest.mark.parametrize("text, real", [
+    ("u0^4 + i*u0^3*u1 + u1^4",
+     "u0^4 - 3/8*u0^2*u1^2 + 1/8*u0*u1^3 + 253/256*u1^4"),
+    # the shear alone leaves one term when the form is a fourth power
+    ("(u0 + i*u1)^4", "u0^4"),
+])
+def test_realizable_shears_away_the_subleading_term(text, real):
+    g = parse_poly(text)
+    lam, phi = realizable(g)
+    assert g.compose(phi) * lam == parse_poly(real)
+
+
 def test_realizable_undecidable():
     with pytest.raises(UndecidableError, match="cyclotomic"):
         realizable(parse_poly("(1 + 2*i)*u0^4 + u1^4"))
