@@ -21,9 +21,12 @@ their coordinate maps (a map is a tuple of ``Poly`` values, one per
 target coordinate, composed by ``substitute``), the Laurent polynomials
 of the Schwarzenberger gluing, and the loose values of the parser.
 ``Poly2`` is its homogeneous two-variable subclass, the binary forms.
-``Poly2.compose`` is Horner on integer vectors at one conductor, with
-one canonicalization per output coefficient; gcd / squarefree machinery
-works on dehomogenized coefficient lists.
+``Poly2.compose`` is Horner with one big integer per coefficient: z =
+zeta_N goes to 2^s, so one integer product, folded modulo 2^(sh) +- 1,
+multiplies two cyclotomic integers, and each output coefficient is
+unpacked, reduced mod Phi_N and canonicalized once.  A power of +-z^j is
+one exponent map.  gcd / squarefree machinery works on dehomogenized
+coefficient lists.
 
 The last section, arithmetic modulo a split prime, is the package's only
 modular arithmetic: it reduces cyclotomic values modulo a prime
@@ -440,11 +443,16 @@ class Cyclo:
             else NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        if self.n == 1:
+        if self.n == 1 and k >= 0:
             # coprime numerator and denominator stay coprime
             return _raw(1, (self.num[0] ** k,), self.den ** k)
+        if self.den == 1 and sum(map(abs, self.num)) == 1:
+            # +-z^j to the k is one exponent map, for every k
+            j = next(j for j, c in enumerate(self.num) if c)
+            return _make(self.n, _exponent_map(
+                self.n, [(j * k, self.num[j] ** (k & 1))]), 1)
+        if k < 0:
+            return self.inverse() ** (-k)
         result = Cyclo.rational(1)
         base = self
         while k:
@@ -856,29 +864,6 @@ class Poly:
         return "%s<%s>" % (type(self).__name__, " + ".join(bits) or "0")
 
 
-def _addmul(acc, x, y):
-    """acc[i + j] += x[i] * y[j] for integer lists; x is the sparser."""
-    for j, c in enumerate(x):
-        if c:
-            for i, v in enumerate(y, j):
-                acc[i] += c * v
-
-
-def _times_linear(form, p, q):
-    """The binary form ``form`` times p u0 + q u1, unreduced: form[a] is
-    the integer list of u0^a, and so is each product coefficient
-    p form[a-1] + q form[a]."""
-    out = []
-    for a in range(len(form) + 1):
-        acc = [0] * (2 * len(p) - 1)
-        if a:
-            _addmul(acc, p, form[a - 1])
-        if a < len(form):
-            _addmul(acc, q, form[a])
-        out.append(acc)
-    return out
-
-
 class Poly2(Poly):
     """A homogeneous binary form: a Poly in u0, u1 of fixed ``degree``.
 
@@ -927,14 +912,27 @@ class Poly2(Poly):
         """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1).
 
         A diagonal or antidiagonal m sends each term to one term.  Any
-        other m runs homogeneous Horner on integer vectors: the entries
-        of m and the coefficients of g are lifted to one conductor N and
-        put over common denominators, so m = M / D_m and g = G / D_g.
-        With L0 = M00 u0 + M01 u1 and L1 = M10 u0 + M11 u1, H_d = G_d
-        and H_j = H_(j+1) L0 + G_j L1^(d-j), the powers of L1 built
-        alongside; every ring product is reduced mod Phi_N, and each
-        coefficient of H_0 / (D_g D_m^d) becomes a Cyclo once, at its
-        minimal conductor.
+        other m runs homogeneous Horner with one integer per coefficient:
+        over common denominators m = M / D_m and g = G / D_g, and
+        H_d = G_d, H_j = H_(j+1) L0 + G_j L1^(d-j) with L0 = M00 u0 +
+        M01 u1 and L1 = M10 u0 + M11 u1, the powers of L1 built alongside.
+
+        Ring map: a value of conductor k | N, N the lcm of all, is
+        sum(v_j z^(jN/k)), z = zeta_N.  Phi_N divides z^h + 1, h = N/2,
+        for even N and z^h - 1, h = N, for odd N, so Z[z]/(z^h +- 1) maps
+        onto Z[zeta_N], and z -> 2^s maps it into the integers modulo
+        Q = 2^(sh) +- 1.  There a product x is reduced by one fold,
+        x = (x & (2^(sh) - 1)) +- (x >> sh) mod Q, and never by ``%``.
+
+        Bound: with |x| the sum of the |v_j|, which is submultiplicative
+        in Z[z]/(z^h +- 1), each coefficient of H_0 there is at most
+        B = sum_j |G_j| max(|M00| + |M01|, |M10| + |M11|)^d in absolute
+        value, and s = bit_length(B) + 2.
+
+        Decoding: with 2^(s-1) added to each of its h slots, an output
+        coefficient taken mod Q has the wrapped coefficients plus 2^(s-1)
+        as its base-2^s digits.  They are reduced mod Phi_N, and
+        H_0 / (D_g D_m^d) becomes a Cyclo once per coefficient.
         """
         (m00, m01), (m10, m11) = [[as_cyclo(x) for x in row] for row in m]
         d = self.degree
@@ -947,31 +945,50 @@ class Poly2(Poly):
                 if c:
                     terms[(b, a) if swap else (a, b)] = c
             return self._result(terms)
-        coeffs = self.terms
+        coeffs = [self.terms.get((j, d - j), ZERO) for j in range(d + 1)]
         entries = (m00, m01, m10, m11)
-        n = lcm(*(x.n for x in entries), *(c.n for c in coeffs.values()))
+        n = lcm(*(x.n for x in entries), *(c.n for c in coeffs))
         d_m = lcm(*(x.den for x in entries))
-        d_g = lcm(*(c.den for c in coeffs.values()))
+        d_g = lcm(*(c.den for c in coeffs))
 
-        def lift(x, den):
-            return [v * (den // x.den) for v in x._embed(n)]
+        def norm(x, den):
+            return sum(map(abs, x.num)) * (den // x.den)
 
-        a00, a01, a10, a11 = [lift(x, d_m) for x in entries]
-        g = [lift(coeffs[(j, d - j)], d_g) if (j, d - j) in coeffs else None
-             for j in range(d + 1)]
-        phi = euler_phi(n)
-        power = [[1] + [0] * (phi - 1)]
-        horner = [g[d] or [0] * phi]
+        bound = sum(norm(c, d_g) for c in coeffs) * max(
+            norm(m00, d_m) + norm(m01, d_m),
+            norm(m10, d_m) + norm(m11, d_m)) ** d
+        s = bound.bit_length() + 2
+        h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        width = s * h
+        mask = (1 << width) - 1
+
+        def pack(x, den):
+            out, step = 0, s * (n // x.n)
+            for c in reversed(x.num):
+                out = (out << step) + c
+            out *= den // x.den
+            return (out & mask) + sign * (out >> width)
+
+        a00, a01, a10, a11 = [pack(x, d_m) for x in entries]
+        g = [pack(c, d_g) for c in coeffs]
+        power, horner = [1], [g[d]]
         for j in range(d - 1, -1, -1):
-            power = [_reduce(n, v) for v in _times_linear(power, a10, a11)]
-            horner = _times_linear(horner, a00, a01)
-            if g[j]:
-                for acc, v in zip(horner, power):
-                    _addmul(acc, g[j], v)
-            horner = [_reduce(n, acc) for acc in horner]
+            power = [((x := a10 * p + a11 * q) & mask) + sign * (x >> width)
+                     for p, q in zip([0] + power, power + [0])]
+            horner = [((x := a00 * p + a01 * q + g[j] * r) & mask)
+                      + sign * (x >> width)
+                      for p, q, r in zip([0] + horner, horner + [0], power)]
+        modulus = mask + 1 - sign  # 2^(sh) - 1 for odd N, 2^(sh) + 1 for even
+        slot, half = (1 << s) - 1, 1 << (s - 1)
+        offset = mask // slot * half  # half in each of the h slots
         den = d_g * d_m ** d
-        return self._result({(a, d - a): _make(n, vec, den)
-                             for a, vec in enumerate(horner) if any(vec)})
+        terms = {}
+        for a, x in enumerate(horner):
+            x = (x + offset) % modulus
+            vec = _reduce(n, [((x >> s * k) & slot) - half for k in range(h)])
+            if any(vec):
+                terms[(a, d - a)] = _make(n, vec, den)
+        return self._result(terms)
 
     def real_coefficients(self) -> bool:
         return all(c == c.conjugate() for c in self.terms.values())

@@ -90,6 +90,7 @@ class GroupSpec:
         return "GroupSpec(%r)" % self.name
 
 
+@cache
 def rotation_gen(l: int) -> Mat2:
     """diag(zeta_2l, zeta_2l^-1): order l in PGL2."""
     return Mat2.diag(Cyclo.zeta(2 * l), Cyclo.zeta(2 * l) ** -1)

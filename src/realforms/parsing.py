@@ -17,7 +17,11 @@ Huge input fails fast: the parser refuses, before evaluating it, a
 ``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
 would pass it, and a ``zeta(N)`` whose field, together with the other
 ``zeta`` and ``i`` of the text, has conductor past `MAX_CONDUCTOR`,
-and parentheses nested deeper than `MAX_NESTING`.
+and parentheses nested deeper than `MAX_NESTING`.  `parse_poly` also
+refuses a form that no report could print: one with a coefficient whose
+numerator or denominator (of a ``Cyclo.coeffs`` Fraction) has more
+digits than ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+A bit-length screen passes ordinary forms without building a Fraction.
 
 render_poly and render_scalar produce text that parse_poly maps back to
 the same object, and scalar_json gives the stable dictionary form
@@ -25,6 +29,7 @@ the same object, and scalar_json gives the stable dictionary form
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -257,6 +262,14 @@ def parse_poly(text):
     if len(degrees) > 1:
         raise ValueError("non-homogeneous polynomial: degrees {%s}"
                          % ", ".join(map(str, degrees)))
+    # at most 3 * limit bits means at most limit digits, as 8 < 10
+    limit = sys.get_int_max_str_digits()
+    for c in value.terms.values():
+        if limit and max(c.den, *map(abs, c.num)).bit_length() > 3 * limit \
+                and any(max(abs(q.numerator), q.denominator) >= 10 ** limit
+                        for q in c.coeffs):
+            raise ValueError("a coefficient has more than %d digits, the "
+                             "limit for printing an integer" % limit)
     return Poly2(degrees[0], value.terms)
 
 

@@ -224,18 +224,104 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     f = Poly2(30, {(a, 30 - a): _scalar(rng, 60) for a in range(31)})
     m = Mat2(Cyclo.zeta(60), Fraction(1, 3), Cyclo.zeta(60, 7) + 2, -1)
     expected = _substitute_compose(f, m)
-    built = []
-    make = exact._make
+    built, reduced = [], []
+    make, reduce = exact._make, exact._reduce
 
     def counting_make(*args):
         built.append(args[0])
         return make(*args)
 
+    def counting_reduce(*args):
+        reduced.append(args[0])
+        return reduce(*args)
+
     monkeypatch.setattr(exact, "_make", counting_make)
+    monkeypatch.setattr(exact, "_reduce", counting_reduce)
     got = f.compose(m)
     monkeypatch.setattr(exact, "_make", make)
+    monkeypatch.setattr(exact, "_reduce", reduce)
     assert got == expected
     assert len(built) <= 31
+    assert len(reduced) <= 2 * 31 + 4
+
+
+def _positive(rng, n, sign=1):
+    """A value of conductor n whose power-basis numerators all have the
+    sign ``sign``, over a small denominator."""
+    while True:
+        value = Cyclo(n, [Fraction(sign * rng.randint(1, 9),
+                                   rng.choice([1, 2]))
+                          for _ in range(exact.euler_phi(n))])
+        if value.n == n and all(sign * c > 0 for c in value.num):
+            return value
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 12, 15, 60])
+def test_compose_at_the_slot_width_bound(n):
+    # with every numerator of one sign nothing cancels before the wrap
+    # mod z^h +- 1, so the packed coefficients come near the bound B
+    # that sets the slot width
+    rng = random.Random(n)
+    for sign in (1, -1):
+        for d in (1, 5, 9):
+            g = Poly2(d, {(a, d - a): _positive(rng, n, sign)
+                          for a in range(d + 1)})
+            m = Mat2(*(_positive(rng, n) for _ in range(4)))
+            assert g.compose(m) == _substitute_compose(g, m), (n, sign, d)
+            lower = Mat2(_positive(rng, n), 0, _positive(rng, n), 1)
+            assert g.compose(lower) == _substitute_compose(g, lower)
+
+
+def test_one_coefficient_reaches_the_bound_exactly(monkeypatch):
+    # c u0^d under u0 -> K u0, u1 -> u0 + u1 has the coefficient c K^d
+    # at u0^d, and B = |c| max(K, 2)^d: the top slot holds +-B itself
+    digits = []
+    reduce = exact._reduce
+
+    def recording_reduce(n, vec):
+        digits.extend(vec)
+        return reduce(n, vec)
+
+    for c in (7, -7):
+        g = Poly2.monomial(12, 0, c)
+        digits.clear()
+        monkeypatch.setattr(exact, "_reduce", recording_reduce)
+        got = g.compose(Mat2(5, 0, 1, 1))
+        monkeypatch.setattr(exact, "_reduce", reduce)
+        assert got == Poly2.monomial(12, 0, c * 5 ** 12)
+        assert digits == [0] * 12 + [c * 5 ** 12]
+
+
+def test_compose_at_conductor_1004():
+    # zeta(251) with i: h = 502 slots in Z / (2^(502 s) + 1)
+    rng = random.Random(1004)
+    z, i = Cyclo.zeta(251), Cyclo.i()
+    dense = Poly2(2, {(a, 2 - a): _positive(rng, 251) + a * i
+                      for a in range(3)})
+    sparse = Poly2(6, {(a, 6 - a): z ** (40 * a) + (3 - a) * i * z
+                       for a in range(7)})
+    for g, m in ((dense, Mat2(_positive(rng, 251), i, 2 - i * z ** 7,
+                              _positive(rng, 251))),
+                 (sparse, Mat2(z, i, 2 - i * z ** 7, 1 + z ** 3))):
+        got = g.compose(m)
+        assert got == _substitute_compose(g, m)
+        assert {c.n for c in got.terms.values()} == {1004}
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_signed_root_of_unity_powers_match_repeated_products(n):
+    rng = random.Random(n)
+    for j in sorted({1, n - 1, rng.randrange(n)}):
+        for sign in (1, -1):
+            base = sign * Cyclo.zeta(n, j)
+            power = Cyclo.rational(1)
+            for k in range(2 * n + 1):
+                assert base ** k == power, (n, j, sign, k)
+                power = power * base
+            power = inverse = base.inverse()
+            for k in (-1, -2, -3):
+                assert base ** k == power, (n, j, sign, k)
+                power = power * inverse
 
 
 def _repeated_product(base, k):

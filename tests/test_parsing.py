@@ -1,5 +1,6 @@
 """Polynomial grammar, rendering, and the JSON scalar encoding."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -127,6 +128,37 @@ def test_huge_input_fails_before_it_is_evaluated():
         with pytest.raises(ParseError):
             parse_poly(bad)
         assert time.perf_counter() - start < 0.1, bad
+
+
+def test_coefficient_digit_bound():
+    # a numerator or denominator of exactly `digits` digits parses, one
+    # more digit is refused, with a cyclotomic coefficient too; no limit
+    # (0) refuses nothing
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (4300, 1000):  # CPython's default, and a lower one
+            sys.set_int_max_str_digits(digits)
+            nines = "9" * digits
+            for coeff in (nines, "-" + nines, "1/" + nines,
+                          "(%s+zeta(5)*1/7)" % nines):
+                parse_poly("%s*u0^2+u1^2" % coeff)
+            for coeff in (nines + "*10", "-" + nines + "*10",
+                          "1/" + nines + "*(1/10)",
+                          "(%s+zeta(5)*1/7)*10" % nines):
+                with pytest.raises(ValueError,
+                                   match="more than %d digits" % digits):
+                    parse_poly("%s*u0^2+u1^2" % coeff)
+        sys.set_int_max_str_digits(0)
+        assert parse_poly("%s*10*u0^2+u1^2" % nines).coeff(2, 0) == \
+            10 ** 1001 - 10
+        # a 300-digit literal to the 200th is refused before any report
+        sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_poly("(%s*u0+u1)^200+u0^200" % ("9" * 300))
+        assert time.perf_counter() - start < 0.5
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_nesting_bound():
