@@ -21,12 +21,15 @@ their coordinate maps (a map is a tuple of ``Poly`` values, one per
 target coordinate, composed by ``substitute``), the Laurent polynomials
 of the Schwarzenberger gluing, and the loose values of the parser.
 ``Poly2`` is its homogeneous two-variable subclass, the binary forms.
-``Poly2.compose`` is Horner with one big integer per coefficient: z =
-zeta_N goes to 2^s, so one integer product, folded modulo 2^(sh) +- 1,
-multiplies two cyclotomic integers, and each output coefficient is
-unpacked, reduced mod Phi_N and canonicalized once.  A power of +-z^j is
-one exponent map.  gcd / squarefree machinery works on dehomogenized
-coefficient lists.
+``Poly2.compose`` by a diagonal or antidiagonal matrix multiplies each
+term by one unit x^a y^(d-a), read from a table of the d + 1 units built
+once per (x, y, d); the cache of tables is bounded, because one table of
+degree d at conductor N holds about d phi(N) integers.  Any other matrix
+runs Horner with one big integer per coefficient: z = zeta_N goes to
+2^s, so one integer product, folded modulo 2^(sh) +- 1, multiplies two
+cyclotomic integers, and each output coefficient is unpacked, reduced
+mod Phi_N and canonicalized once.  A power of +-z^j is one exponent map.
+gcd / squarefree machinery works on dehomogenized coefficient lists.
 
 The last section, arithmetic modulo a split prime, is the package's only
 modular arithmetic: it reduces cyclotomic values modulo a prime
@@ -911,11 +914,15 @@ class Poly2(Poly):
     def compose(self, m) -> "Poly2":
         """Substitute (u0, u1) -> (m00 u0 + m01 u1, m10 u0 + m11 u1).
 
-        A diagonal or antidiagonal m sends each term to one term.  Any
-        other m runs homogeneous Horner with one integer per coefficient:
-        over common denominators m = M / D_m and g = G / D_g, and
-        H_d = G_d, H_j = H_(j+1) L0 + G_j L1^(d-j) with L0 = M00 u0 +
-        M01 u1 and L1 = M10 u0 + M11 u1, the powers of L1 built alongside.
+        A diagonal or antidiagonal m, with entries x and y off the zero
+        pair, sends each term c u0^a u1^b to c x^a y^b: one product with
+        the unit x^a y^b from `_units`, whose tables are cached per
+        (x, y, d), at most 64 of them, as each holds about d phi(N)
+        integers.  Any other m runs homogeneous Horner with one integer
+        per coefficient: over common denominators m = M / D_m and
+        g = G / D_g, and H_d = G_d, H_j = H_(j+1) L0 + G_j L1^(d-j) with
+        L0 = M00 u0 + M01 u1 and L1 = M10 u0 + M11 u1, the powers of L1
+        built alongside.
 
         Ring map: a value of conductor k | N, N the lcm of all, is
         sum(v_j z^(jN/k)), z = zeta_N.  Phi_N divides z^h + 1, h = N/2,
@@ -938,10 +945,10 @@ class Poly2(Poly):
         d = self.degree
         if not (m01 or m10) or not (m00 or m11):
             swap = bool(m01 or m10)
-            x, y = (m01, m10) if swap else (m00, m11)
+            units = _units(*((m01, m10) if swap else (m00, m11)), d)
             terms = {}
             for (a, b), c in self.terms.items():
-                c = c * x ** a * y ** b
+                c = c * units[a]
                 if c:
                     terms[(b, a) if swap else (a, b)] = c
             return self._result(terms)
@@ -992,6 +999,12 @@ class Poly2(Poly):
 
     def real_coefficients(self) -> bool:
         return all(c == c.conjugate() for c in self.terms.values())
+
+
+@lru_cache(maxsize=64)
+def _units(x, y, d):
+    """x^a y^(d-a), the unit of the term u0^a u1^(d-a), for a = 0..d."""
+    return tuple(x ** a * y ** (d - a) for a in range(d + 1))
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,17 @@ One grammar, one parser.  An expression is a sum of products of
 factors, each with an optional nonnegative integer power ``^k``; a
 factor is an integer or rational (``1/2``, no spaces around the
 slash), ``i``, ``zeta(N)``, a variable, a parenthesized expression or
-a negated factor.  Whitespace is ignored, and every value is an
-``exact.Poly`` while parsing.  `parse_poly` reads a binary form in u0
-and u1 and rejects ``conj``, brackets, ``:`` and ``;``; the form must be
-homogeneous and nonzero, checked once at the end so that the error can
-list every term degree.  `parse_formula` reads a stored coordinate
-formula: component expressions separated by ``:`` or ``;``, optionally
-in one pair of brackets, where ``conj(name)`` is one more variable,
-numbered after the plain ones (``certificates`` checks the shapes).
+a negated factor.  An exponent and the N of ``zeta(N)`` are integer
+literals: ``u0^4/2`` and ``zeta(8/2)`` are malformed, like ``u0^1/2``,
+whatever the value of the fraction.  Whitespace is ignored, and every
+value is an ``exact.Poly`` while parsing.  `parse_poly` reads a binary
+form in u0 and u1 and rejects ``conj``, brackets, ``:`` and ``;``; the
+form must be homogeneous and nonzero, checked once at the end so that
+the error can list every term degree.  `parse_formula` reads a stored
+coordinate formula: component expressions separated by ``:`` or ``;``,
+optionally in one pair of brackets, where ``conj(name)`` is one more
+variable, numbered after the plain ones (``certificates`` checks the
+shapes).
 
 Huge input fails fast: the parser refuses, before evaluating it, a
 ``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
@@ -82,7 +85,7 @@ def _tokenize(text):
         digits, fraction, name, other = match.groups()
         pos = match.start()
         if digits:
-            den = 1
+            value = int(digits)
             if fraction is not None:
                 if len(fraction) == 1:
                     raise ParseError("expected digits after '/'",
@@ -90,7 +93,8 @@ def _tokenize(text):
                 den = int(fraction[1:])
                 if den == 0:
                     raise ParseError("zero denominator", match.start(2) + 1)
-            tokens.append(("num", Fraction(int(digits), den), pos))
+                value = Fraction(value, den)
+            tokens.append(("num", value, pos))
         elif name:
             tokens.append(("name", name, pos))
         elif other in _SYMBOLS:
@@ -156,20 +160,19 @@ class _Parser:
     # read off the text, so that a bound is checked before evaluation
 
     def expr(self):
-        if self.peek()[0] == "-":
-            self.take()
-            value, degree = self.term()
-            value = -value
-        else:
-            if self.peek()[0] == "+":
-                self.take()
-            value, degree = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs, rdeg = self.term()
-            value = value - rhs if op == "-" else value + rhs
+        # one dict for all terms: a Poly per + would be quadratic in them
+        op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
+        sums, degree = {}, 0
+        while True:
+            value, rdeg = self.term()
             degree = max(degree, rdeg)
-        return value, degree
+            for k, c in value.terms.items():
+                if op == "-":
+                    c = -c
+                sums[k] = sums[k] + c if k in sums else c
+            if self.peek()[0] not in ("+", "-"):
+                return Poly(sums, len(self.variables)), degree
+            op = self.take()[0]
 
     def term(self):
         value, degree = self.factor()
@@ -195,11 +198,10 @@ class _Parser:
         value, degree = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            kind, num, pos = self.take("num")
-            if num.denominator != 1 or num.numerator < 0:
+            kind, k, pos = self.take("num")
+            if type(k) is not int:
                 raise ParseError("exponent must be a nonnegative integer",
                                  pos)
-            k = num.numerator
             if k > MAX_DEGREE:
                 raise ParseError("exponent %d exceeds the bound %d"
                                  % (k, MAX_DEGREE), pos)
@@ -234,11 +236,11 @@ class _Parser:
         if value == "zeta":
             self.take("(")
             nkind, nval, npos = self.take("num")
-            if nval.denominator != 1 or nval < 1:
+            if type(nval) is not int or nval < 1:
                 raise ParseError("zeta takes a positive integer", npos)
-            self.field(int(nval), npos)
+            self.field(nval, npos)
             self.take(")")
-            return self.constant(Cyclo.zeta(int(nval)))
+            return self.constant(Cyclo.zeta(nval))
         if value == "conj" and self.formula:
             self.take("(")
             nkind, name, npos = self.take("name")

@@ -475,12 +475,15 @@ def _twist_classes(spec):
 def _realify(h):
     """Real rescaling of a form whose conjugate is a scalar multiple.
 
-    The scalar is automatically a root of unity, so a cyclotomic square
-    root exists and multiplying by it lands in real coefficients.
+    If conj(h) = s h, then s = conj(c) / c for the leading coefficient
+    c, so s is read off c alone.  It is a root of unity when h is
+    proportional to its conjugate, so a cyclotomic square root lam
+    exists.  The closing realness check is the proof: lam is then a root
+    of unity too, and a real lam h gives conj(h) = lam^2 h = s h.
+    Otherwise one of the two steps raises ValueError.
     """
-    s = h.conj_coeffs().proportionality(h)
-    if s is None:
-        raise ValueError("conjugate is not proportional; cannot rescale")
+    c = h.terms[max(h.terms)]
+    s = c.conjugate() / c
     lam = s.sqrt()
     if lam is None:
         raise ValueError("no cyclotomic square root for %r" % (s,))

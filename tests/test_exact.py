@@ -12,6 +12,7 @@ import pytest
 from realforms import exact
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
+from realforms.groups import F_SWAP, rotation_gen
 from realforms.parsing import parse_poly
 
 
@@ -243,6 +244,42 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     assert got == expected
     assert len(built) <= 31
     assert len(reduced) <= 2 * 31 + 4
+
+
+MONOMIAL_MATRICES = (rotation_gen(8), F_SWAP, Mat2.diag(2, Fraction(1, 3)))
+
+
+def test_monomial_compose_tables_are_shared_across_forms():
+    rng = random.Random(22)
+    forms = [_sweep_form(rng, 16, 1), _sweep_form(rng, 16, 12)]
+    assert forms[0] != forms[1]
+    for m in MONOMIAL_MATRICES:
+        forms[0].compose(m)
+        before = exact._units.cache_info()
+        for f in forms:
+            assert f.compose(m) == _substitute_compose(f, m), (f, m)
+        after = exact._units.cache_info()
+        # both forms read the table that the first compose built
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (2, 0), m
+
+
+@pytest.mark.parametrize("m", MONOMIAL_MATRICES)
+def test_warm_monomial_compose_makes_one_product_per_term(monkeypatch, m):
+    f = parse_poly("u0^16 - 3*u0^9*u1^7 + 1/2*u0^2*u1^14 + 5*u1^16")
+    expected = f.compose(m)  # builds the table
+    calls = []
+    mul = Cyclo.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counting)
+    got = f.compose(m)
+    monkeypatch.setattr(Cyclo, "__mul__", mul)
+    assert got == expected
+    assert len(calls) == len(f.terms) == 4
 
 
 def _positive(rng, n, sign=1):

@@ -42,6 +42,13 @@ def test_parentheses_and_products():
     assert h.coeff(2, 0) == 2
 
 
+def test_sums_cancel_across_terms():
+    assert parse_poly("u0^2 - u0^2 + 3*u1^2 + u0^2 - 2*u1^2") \
+        == parse_poly("u0^2 + u1^2")
+    with pytest.raises(ValueError, match="zero polynomial"):
+        parse_poly("u0^2 - 3*u1^2 + 2*u1^2 - u0^2 + u1^2")
+
+
 def test_whitespace_is_free():
     assert parse_poly(" u0 ^ 2+ u1^2 ") == parse_poly("u0^2+u1^2")
 
@@ -59,6 +66,8 @@ def test_leading_plus_is_accepted():
 
 @pytest.mark.parametrize("text, message", [
     ("u0^1/2+u1^4", "exponent must be a nonnegative integer"),
+    ("u0^4/2+u1^2", "exponent must be a nonnegative integer"),
+    ("zeta(8/2)*u0^2+u1^2", "zeta takes a positive integer"),
     ("1/u0", "expected digits after '/'"),
 ])
 def test_malformed_numbers_are_named(text, message):

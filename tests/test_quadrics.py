@@ -710,6 +710,78 @@ def test_twisted_equations_match_the_twisted_triples():
     assert twisted >= 100
 
 
+def _two_pass_realify(h):
+    """_realify as it was: s from a full proportionality pass over
+    conj(h) and h, then the square root and the realness check."""
+    s = h.conj_coeffs().proportionality(h)
+    if s is None:
+        raise ValueError("conjugate is not proportional; cannot rescale")
+    lam = s.sqrt()
+    if lam is None:
+        raise ValueError("no cyclotomic square root for %r" % (s,))
+    out = h * lam
+    if not out.real_coefficients():
+        raise ValueError("rescaling by a square root failed to realify")
+    return out
+
+
+def test_one_pass_realify_matches_the_two_pass_rescaling():
+    twisted = {}
+    for spec, _, q in _oracle_inputs():
+        if spec.name == "A1" or spec.name in twisted:
+            continue  # one catalog form per group; A1 has no twists
+        twisted[spec.name] = 0
+        for label, b in quadrics._twist_classes(spec):
+            if b is not None:
+                h = q.g.compose(b)
+                assert quadrics._realify(h) == _two_pass_realify(h), \
+                    (spec.name, label)
+                twisted[spec.name] += 1
+    assert set(twisted) == set(ORACLE_GROUPS) - {"A1"}
+    assert sum(twisted.values()) >= 16
+    # h not proportional to its conjugate: s = 1 but i*u1^2 stays
+    # complex, and s = (1 - 2i)/(1 + 2i) is no root of unity
+    for text in ("u0^2 + i*u1^2", "(1 + 2*i)*u0^2 + u1^2"):
+        h = parse_poly(text)
+        with pytest.raises(ValueError):
+            _two_pass_realify(h)
+        with pytest.raises(ValueError):
+            quadrics._realify(h)
+
+
+@pytest.mark.parametrize("text, label", [
+    ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "[omega_8]"),
+    ("u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4", "[f]"),
+])
+def test_realify_makes_one_product_per_term_and_one_more(
+        monkeypatch, text, label):
+    q = inst(text)
+    b = dict(quadrics._twist_classes(detect_symmetry(q).group))[label]
+    h = q.g.compose(b)
+    calls, counting = [], [True]
+    mul, sqrt = Cyclo.__mul__, Cyclo.sqrt
+
+    def counting_mul(self, other):
+        if counting[0]:
+            calls.append(other)
+        return mul(self, other)
+
+    def uncounted_sqrt(self):
+        counting[0] = False
+        try:
+            return sqrt(self)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
+    monkeypatch.setattr(Cyclo, "sqrt", uncounted_sqrt)
+    out = quadrics._realify(h)
+    monkeypatch.setattr(Cyclo, "__mul__", mul)
+    assert out.real_coefficients()
+    # s = conj(c) / c is one product, lam * h one per term
+    assert len(calls) == len(h.terms) + 1
+
+
 def test_torus_fiber_report():
     report = enumerate_forms(inst("u0^5*u1"))
     assert report.symmetry.name == "Gm"
