@@ -22,7 +22,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 _EXPORTS = {
     "errors": "VerificationError",
     "exact": "Cyclo Mat2 Poly Poly2",
-    "groups": "GroupSpec group_elements h1_classes h1_named h1_names "
+    "groups": "GroupSpec h1_classes h1_named h1_names "
               "semi_invariant_character",
     "lattices": "FamilyId aut_component_count in_theorem_list model",
     "parsing": "ParseError parse_poly render_poly",
@@ -31,8 +31,8 @@ _EXPORTS = {
                 "check_psi_h check_real_structure detect_symmetry "
                 "enumerate_forms form_counts psi_pullback_identity "
                 "realizable",
-    "registry": "TorusShape forms_of links_from tori_conjugate "
-                "torus_forms torus_shape_of_involution",
+    "registry": "TorusShape forms_of links_from torus_forms "
+                "torus_shape_of_involution",
     "certificates": "signature verify_involution verify_witness",
     "schwarzenberger": "hom_sym verify_gluing",
     "verify": "",  # the command line's suites export no name

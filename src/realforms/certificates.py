@@ -3,10 +3,11 @@
 Next to each real form the registry (`registry`) may store an
 antiholomorphic coordinate formula on a toric or multihomogeneous
 ambient, and next to a link a birational witness.  This module builds
-the ambients (the toric families Fabc, Pb, Wb and Rmn on the Cox data of
-`lattices.cox_data`, the only copy of their weights), checks the shape
-of each formula that the one parser, `parsing.parse_formula`, reads, and
-proves what the formulas claim:
+each ambient from its registry spec with `build_ambient` (the toric
+families Fabc, Pb, Wb and Rmn on the Cox data of `lattices.cox_data`,
+the only copy of their weights), checks the shape of each formula that
+the one parser, `parsing.parse_formula`, reads, and proves what the
+formulas claim:
 
 * `verify_involution` proves that a stored conjugation respects the
   multigrading of the ambient coordinate ring (so it descends to the
@@ -47,15 +48,7 @@ from .parsing import parse_formula, parse_poly, render_scalar
 __all__ = [
     "Ambient",
     "StructureMap",
-    "fabc_ambient",
-    "pb_ambient",
-    "wb_ambient",
-    "rmn_ambient",
-    "p1cube_ambient",
-    "flag_ambient",
-    "wps_ambient",
-    "p3_ambient",
-    "p4_ambient",
+    "build_ambient",
     "parse_structure",
     "parse_monomial_map",
     "parse_polynomial",
@@ -114,68 +107,42 @@ class Ambient:
         return "Ambient(%s)" % self.name
 
 
-def fabc_ambient(a, b, c):
-    """Coordinates and torus weights of the decomposable double bundle."""
-    return Ambient(*lattices.cox_data("Fabc", (a, b, c)))
-
-
-def p1cube_ambient():
-    return Ambient("(P1)^3", *lattices.cox_data("Fabc", (0, 0, 0))[1:])
-
-
-def pb_ambient(b):
-    return Ambient(*lattices.cox_data("Pb", (b,)))
-
-
-def wb_ambient(b):
-    return Ambient(*lattices.cox_data("Wb", (b,)))
-
-
-def rmn_ambient(m, n):
-    return Ambient(*lattices.cox_data("Rmn", (m, n)))
-
-
-def flag_ambient():
-    coords = ("x0", "x1", "x2", "y0", "y1", "y2")
-    weights = ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (0, 1))
-    incidence = parse_polynomial("x0*y0 + x1*y1 + x2*y2", coords)
-    return Ambient("flag(P2 x P2)", coords, weights,
-                   ((0, 1, 2), (3, 4, 5)), (incidence,))
-
-
-def wps_ambient(*degrees):
-    coords = tuple("t%d" % i for i in range(len(degrees)))
-    weights = tuple((d,) for d in degrees)
-    name = "P(%s)" % ",".join(str(d) for d in degrees)
-    return Ambient(name, coords, weights, (tuple(range(len(degrees))),))
-
-
-def p3_ambient():
-    coords = ("w0", "w1", "w2", "w3")
-    return Ambient("P^3", coords, ((1,),) * 4, (tuple(range(4)),))
-
-
-def p4_ambient():
-    coords = ("w0", "w1", "w2", "w3", "w4")
-    return Ambient("P^4", coords, ((1,),) * 5, (tuple(range(5)),))
-
-
-_AMBIENT_BUILDERS = {
-    "fabc": fabc_ambient,
-    "pb": pb_ambient,
-    "wb": wb_ambient,
-    "rmn": rmn_ambient,
-    "p1cube": p1cube_ambient,
-    "flag": flag_ambient,
-    "wps": wps_ambient,
-    "p3": p3_ambient,
-    "p4": p4_ambient,
-}
+# the ambient kinds that are toric families, by their `lattices` kind
+_TORIC = {"fabc": "Fabc", "pb": "Pb", "wb": "Wb", "rmn": "Rmn"}
 
 
 def build_ambient(spec):
+    """The ambient of a registry spec ``(kind, params)``.
+
+    The toric kinds (fabc, pb, wb, rmn) read their Cox data from
+    `lattices.cox_data`, and p1cube is that of F_0^{0,0}.  The others are
+    the flag of the plane (the incidence divisor of P2 x P2), the
+    weighted projective space ``wps`` of degrees ``params``, and the
+    projective spaces p3 and p4.
+    """
     kind, params = spec
-    return _AMBIENT_BUILDERS[kind](*params)
+    if kind in _TORIC:
+        return Ambient(*lattices.cox_data(_TORIC[kind], params))
+    if kind == "p1cube":
+        return Ambient("(P1)^3", *lattices.cox_data("Fabc", (0, 0, 0))[1:])
+    if kind == "flag":
+        coords = ("x0", "x1", "x2", "y0", "y1", "y2")
+        incidence = parse_polynomial("x0*y0 + x1*y1 + x2*y2", coords)
+        return Ambient("flag(P2 x P2)", coords,
+                       ((1, 0),) * 3 + ((0, 1),) * 3,
+                       ((0, 1, 2), (3, 4, 5)), (incidence,))
+    if kind == "wps":
+        name = "P(%s)" % ",".join(str(d) for d in params)
+        coords = tuple("t%d" % i for i in range(len(params)))
+        weights = tuple((d,) for d in params)
+    elif kind in ("p3", "p4"):
+        dim = int(kind[1])
+        name = "P^%d" % dim
+        coords = tuple("w%d" % i for i in range(dim + 1))
+        weights = ((1,),) * len(coords)
+    else:
+        raise KeyError("unknown ambient kind %r" % (kind,))
+    return Ambient(name, coords, weights, (tuple(range(len(coords))),))
 
 
 # ----------------------------------------------------------------------
@@ -560,8 +527,8 @@ def _check_graded_onto_line(source_ambient, mono_map, target_name):
 
 def _check_psi_g1():
     data = _witness_data("psi_G1")
-    source = fabc_ambient(0, 1, -1)
-    target = p4_ambient()
+    source = build_ambient(("fabc", (0, 1, -1)))
+    target = build_ambient(("p4", ()))
     psi = parse_monomial_map(data["map"], source.coords)
     if len(psi) != 5:
         raise VerificationError("the contraction witness must have five "
@@ -604,8 +571,8 @@ def _check_psi_g1():
 
 def _check_delta_h1():
     data = _witness_data("delta_H1")
-    source = fabc_ambient(0, 1, 1)
-    target = p3_ambient()
+    source = build_ambient(("fabc", (0, 1, 1)))
+    target = build_ambient(("p3", ()))
     delta = parse_monomial_map(data["map"], source.coords)
     epsilon = parse_monomial_map(data["inverse"], target.coords)
     if len(delta) != 4 or len(epsilon) != 6:

@@ -441,10 +441,6 @@ class Cyclo:
             raise ZeroDivisionError("division by rational zero")
         return self._scale(q, p) if p > 0 else self._scale(-q, -p)
 
-    def __rtruediv__(self, other):
-        return Cyclo.rational(other) / self if isinstance(other, (int, Fraction)) \
-            else NotImplemented
-
     def __pow__(self, k: int):
         if self.n == 1 and k >= 0:
             # coprime numerator and denominator stay coprime
@@ -899,10 +895,6 @@ class Poly2(Poly):
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "Poly2":
         return cls(a + b, {(a, b): coeff})
-
-    @classmethod
-    def zero(cls, degree: int = 0) -> "Poly2":
-        return cls(degree, {})
 
     def __add__(self, other):
         if isinstance(other, Poly2) and self.terms and other.terms \

@@ -191,11 +191,6 @@ def catalog(spec: GroupSpec) -> FiniteGroup:
     return grp
 
 
-def group_elements(spec: GroupSpec):
-    """Canonically ordered elements of a catalog group."""
-    return catalog(spec).elements
-
-
 # ----------------------------------------------------------------------
 # H^1(Z/2, G) for conjugation acting entrywise
 
@@ -209,6 +204,13 @@ def _is_cocycle(a: Mat2) -> bool:
 def _adjugate(b: Mat2) -> Mat2:
     # det(b) * b^-1: the inverse up to a scalar, without a field inversion
     return Mat2(b.d, -b.b, -b.c, b.a)
+
+
+def cocycles(group) -> list:
+    """All 1-cocycles of the group: the a with a * conj(a) scalar."""
+    if isinstance(group, GroupSpec):
+        group = catalog(group)
+    return [a for a in group.elements if _is_cocycle(a)]
 
 
 def h1_classes(group) -> list:
@@ -226,13 +228,13 @@ def h1_classes(group) -> list:
         group = catalog(group)
     if not group.is_galois_stable():
         raise ValueError("group is not stable under entrywise conjugation")
-    cocycles = [a for a in group.elements if _is_cocycle(a)]
-    cocycle_set = set(cocycles)
+    found = cocycles(group)
+    cocycle_set = set(found)
     twists = [(_adjugate(g), g.conj()) for g in group.generators]
-    unseen = set(cocycles)
+    unseen = set(found)
     classes = []
     ident = Mat2.identity()
-    for a in cocycles:
+    for a in found:
         if a not in unseen:
             continue
         orbit = {a}
@@ -254,13 +256,6 @@ def h1_classes(group) -> list:
     # a class holds the identity exactly when its representative is it
     classes.sort(key=lambda rep: (rep != ident, mat_key(rep)))
     return classes
-
-
-def cocycles(group) -> list:
-    """All 1-cocycles of the group (useful for partition checks)."""
-    if isinstance(group, GroupSpec):
-        group = catalog(group)
-    return [a for a in group.elements if _is_cocycle(a)]
 
 
 def twisted_class_of(group, a: Mat2):

@@ -3,7 +3,8 @@
 The family kinds are one table, ``_KINDS``: the names of a kind's
 parameters, the format of its labels and the lower bound of its
 parameters.
-`FamilyId` reads it to validate and normalize a member.
+``FamilyId(kind, params)`` reads it to validate and normalize a member;
+it is the one constructor of a member.
 
 Each family member carries a basis of the divisor and of the curve
 class group, the pairing between them, the canonical class, and the
@@ -38,8 +39,6 @@ __all__ = [
     "kernel",
     "Ray",
     "model",
-    "pairing",
-    "k_negative_rays",
     "in_theorem_list",
     "aut_component_count",
 ]
@@ -108,42 +107,6 @@ class FamilyId:
 
     def __setattr__(self, *a):
         raise AttributeError("FamilyId is immutable")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def fabc(cls, a, b, c):
-        return cls("Fabc", (a, b, c))
-
-    @classmethod
-    def pb(cls, b):
-        return cls("Pb", (b,))
-
-    @classmethod
-    def uabc(cls, a, b, c):
-        return cls("Uabc", (a, b, c))
-
-    @classmethod
-    def sb(cls, b):
-        return cls("Sb", (b,))
-
-    @classmethod
-    def vb(cls, b):
-        return cls("Vb", (b,))
-
-    @classmethod
-    def wb(cls, b):
-        return cls("Wb", (b,))
-
-    @classmethod
-    def rmn(cls, m, n):
-        return cls("Rmn", (m, n))
-
-    @classmethod
-    def qg(cls, n):
-        return cls("Qg", (n,))
-
-    # -- display --------------------------------------------------------
 
     @property
     def label(self):
@@ -216,10 +179,6 @@ class LatticeModel:
         self.k_dots = dict(k_dots)
         self.relations = dict(relations)
 
-    @property
-    def has_full_table(self):
-        return bool(self.pairing_matrix)
-
     def curve_vector(self, name):
         """A named curve class as a vector in the curve basis."""
         if name in self.curve_basis:
@@ -227,11 +186,6 @@ class LatticeModel:
         if name in self.relations:
             return self.relations[name]
         raise KeyError("unknown curve class %r" % (name,))
-
-    def k_dot_from_table(self, name):
-        """Pair the canonical class with a curve using the pairing table."""
-        value = pairing(self, name, self.canonical)
-        return value.numerator if value.denominator == 1 else value
 
     def as_dict(self):
         return {
@@ -559,47 +513,6 @@ def model(family):
 
 # ----------------------------------------------------------------------
 # queries
-
-
-def _as_combination(expr, basis, vector_of):
-    """A class name or a dict of rational coefficients, over ``basis``."""
-    terms = {expr: 1} if isinstance(expr, str) else dict(expr)
-    combo = dict.fromkeys(basis, Fraction(0))
-    for name, coeff in terms.items():
-        for base, v in zip(basis, vector_of(name)):
-            combo[base] += Fraction(coeff) * v
-    return combo
-
-
-def pairing(model_obj, curve, divisor):
-    """Exact intersection number of a curve class with a divisor class.
-
-    Either argument may be a basis-class name, a derived-class name
-    (such as the section class stored in ``relations``), or a dict of
-    rational coefficients over the respective basis.
-    """
-    if not model_obj.has_full_table:
-        raise ValueError("family %s is kept at ray resolution only; "
-                         "only K-intersections are available"
-                         % model_obj.family.label)
-    divisors = model_obj.divisor_basis
-
-    def divisor_vector(name):
-        if name not in divisors:
-            raise KeyError("unknown divisor class %r" % (name,))
-        return tuple(int(name == base) for base in divisors)
-
-    curve_combo = _as_combination(curve, model_obj.curve_basis,
-                                  model_obj.curve_vector)
-    divisor_combo = _as_combination(divisor, divisors, divisor_vector)
-    return sum((ccoeff * dcoeff * model_obj.pairing_matrix[(cname, dname)]
-                for cname, ccoeff in curve_combo.items()
-                for dname, dcoeff in divisor_combo.items()), Fraction(0))
-
-
-def k_negative_rays(model_obj):
-    """The extremal rays with negative canonical intersection."""
-    return [ray for ray in model_obj.cone_generators if ray.k_dot < 0]
 
 
 def in_theorem_list(family):

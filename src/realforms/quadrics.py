@@ -202,10 +202,6 @@ class QgInstance:
     def n(self):
         return self.g.degree // 2
 
-    def multiplicities(self):
-        """Root multiplicities of g, largest first."""
-        return list(self._mults)
-
     def __repr__(self):
         return "QgInstance(%s)" % render_poly(self.g)
 
@@ -389,10 +385,6 @@ class FormCounts(tuple):
     @property
     def no_real_points(self):
         return self[2]
-
-    @property
-    def total(self):
-        return sum(self)
 
 
 def _merged(spec, odd):

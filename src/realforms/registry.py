@@ -41,7 +41,6 @@ __all__ = [
     "TorusShape",
     "VerificationError",
     "torus_forms",
-    "tori_conjugate",
     "torus_shape_of_involution",
     "registry_version",
     "forms_of",
@@ -117,20 +116,6 @@ def torus_forms(dimension):
         for q in range(dimension - 2 * p, -1, -1):
             shapes.append(TorusShape(p, q, dimension - 2 * p - q))
     return shapes
-
-
-def tori_conjugate(first, second):
-    """Conjugacy of two real tori inside the real Cremona group.
-
-    For tori this coincides with abstract isomorphism, which in turn
-    is equality of shapes; mismatched dimensions are a domain error.
-    """
-    first = TorusShape(*first)
-    second = TorusShape(*second)
-    if first.dimension != second.dimension:
-        raise ValueError("tori of different dimension are never conjugate "
-                         "inside the same Cremona group")
-    return first == second
 
 
 def torus_shape_of_involution(matrix):
@@ -422,7 +407,7 @@ def _forms_rmn(family):
 
 def _forms_named(key):
     if key == "p1cube":
-        return _forms_fabc(lattices.FamilyId.fabc(0, 0, 0))
+        return _forms_fabc(lattices.FamilyId("Fabc", (0, 0, 0)))
     if key == "p3":
         return [_make("p3_trivial", "P^3", "P^3", ambient=("p3", ()))]
     if key == "q3":

@@ -112,11 +112,12 @@ def _suite_schwarzenberger(b_max):
 def _suite_lattices():
     # computing a toric model checks that every extremal ray is named
     FamilyId = lattices.FamilyId
-    families = [FamilyId.fabc(a, b, c) for a in range(0, 6)
+    families = [FamilyId("Fabc", (a, b, c)) for a in range(0, 6)
                 for b in range(0, 6) for c in range(-5, 6)]
-    families += [FamilyId.wb(b) for b in range(2, 11)]
-    families += [FamilyId.pb(0), FamilyId.pb(2), FamilyId.sb(3),
-                 FamilyId.vb(3), FamilyId.rmn(2, 1), FamilyId.qg(2)]
+    families += [FamilyId("Wb", (b,)) for b in range(2, 11)]
+    families += [FamilyId(kind, params) for kind, params in (
+        ("Pb", (0,)), ("Pb", (2,)), ("Sb", (3,)), ("Vb", (3,)),
+        ("Rmn", (2, 1)), ("Qg", (2,)))]
     # FamilyId maps Fabc(a, 0, -c) onto Fabc(a, 0, c): 381 distinct models
     for family in dict.fromkeys(families):
         lattices.model(family)
@@ -158,11 +159,11 @@ def _suite_involutions():
     circle = "[conj(x1):conj(x0); conj(z0):conj(z1); conj(y0):conj(y1)]"
     for b in range(1, 6):
         certificates.verify_involution(
-            exchange, certificates.fabc_ambient(0, b, -b))
+            exchange, certificates.build_ambient(("fabc", (0, b, -b))))
         certificates.verify_involution(
-            circle, certificates.fabc_ambient(0, b, b))
+            circle, certificates.build_ambient(("fabc", (0, b, b))))
     checks.append({"check": "bundle exchanges b = 1..5", "ok": True})
-    flag_forms = registry.forms_of(lattices.FamilyId.sb(1))
+    flag_forms = registry.forms_of(lattices.FamilyId("Sb", (1,)))
     for descriptor in flag_forms:
         registry.validate_descriptor(descriptor)
     checks.append({"check": "flag threefold structures",

@@ -119,7 +119,7 @@ def test_poly_ring_operations():
     assert (f + g).coeff(1, 1) == 1
     assert (f * g).degree == 4
     assert (f ** 2).coeff(2, 2) == 2
-    assert f - f == Poly2.zero(2)
+    assert f - f == Poly2(2, {})
 
 
 def test_compose_with_matrix():
@@ -208,7 +208,7 @@ def test_compose_matches_substitution_on_seeded_sweep():
         cases.append((_sweep_form(rng, degree, n_form),
                       _sweep_matrix(rng, shape, n_matrix)))
     for shape in COMPOSE_SHAPES:
-        cases.append((Poly2.zero(7), _sweep_matrix(rng, shape, 12)))
+        cases.append((Poly2(7, {}), _sweep_matrix(rng, shape, 12)))
     cases.append((cases[3][0], ((0, 0), (0, 0))))
     sparse = Poly2(200, {(200, 0): 1, (117, 83): Fraction(-2, 3),
                          (0, 200): Cyclo.zeta(4)})

@@ -6,9 +6,8 @@ import pytest
 
 from realforms.exact import Cyclo, Mat2
 from realforms.groups import (CLOSURE_BOUND, GroupSpec, catalog, close,
-                              cocycles, group_elements, h1_classes, h1_named,
-                              h1_names, rotation_gen, twisted_class_of,
-                              unimodular_lift)
+                              cocycles, h1_classes, h1_named, h1_names,
+                              rotation_gen, twisted_class_of, unimodular_lift)
 
 ALL_GROUPS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
               "D2", "D3", "D4", "D5", "D6", "D7", "D8",

@@ -9,49 +9,48 @@ from hypothesis import strategies as st
 
 from realforms.lattices import (FamilyId, LatticeModel, Ray,
                                 aut_component_count, back_substitute,
-                                diagonalize, in_theorem_list, k_negative_rays,
-                                kernel, model, pairing)
+                                diagonalize, in_theorem_list, kernel, model)
 
 
 def test_family_id_normalization():
-    assert FamilyId.fabc(-2, 3, 1).params == (2, 3, 1)
-    assert FamilyId.fabc(2, -3, 1).params == (2, 3, -1)
-    assert FamilyId.fabc(0, 0, -4).params == (0, 0, 4)
-    assert FamilyId.rmn(1, 3).params == (3, 1)
-    assert FamilyId.pb(-2).params == (2,)
+    assert FamilyId("Fabc", (-2, 3, 1)).params == (2, 3, 1)
+    assert FamilyId("Fabc", (2, -3, 1)).params == (2, 3, -1)
+    assert FamilyId("Fabc", (0, 0, -4)).params == (0, 0, 4)
+    assert FamilyId("Rmn", (1, 3)).params == (3, 1)
+    assert FamilyId("Pb", (-2,)).params == (2,)
 
 
 def test_family_id_labels():
-    assert FamilyId.fabc(2, 3, 4).label == "F_2^{3,4}"
-    assert FamilyId.pb(2).label == "P_2"
-    assert FamilyId.wb(5).label == "W_5"
-    assert FamilyId.rmn(2, 1).label == "R_(2,1)"
+    assert FamilyId("Fabc", (2, 3, 4)).label == "F_2^{3,4}"
+    assert FamilyId("Pb", (2,)).label == "P_2"
+    assert FamilyId("Wb", (5,)).label == "W_5"
+    assert FamilyId("Rmn", (2, 1)).label == "R_(2,1)"
 
 
 def test_family_id_validation():
     with pytest.raises(ValueError):
         FamilyId("Xb", (1,))
     with pytest.raises(ValueError):
-        FamilyId.vb(1)  # V_1 is the flag variety, listed under Sb
+        FamilyId("Vb", (1,))  # V_1 is the flag variety, listed under Sb
     with pytest.raises(ValueError):
-        FamilyId.wb(1)
+        FamilyId("Wb", (1,))
     with pytest.raises(ValueError):
-        FamilyId.uabc(2, 3, 5)  # c - 2 must be a multiple of a
+        FamilyId("Uabc", (2, 3, 5))  # c - 2 must be a multiple of a
     with pytest.raises(ValueError):
-        FamilyId.qg(0)
+        FamilyId("Qg", (0,))
 
 
 def test_family_id_refuses_parameters_that_are_not_integers():
     with pytest.raises(ValueError, match="integers"):
-        FamilyId.fabc(Fraction(3, 2), 2, 3)
+        FamilyId("Fabc", (Fraction(3, 2), 2, 3))
     with pytest.raises(ValueError, match="integers"):
-        FamilyId.pb(2.9)
-    assert FamilyId.fabc(Fraction(4, 2), 2, 3).params == (2, 2, 3)
+        FamilyId("Pb", (2.9,))
+    assert FamilyId("Fabc", (Fraction(4, 2), 2, 3)).params == (2, 2, 3)
 
 
 def test_family_id_equality():
-    assert FamilyId.fabc(2, -3, 1) == FamilyId.fabc(-2, 3, -1)
-    assert FamilyId.fabc(2, 3, 1) != FamilyId.fabc(2, 3, 2)
+    assert FamilyId("Fabc", (2, -3, 1)) == FamilyId("Fabc", (-2, 3, -1))
+    assert FamilyId("Fabc", (2, 3, 1)) != FamilyId("Fabc", (2, 3, 2))
 
 
 def _member_by_the_rules(kind, params):
@@ -99,7 +98,7 @@ def test_family_id_matches_its_rules_on_a_grid():
 
 
 def test_fabc_canonical_degrees():
-    lattice = model(FamilyId.fabc(2, 3, 4))
+    lattice = model(FamilyId("Fabc", (2, 3, 4)))
     assert lattice.k_dots == {"l1": Fraction(-4), "l2": Fraction(1),
                               "l3": Fraction(-2), "l4": Fraction(4)}
 
@@ -108,7 +107,7 @@ def test_fabc_closed_forms_on_a_grid():
     for a in range(0, 5):
         for b in range(0, 5):
             for c in range(-4, 5):
-                family = FamilyId.fabc(a, b, c)
+                family = FamilyId("Fabc", (a, b, c))
                 na, nb, nc = family.params
                 lattice = model(family)
                 assert lattice.k_dots["l1"] == na - nc - 2
@@ -117,46 +116,22 @@ def test_fabc_closed_forms_on_a_grid():
                 assert lattice.k_dots["l4"] == na + nc - 2
 
 
-def test_fabc_table_consistency():
-    # the stored K-intersections must agree with pairing the canonical
-    # class against the table (the constructor re-checks this too)
-    lattice = model(FamilyId.fabc(3, 2, -1))
-    for name in ("l1", "l2", "l3", "l4"):
-        assert lattice.k_dot_from_table(name) == lattice.k_dots[name]
-
-
 def test_fabc_derived_section_class():
     # l4 = l1 - c*l3 in the curve lattice
-    lattice = model(FamilyId.fabc(2, 3, 4))
+    lattice = model(FamilyId("Fabc", (2, 3, 4)))
     assert lattice.relations["l4"] == (1, 0, -4)
     assert lattice.curve_vector("l4") == (1, 0, -4)
 
 
 def test_fabc_cone_switches_generator_with_sign_of_c():
-    neg = model(FamilyId.fabc(2, 3, -2))
+    neg = model(FamilyId("Fabc", (2, 3, -2)))
     assert [r.name for r in neg.cone_generators] == ["l1", "l2", "l3"]
-    pos = model(FamilyId.fabc(2, 3, 2))
+    pos = model(FamilyId("Fabc", (2, 3, 2)))
     assert [r.name for r in pos.cone_generators] == ["l4", "l2", "l3"]
 
 
-def test_pairing_lookup():
-    lattice = model(FamilyId.fabc(2, 3, 4))
-    assert pairing(lattice, "l3", "H_x0") == 1
-    assert pairing(lattice, "l1", "H_y0") == -2
-    assert pairing(lattice, "l4", {"H_z0": 1}) == 1
-    assert pairing(lattice, {"l1": 1, "l3": -4}, "H_x0") == 0
-
-
-def test_k_negative_rays():
-    lattice = model(FamilyId.fabc(0, 1, -1))
-    names = [r.name for r in k_negative_rays(lattice)]
-    assert names == ["l1", "l2", "l3"]
-    big = model(FamilyId.fabc(4, 3, 2))
-    assert [r.name for r in k_negative_rays(big)] == ["l3"]
-
-
 def test_fiber_ray_contraction_note():
-    lattice = model(FamilyId.fabc(2, 3, 4))
+    lattice = model(FamilyId("Fabc", (2, 3, 4)))
     fiber = [r for r in lattice.cone_generators if r.name == "l3"][0]
     assert fiber.contraction == "fibration: structure morphism to F_2"
 
@@ -166,49 +141,51 @@ def test_fiber_ray_contraction_note():
 
 
 def test_wb_lattice():
-    lattice = model(FamilyId.wb(2))
+    lattice = model(FamilyId("Wb", (2,)))
     assert lattice.k_dots == {"f": Fraction(-2), "l": Fraction(-1, 2)}
-    assert lattice.k_dot_from_table("f") == -2
+    assert model(FamilyId("Wb", (3,))).pairing_matrix[("l", "S")] \
+        == Fraction(-5, 2)
     for b in range(2, 11):
-        lat = model(FamilyId.wb(b))
+        lat = model(FamilyId("Wb", (b,)))
         assert lat.k_dots["l"] == Fraction(2 * b - 5, 2)
 
 
-def test_wb_half_integral_pairing():
-    lattice = model(FamilyId.wb(3))
-    assert pairing(lattice, "l", "S") == Fraction(-5, 2)
+def _k_dot_by_fractions(lattice, name):
+    """K.C from the pairing table and the canonical class, in Fractions."""
+    total = Fraction(0)
+    for coeff, base in zip(lattice.curve_vector(name), lattice.curve_basis):
+        for divisor, k in lattice.canonical.items():
+            total += Fraction(coeff) * Fraction(k) \
+                * Fraction(lattice.pairing_matrix[(base, divisor)])
+    return total
 
 
 def test_fabc_grid_is_integral_and_matches_a_fraction_recomputation():
-    for a in range(0, 6):
-        for b in range(0, 6):
-            for c in range(-5, 6):
-                lattice = model(FamilyId.fabc(a, b, c))
-                assert all(type(v) is int for v in (
-                    *lattice.pairing_matrix.values(),
-                    *lattice.canonical.values(), *lattice.k_dots.values()))
-                for name in lattice.k_dots:
-                    total = Fraction(0)
-                    for coeff, base in zip(lattice.curve_vector(name),
-                                           lattice.curve_basis):
-                        for divisor, k in lattice.canonical.items():
-                            total += Fraction(coeff) * Fraction(k) \
-                                * Fraction(lattice.pairing_matrix[
-                                    (base, divisor)])
-                    got = lattice.k_dot_from_table(name)
-                    assert type(got) is int
-                    assert got == total == lattice.k_dots[name]
-                    assert str(got) == str(total)
+    # and W_b, b = 2..10, whose halves stay Fractions
+    families = [FamilyId("Fabc", (a, b, c)) for a in range(0, 6)
+                for b in range(0, 6) for c in range(-5, 6)]
+    families += [FamilyId("Wb", (b,)) for b in range(2, 11)]
+    for family in families:
+        lattice = model(family)
+        if family.kind == "Fabc":
+            assert all(type(v) is int for v in (
+                *lattice.pairing_matrix.values(),
+                *lattice.canonical.values(), *lattice.k_dots.values()))
+        for name, k_dot in lattice.k_dots.items():
+            total = _k_dot_by_fractions(lattice, name)
+            assert type(k_dot) is (int if total.denominator == 1
+                                   else Fraction), (family, name)
+            assert k_dot == total, (family, name)
+            assert str(k_dot) == str(total)
 
 
 def test_wb_keeps_its_halves():
     for b in range(2, 11):
-        lattice = model(FamilyId.wb(b))
+        lattice = model(FamilyId("Wb", (b,)))
         halves = (lattice.k_dots["l"], lattice.pairing_matrix[("l", "S")],
-                  lattice.canonical["F"], lattice.k_dot_from_table("l"))
+                  lattice.canonical["F"])
         assert all(isinstance(v, Fraction) and v.denominator == 2
                    for v in halves)
-        assert lattice.k_dot_from_table("l") == Fraction(2 * b - 5, 2)
         assert lattice.as_dict()["k_dots"]["l"] == "%d/2" % (2 * b - 5)
 
 
@@ -271,11 +248,12 @@ def _rmn_table(family):
 
 
 _ORACLE_GRID = (
-    [(_fabc_table, FamilyId.fabc(a, b, c))
+    [(_fabc_table, FamilyId("Fabc", (a, b, c)))
      for a in range(6) for b in range(6) for c in range(-5, 6)]
-    + [(_wb_table, FamilyId.wb(b)) for b in range(2, 11)]
-    + [(_pb_table, FamilyId.pb(b)) for b in range(9)]
-    + [(_rmn_table, FamilyId.rmn(m, n)) for m in range(7) for n in range(7)])
+    + [(_wb_table, FamilyId("Wb", (b,))) for b in range(2, 11)]
+    + [(_pb_table, FamilyId("Pb", (b,))) for b in range(9)]
+    + [(_rmn_table, FamilyId("Rmn", (m, n)))
+       for m in range(7) for n in range(7)])
 
 
 def _typed(lattice):
@@ -305,9 +283,9 @@ def test_computed_models_equal_the_hand_entered_tables():
 
 
 @pytest.mark.parametrize("family", [
-    FamilyId.pb(0), FamilyId.pb(2), FamilyId.uabc(1, 3, 2),
-    FamilyId.sb(1), FamilyId.sb(4), FamilyId.vb(3),
-    FamilyId.rmn(2, 1), FamilyId.qg(3),
+    FamilyId("Pb", (0,)), FamilyId("Pb", (2,)), FamilyId("Uabc", (1, 3, 2)),
+    FamilyId("Sb", (1,)), FamilyId("Sb", (4,)), FamilyId("Vb", (3,)),
+    FamilyId("Rmn", (2, 1)), FamilyId("Qg", (3,)),
 ])
 def test_ray_models_have_k_data(family):
     lattice = model(family)
@@ -316,16 +294,8 @@ def test_ray_models_have_k_data(family):
         assert ray.k_dot == lattice.k_dots[ray.name]
 
 
-def test_ray_models_refuse_full_table_queries():
-    lattice = model(FamilyId.sb(2))
-    with pytest.raises(ValueError, match="ray resolution"):
-        lattice.k_dot_from_table("f")
-    with pytest.raises(ValueError, match="ray resolution"):
-        pairing(lattice, "f", "H")
-
-
 def test_as_dict_round_trips_family():
-    data = model(FamilyId.fabc(2, 3, 4)).as_dict()
+    data = model(FamilyId("Fabc", (2, 3, 4))).as_dict()
     assert data["family"] == "F_2^{3,4}"
     assert data["k_dots"]["l4"] == "4"
     assert data["canonical"]["H_x0"] == "-2"
@@ -338,32 +308,33 @@ def test_as_dict_round_trips_family():
 
 
 def test_theorem_list_fabc():
-    assert in_theorem_list(FamilyId.fabc(0, 1, -1))
-    assert in_theorem_list(FamilyId.fabc(0, 0, 0))
-    assert in_theorem_list(FamilyId.fabc(2, 3, 1))
-    assert not in_theorem_list(FamilyId.fabc(1, 2, 1))   # a = 1 drops out
-    assert not in_theorem_list(FamilyId.fabc(2, 1, 2))   # c too large
-    assert not in_theorem_list(FamilyId.fabc(0, 1, 1))   # boundary b = |c|
+    assert in_theorem_list(FamilyId("Fabc", (0, 1, -1)))
+    assert in_theorem_list(FamilyId("Fabc", (0, 0, 0)))
+    assert in_theorem_list(FamilyId("Fabc", (2, 3, 1)))
+    assert not in_theorem_list(FamilyId("Fabc", (1, 2, 1)))  # a = 1 drops out
+    assert not in_theorem_list(FamilyId("Fabc", (2, 1, 2)))  # c too large
+    # the boundary b = |c|
+    assert not in_theorem_list(FamilyId("Fabc", (0, 1, 1)))
 
 
 def test_theorem_list_other_kinds():
-    assert in_theorem_list(FamilyId.pb(2))
-    assert not in_theorem_list(FamilyId.pb(1))
-    assert in_theorem_list(FamilyId.sb(1))
-    assert not in_theorem_list(FamilyId.sb(2))
-    assert in_theorem_list(FamilyId.sb(3))
-    assert in_theorem_list(FamilyId.vb(3))
-    assert not in_theorem_list(FamilyId.vb(2))
-    assert in_theorem_list(FamilyId.wb(2))
-    assert in_theorem_list(FamilyId.rmn(2, 2))
-    assert in_theorem_list(FamilyId.rmn(5, 2))
-    assert not in_theorem_list(FamilyId.rmn(4, 2))
-    assert not in_theorem_list(FamilyId.rmn(1, 0))
+    assert in_theorem_list(FamilyId("Pb", (2,)))
+    assert not in_theorem_list(FamilyId("Pb", (1,)))
+    assert in_theorem_list(FamilyId("Sb", (1,)))
+    assert not in_theorem_list(FamilyId("Sb", (2,)))
+    assert in_theorem_list(FamilyId("Sb", (3,)))
+    assert in_theorem_list(FamilyId("Vb", (3,)))
+    assert not in_theorem_list(FamilyId("Vb", (2,)))
+    assert in_theorem_list(FamilyId("Wb", (2,)))
+    assert in_theorem_list(FamilyId("Rmn", (2, 2)))
+    assert in_theorem_list(FamilyId("Rmn", (5, 2)))
+    assert not in_theorem_list(FamilyId("Rmn", (4, 2)))
+    assert not in_theorem_list(FamilyId("Rmn", (1, 0)))
 
 
 def test_theorem_list_invariant_under_normalization():
-    assert in_theorem_list(FamilyId.fabc(2, -3, -1)) == \
-        in_theorem_list(FamilyId.fabc(2, 3, 1))
+    assert in_theorem_list(FamilyId("Fabc", (2, -3, -1))) == \
+        in_theorem_list(FamilyId("Fabc", (2, 3, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -371,37 +342,37 @@ def test_theorem_list_invariant_under_normalization():
 
 
 def test_aut_components_connected():
-    assert aut_component_count(FamilyId.fabc(2, 3, 1)) == \
+    assert aut_component_count(FamilyId("Fabc", (2, 3, 1))) == \
         {"kind": "connected"}
-    assert aut_component_count(FamilyId.wb(4)) == {"kind": "connected"}
+    assert aut_component_count(FamilyId("Wb", (4,))) == {"kind": "connected"}
 
 
 def test_aut_components_boundary_involutions():
-    out = aut_component_count(FamilyId.fabc(0, 2, 2))
+    out = aut_component_count(FamilyId("Fabc", (0, 2, 2)))
     assert out["kind"] == "two_components"
     assert out["involution"] == "[x1:x0; z0:z1; y0:y1]"
-    out = aut_component_count(FamilyId.fabc(0, 2, -2))
+    out = aut_component_count(FamilyId("Fabc", (0, 2, -2)))
     assert out["involution"] == "[x0:x1; z0:z1; y0:y1]"
-    out = aut_component_count(FamilyId.fabc(2, 0, 2))
+    out = aut_component_count(FamilyId("Fabc", (2, 0, 2)))
     assert out["kind"] == "two_components"
     # F_2^{0,-2} is F_2^{0,2}: b = 0 forces c >= 0
-    assert aut_component_count(FamilyId.fabc(2, 0, -2))["involution"] \
+    assert aut_component_count(FamilyId("Fabc", (2, 0, -2)))["involution"] \
         == "[y0:y1; x1:x0; z0:z1]"
 
 
 def test_aut_components_triple_product():
-    out = aut_component_count(FamilyId.fabc(0, 0, 0))
+    out = aut_component_count(FamilyId("Fabc", (0, 0, 0)))
     assert out["kind"] == "product_with_S3"
 
 
 def test_aut_components_flag_variety():
-    out = aut_component_count(FamilyId.sb(1))
+    out = aut_component_count(FamilyId("Sb", (1,)))
     assert out["kind"] == "two_components"
 
 
 def test_aut_components_refuses_quadric_fibrations():
     with pytest.raises(ValueError, match="fiber polynomial"):
-        aut_component_count(FamilyId.qg(2))
+        aut_component_count(FamilyId("Qg", (2,)))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ package attribute unexecuted; it runs on its first attribute access.
 CLI nor the registry and its helpers, each CLI command executes exactly
 the modules it uses, and every exported name resolves."""
 
+import ast
 import importlib
 import json
 import os
@@ -198,3 +199,89 @@ def test_no_bytecode_is_shipped_and_bytecode_writing_is_left_alone():
         text = path.read_text(encoding="utf-8")
         for setting in ("dont_write_bytecode", "pycache_prefix"):
             assert setting not in text, (path, setting)
+
+
+# Library functions that no golden case and no ``verify`` suite calls,
+# each with the reason it stays.
+KEPT = {
+    "exact.Mat2.inverse":
+        "checked in test_exact; kept for the lifted matrices of ROADMAP "
+        "item 3",
+    "groups.twisted_class_of":
+        "oracle of the H^1 partition tests in test_groups; ROADMAP item 3 "
+        "names lifted classes with it",
+    "groups.semi_invariant_character":
+        "the exhaustive-scan oracle of test_quadrics; bench/spans.py "
+        "wraps it (ROADMAP items 8 and 9)",
+    "registry.registry_version":
+        "the set-up code of the bench workloads calls it; ROADMAP item 5 "
+        "prints it",
+}
+# replays every golden case and ``verify --suite all`` in one process and
+# prints the (file, first line, name) of every library function called
+REACH_PROBE = """
+import io, json, os, sys
+import realforms
+package = os.path.dirname(realforms.__file__)
+reached = set()
+
+def hook(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and os.path.dirname(code.co_filename) == package:
+        reached.add((os.path.basename(code.co_filename),
+                     code.co_firstlineno, code.co_name))
+
+with open(sys.argv[1], encoding="utf-8") as f:
+    cases = json.load(f)
+sys.setprofile(hook)
+from realforms.cli import main  # its commands register on import
+for args in [*cases.values(), ["verify", "--suite", "all"]]:
+    stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO(), "utf-8")
+    try:
+        main(args, prog_name="realforms")
+    except SystemExit:
+        pass
+    finally:
+        sys.stdout = stdout
+sys.setprofile(None)
+print(json.dumps(sorted(reached)))
+"""
+
+
+def _library_functions():
+    """{(file, first line, name): "module.qualified.name"} for every
+    ``def`` in the package but the dunders; a decorated function's code
+    starts at its first decorator."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    found[(path.name, first, child.name)] = \
+                        "%s.%s" % (path.stem, name)
+                walk(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted((ROOT / "src" / "realforms").glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def test_every_library_function_is_reached_or_kept():
+    # a fresh process, so that no warm cache hides a call
+    proc = _python("-c", REACH_PROBE,
+                   str(ROOT / "tests" / "golden" / "cases.json"))
+    assert proc.returncode == 0, proc.stderr
+    reached = {tuple(key) for key in json.loads(proc.stdout)}
+    functions = _library_functions()
+    unreached = {name for key, name in functions.items()
+                 if key not in reached}
+    assert unreached == set(KEPT)

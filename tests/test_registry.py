@@ -14,25 +14,18 @@ from gauss_jordan import solve
 from realforms import certificates, lattices, registry, verify
 from realforms.certificates import (
     Ambient,
-    fabc_ambient,
-    flag_ambient,
-    p3_ambient,
-    p4_ambient,
+    build_ambient,
     parse_monomial_map,
     parse_polynomial,
     parse_structure,
-    pb_ambient,
     real_locus_form,
-    rmn_ambient,
     signature,
     torus_equivalent,
     verify_involution,
-    wb_ambient,
-    wps_ambient,
 )
 from realforms.exact import Cyclo, Poly, VerificationError
 from realforms.lattices import FamilyId
-from realforms.registry import (TorusShape, tori_conjugate, torus_forms,
+from realforms.registry import (TorusShape, torus_forms,
                                 torus_shape_of_involution, validate_all)
 
 EXCHANGE = "[conj(x0):conj(x1); conj(z0):conj(z1); conj(y0):conj(y1)]"
@@ -74,8 +67,8 @@ def _literal_ambients(a, b, c):
 @pytest.mark.parametrize("a,b,c", [(0, 0, 0), (2, 3, -1), (-1, -2, 4),
                                    (5, 0, 2), (1, 7, 7)])
 def test_ambients_read_the_cox_data_of_lattices(a, b, c):
-    built = (fabc_ambient(a, b, c), pb_ambient(b), wb_ambient(b),
-             rmn_ambient(a, c))
+    built = [build_ambient(spec) for spec in (
+        ("fabc", (a, b, c)), ("pb", (b,)), ("wb", (b,)), ("rmn", (a, c)))]
     for ambient, (name, coords, weights, blocks) in zip(
             built, _literal_ambients(a, b, c)):
         assert (ambient.name, ambient.coords, ambient.weights,
@@ -89,8 +82,8 @@ def test_ambients_read_the_cox_data_of_lattices(a, b, c):
 
 @pytest.mark.parametrize("b", range(1, 6))
 def test_exchange_and_circle_structures_are_involutions(b):
-    for text, ambient in ((EXCHANGE, fabc_ambient(0, b, -b)),
-                          (CIRCLE, fabc_ambient(0, b, b))):
+    for text, ambient in ((EXCHANGE, build_ambient(("fabc", (0, b, -b)))),
+                          (CIRCLE, build_ambient(("fabc", (0, b, b))))):
         verdict = verify_involution(text, ambient)
         assert verdict["ok"] is True
         assert verdict["ambient"] == ambient.name
@@ -100,7 +93,8 @@ def test_exchange_and_circle_structures_are_involutions(b):
 
 
 def test_exchange_verdict_in_full():
-    assert verify_involution(EXCHANGE, fabc_ambient(0, 2, -2)) == {
+    ambient = build_ambient(("fabc", (0, 2, -2)))
+    assert verify_involution(EXCHANGE, ambient) == {
         "ok": True,
         "ambient": "F_0^{2,-2}",
         "grading": [[1, 0, 0], [-2, 0, 1], [2, 1, 0]],
@@ -110,8 +104,9 @@ def test_exchange_verdict_in_full():
 
 
 def test_flag_structures_preserve_the_incidence_equation():
-    for descriptor in registry.forms_of(FamilyId.sb(1)):
-        structure = parse_structure(descriptor.real_structure, flag_ambient())
+    flag = build_ambient(("flag", ()))
+    for descriptor in registry.forms_of(FamilyId("Sb", (1,))):
+        structure = parse_structure(descriptor.real_structure, flag)
         verdict = verify_involution(structure)
         assert verdict["equations_preserved"] == 1
         assert registry.validate_descriptor(descriptor) == {
@@ -122,7 +117,7 @@ def test_flag_structures_preserve_the_incidence_equation():
 def test_grading_violation_is_a_domain_error():
     swap = "[conj(z0):conj(y1); conj(y0):conj(z1):conj(z2)]"
     with pytest.raises(ValueError, match="grading violation"):
-        verify_involution(swap, pb_ambient(1))
+        verify_involution(swap, build_ambient(("pb", (1,))))
 
 
 def _grading_oracle(structure):
@@ -206,7 +201,7 @@ def test_ambient_refuses_weights_that_are_not_integers():
     with pytest.raises(ValueError, match="integers"):
         Ambient("test", ("x0", "x1"), [[Fraction(3, 2)], [1]], [[0, 1]])
     with pytest.raises(ValueError, match="integers"):
-        wps_ambient(1.5, 2)
+        build_ambient(("wps", (1.5, 2)))
     ambient = Ambient("test", ("x0", "x1"), [[Fraction(2, 1)], [1]], [[0, 1]])
     assert ambient.weights == ((2,), (1,))
 
@@ -214,13 +209,13 @@ def test_ambient_refuses_weights_that_are_not_integers():
 def test_square_outside_the_torus_fails_verification():
     with pytest.raises(VerificationError, match="outside"):
         verify_involution("[conj(w0):conj(w1):conj(w2):2*conj(w3)]",
-                          p3_ambient())
+                          build_ambient(("p3", ())))
 
 
 def test_non_involutive_permutation_fails_verification():
     with pytest.raises(VerificationError, match="coordinate axes"):
         verify_involution("[conj(w1):conj(w2):conj(w0):conj(w3)]",
-                          p3_ambient())
+                          build_ambient(("p3", ())))
 
 
 def test_string_structure_needs_an_ambient():
@@ -252,7 +247,7 @@ def test_signature_rejects_bad_matrices():
 
 
 def test_real_locus_form():
-    ambient = p3_ambient()
+    ambient = build_ambient(("p3", ()))
     quadric = parse_polynomial("w0*w1 - w2*w3", ambient.coords)
     swap = parse_structure("[conj(w1):conj(w0):conj(w2):conj(w3)]", ambient)
     half = Fraction(-1, 2)
@@ -263,7 +258,7 @@ def test_real_locus_form():
 
 
 def test_real_locus_form_rejects_bad_structures():
-    ambient = p3_ambient()
+    ambient = build_ambient(("p3", ()))
     quadric = parse_polynomial("w0*w1 - w2*w3", ambient.coords)
     twisted = parse_structure("[-conj(w1):conj(w0):conj(w2):conj(w3)]",
                               ambient)
@@ -287,13 +282,13 @@ def test_real_locus_form_rejects_bad_structures():
     ("[w0^2:w1:w2:w3]", False),
 ])
 def test_torus_equivalent(text, expected):
-    ambient = p3_ambient()
+    ambient = build_ambient(("p3", ()))
     moved = parse_monomial_map(text, ambient.coords)
     assert torus_equivalent(ambient, moved, Poly.variables(4)) is expected
 
 
 def test_torus_equivalent_rejects_mismatched_maps():
-    ambient = p3_ambient()
+    ambient = build_ambient(("p3", ()))
     with pytest.raises(ValueError):
         torus_equivalent(ambient, Poly.variables(3), Poly.variables(4))
 
@@ -423,13 +418,6 @@ def test_torus_shape_refuses_counts_that_are_not_integers():
     assert TorusShape(Fraction(2, 2), 0, 1) == (1, 0, 1)
 
 
-def test_tori_conjugate():
-    assert tori_conjugate((1, 0, 1), TorusShape(1, 0, 1))
-    assert not tori_conjugate((1, 0, 1), (0, 2, 1))
-    with pytest.raises(ValueError, match="dimension"):
-        tori_conjugate((1, 0, 1), (1, 0, 0))
-
-
 def test_torus_forms_refuse_dimensions_past_the_bound():
     bound = registry.MAX_TORUS_DIMENSION
     assert len(registry.torus_forms(bound)) == (bound // 2 + 1) ** 2
@@ -467,7 +455,7 @@ def test_zero_padded_names_have_the_links_of_their_plain_name(padded, plain):
 ])
 def test_parse_structure_errors(text):
     with pytest.raises(ValueError):
-        parse_structure(text, p3_ambient())
+        parse_structure(text, build_ambient(("p3", ())))
 
 
 @pytest.mark.parametrize("text", [
@@ -546,21 +534,21 @@ STORED_STRUCTURES = {
         ((1, 1, 1, 1, 1), (0, 2, 1, 3, 4)),
 }
 STORED_MAPS = {
-    ("psi_G1", "map"): (fabc_ambient(0, 1, -1), (
+    ("psi_G1", "map"): (build_ambient(("fabc", (0, 1, -1))), (
         (1, (1, 0, 1, 0, 1, 0)), (1, (1, 0, 1, 0, 0, 1)),
         (1, (1, 0, 0, 1, 1, 0)), (1, (1, 0, 0, 1, 0, 1)),
         (1, (0, 1, 0, 0, 0, 0)))),
-    ("delta_H1", "map"): (fabc_ambient(0, 1, 1), (
+    ("delta_H1", "map"): (build_ambient(("fabc", (0, 1, 1))), (
         (1, (1, 0, 1, 0, 0, 0)), (1, (1, 0, 0, 1, 0, 0)),
         (1, (0, 1, 0, 0, 1, 0)), (1, (0, 1, 0, 0, 0, 1)))),
-    ("delta_H1", "inverse"): (p3_ambient(), (
+    ("delta_H1", "inverse"): (build_ambient(("p3", ())), (
         (1, (0, 0, 0, 0)), (1, (0, 0, 0, 0)), (1, (1, 0, 0, 0)),
         (1, (0, 1, 0, 0)), (1, (0, 0, 1, 0)), (1, (0, 0, 0, 1)))),
 }
 STORED_QUADRIC = Poly({(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1})
-_AMBIENTS = (fabc_ambient(0, 0, 0), pb_ambient(0), rmn_ambient(0, 0),
-             flag_ambient(), p3_ambient(), p4_ambient(),
-             wps_ambient(1, 1, 1, 2))
+_AMBIENTS = tuple(build_ambient(spec) for spec in (
+    ("fabc", (0, 0, 0)), ("pb", (0,)), ("rmn", (0, 0)), ("flag", ()),
+    ("p3", ()), ("p4", ()), ("wps", (1, 1, 1, 2))))
 
 
 def _stored_entries():
@@ -591,7 +579,7 @@ def test_stored_maps_and_quadric_parse_to_frozen_values():
         assert all(p.nvars == len(ambient.coords) for p in parsed)
         assert parsed == _as_polys(components), (kind, key)
     quadric = parse_polynomial(witnesses["psi_G1"]["quadric"],
-                               p4_ambient().coords)
+                               build_ambient(("p4", ())).coords)
     assert quadric == STORED_QUADRIC and quadric.nvars == 5
 
 
