@@ -20,14 +20,14 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 # the public names, by the module that defines them; a module is only
 # executed when one of its names is first looked up (PEP 562)
 _EXPORTS = {
-    "errors": "VerificationError",
+    "errors": "UndecidableError VerificationError",
     "exact": "Cyclo Mat2 Poly Poly2",
     "groups": "GroupSpec h1_classes h1_named h1_names "
               "semi_invariant_character",
     "lattices": "FamilyId aut_component_count in_theorem_list model",
     "parsing": "ParseError parse_poly render_poly",
     "quadrics": "AmbiguousSymmetryError ApplicabilityError FLabel FormCounts "
-                "FormDescriptor QgInstance RealFormReport UndecidableError "
+                "FormDescriptor QgInstance RealFormReport "
                 "check_psi_h check_real_structure detect_symmetry "
                 "enumerate_forms form_counts psi_pullback_identity "
                 "realizable",

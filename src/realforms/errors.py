@@ -19,3 +19,8 @@ def as_int(value, what):
     if getattr(value, "denominator", 0) != 1:
         raise ValueError("%s must be integers, got %r" % (what, value))
     return int(value)
+
+
+class UndecidableError(ValueError):
+    """The exact search cannot settle the question within its scalars or
+    its bounds."""

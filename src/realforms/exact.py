@@ -32,21 +32,22 @@ mod Phi_N and canonicalized once.  A power of +-z^j is one exponent map.
 gcd / squarefree machinery works on dehomogenized coefficient lists.
 
 The last section, arithmetic modulo a split prime, is the package's only
-modular arithmetic: it reduces cyclotomic values modulo a prime
-p = 1 mod N and divides polynomials over F_p, so that
-``root_multiplicities`` proves a fiber squarefree without Yun's
-decomposition over Q(zeta_N), which stays the fallback.
+modular arithmetic.  ``root_multiplicities`` proves a fiber squarefree
+with one gcd there; otherwise it runs Yun over F_p under every embedding
+of split primes, lifts the factors with the one lift-from-split-primes
+kernel (an inverse DFT of length N, the Chinese remainder theorem and
+rational reconstruction) and certifies them by a height bound, or
+refuses.  No Euclidean algorithm runs over Q(zeta_N).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb, gcd, lcm, isqrt
 from operator import mul
 
-from .errors import VerificationError
+from .errors import UndecidableError, VerificationError
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +428,12 @@ class Cyclo:
             p = self.num[0]
             return _raw(1, (self.den if p > 0 else -self.den,), abs(p))
         # x and 1/x generate the same field: the conductor stays
+        support = [j for j, c in enumerate(self.num) if c]
+        if len(support) == 1:
+            # (c / den) z^j inverts to (den / c) z^-j, one exponent map
+            c = self.num[support[0]]
+            return _lowest(self.n, _exponent_map(self.n, [
+                (-support[0], self.den if c > 0 else -self.den)]), abs(c))
         u, r = _invert(self.n, self.num)
         if r < 0:
             u, r = [-c for c in u], -r
@@ -715,6 +722,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a monomial shifts exponents one to one and scales by a unit
+            ((k2, c2),), terms = (other.terms.items(), self.terms) \
+                if len(other.terms) == 1 else (self.terms.items(), other.terms)
+            return self._result({tuple([a + b for a, b in zip(k1, k2)]):
+                                 c1 * c2 for k1, c1 in terms.items()}, other)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -1000,123 +1013,6 @@ def _units(x, y, d):
 
 
 # ----------------------------------------------------------------------
-# gcd / squarefree structure of binary forms
-#
-# A binary form factors as u0^e0 * u1^e1 * h where h has nonzero
-# coefficients at both ends; h corresponds to a univariate polynomial in
-# t = u0/u1 with nonzero constant term.  The root multiplicities are
-# read off the pair (e0, e1) and Yun's decomposition of that univariate
-# polynomial.
-
-
-def _to_univariate(g: Poly2):
-    """Return (e0, e1, coeff list p) with g = u0^e0 u1^e1 * P(u0,u1),
-    P the homogenization of p (p[k] multiplies u0^k)."""
-    if g.is_zero():
-        raise ValueError("zero form has no factor structure")
-    e0 = min(a for (a, b) in g.terms)
-    e1 = min(b for (a, b) in g.terms)
-    d = g.degree - e0 - e1
-    p = [ZERO] * (d + 1)
-    for (a, b), c in g.terms.items():
-        p[a - e0] = c
-    return e0, e1, p
-
-
-def _udeg(p):
-    d = len(p) - 1
-    while d >= 0 and p[d].is_zero():
-        d -= 1
-    return d
-
-
-def _utrim(p):
-    return p[: _udeg(p) + 1] or [ZERO]
-
-
-def _usub(p, q):
-    return [a - b for a, b in zip_longest(p, q, fillvalue=ZERO)]
-
-
-def _udivmod(p, q):
-    dq = _udeg(q)
-    if dq < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv = q[dq].inverse()
-    rem = list(p)
-    quo = [ZERO] * max(1, len(p) - dq)
-    while _udeg(rem) >= dq:
-        dr = _udeg(rem)
-        c = rem[dr] * inv
-        quo[dr - dq] = c
-        for j in range(dq + 1):
-            rem[dr - dq + j] = rem[dr - dq + j] - c * q[j]
-        rem[dr] = ZERO  # guard against residue from inexact cancellation
-    return _utrim(quo), _utrim(rem)
-
-
-def _udiv_exact(p, q):
-    quo, rem = _udivmod(p, q)
-    if _udeg(rem) >= 0:
-        raise VerificationError("inexact polynomial division")
-    return quo
-
-
-def _ugcd(p, q):
-    a, b = _utrim(list(p)), _utrim(list(q))
-    while _udeg(b) >= 0:
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    return _umonic(a)
-
-
-def _umonic(p):
-    d = _udeg(p)
-    if d < 0:
-        return [ZERO]
-    inv = p[d].inverse()
-    return [x * inv for x in p]
-
-
-def _uderiv(p):
-    return _utrim([p[k] * k for k in range(1, len(p))]) if len(p) > 1 else [ZERO]
-
-
-def yun_decomposition(p):
-    """Squarefree decomposition: p monic = prod out[i-1]^i (Yun)."""
-    p = _umonic(p)
-    if _udeg(p) <= 0:
-        return []
-    dp = _uderiv(p)
-    g = _ugcd(p, dp)
-    w = _udiv_exact(p, g)
-    y = _udiv_exact(dp, g)
-    out = []
-    while _udeg(w) > 0:
-        z = _usub(y, _uderiv(w))
-        f = _ugcd(w, _utrim(z))
-        out.append(f)
-        w = _udiv_exact(w, f)
-        y = _udiv_exact(_utrim(z), f)
-    return out
-
-
-def root_multiplicities(g: Poly2):
-    """Multiset of root multiplicities of g (roots counted without
-    naming them; the roots u1=0 and u0=0 are included).  The rest of g
-    is proved squarefree modulo a split prime when it is, and goes
-    through Yun's decomposition over Q(zeta_N) otherwise."""
-    e0, e1, p = _to_univariate(g)
-    mults = [e for e in (e0, e1) if e]
-    if len(p) > 1 and _squarefree_mod_p(p):
-        mults.extend([1] * (len(p) - 1))
-    else:
-        for i, f in enumerate(yun_decomposition(p), start=1):
-            mults.extend([i] * _udeg(f))
-    return sorted(mults, reverse=True)
-
-
-# ----------------------------------------------------------------------
 # 2x2 matrices over the cyclotomic scalars
 
 
@@ -1204,14 +1100,27 @@ class Mat2:
 
 
 # ----------------------------------------------------------------------
-# arithmetic modulo a split prime
+# arithmetic modulo a split prime, and root multiplicities
 #
-# The package's only modular arithmetic.  For a prime p = 1 mod N the
-# cyclotomic polynomial Phi_N splits over F_p, so an element w of exact
-# order N gives a ring map from the values of Q(zeta_N) whose
-# denominators p does not divide onto F_p: zeta_N -> w, and so
-# zeta_m -> w^(N/m) for m | N.  Polynomials over F_p are little-endian
-# lists of ints in [0, p) without trailing zeros; [] is zero.
+# For a prime p = 1 mod N the cyclotomic polynomial Phi_N splits over
+# F_p, so an element w of exact order N gives a ring map from the values
+# of Q(zeta_N) whose denominators p does not divide onto F_p: zeta_N -> w,
+# and so zeta_m -> w^(N/m) for m | N.  The phi(N) embeddings
+# zeta_N -> w^k, k a unit mod N, identify Z[zeta_N] / p with F_p^phi(N).
+# Polynomials over F_p are little-endian lists of ints in [0, p) without
+# trailing zeros; [] is zero.
+
+# Most images (a split prime under one embedding) that one lift of root
+# multiplicities may use: past MAX_LIFT_IMAGES // phi(N) primes, 4096 at
+# conductor 1 and 16 at conductor 251, `root_multiplicities` refuses.
+# Each image costs a run of Yun over F_p.  In process (CPython 3.11, one
+# core of a shared x86-64 host), the degree-198 66th power of a cubic at
+# conductor 251 takes 5 primes and 0.49 s, and at conductor 1, with a
+# 31-digit leading coefficient, 223 primes and 0.31 s; with that
+# coefficient at conductor 251 its height rules the cap out at once.
+MAX_LIFT_IMAGES = 4096
+
+_SPLIT_PRIMES = {}
 
 
 def _is_prime(n: int) -> bool:
@@ -1226,21 +1135,20 @@ def _is_prime(n: int) -> bool:
                for b in bases)
 
 
-@lru_cache(maxsize=None)
-def _split_primes(N: int):
-    """The first three primes p > 2^30 with p = 1 mod N, each as (p, w)
-    with w of exact order N in F_p."""
-    out = []
-    p = (2 ** 30 // N + 1) * N + 1
-    while len(out) < 3:
+def _split_primes(N: int, count: int = 3):
+    """The first ``count`` primes p > 2^30 with p = 1 mod N, each as (p, w)
+    with w of exact order N in F_p; searched once per N, as needed."""
+    found = _SPLIT_PRIMES.setdefault(N, [])
+    p = found[-1][0] + N if found else (2 ** 30 // N + 1) * N + 1
+    while len(found) < count:
         if _is_prime(p):
             for g in range(2, p):
                 w = pow(g, (p - 1) // N, p)
                 if all(pow(w, N // q, p) != 1 for q in _prime_factors(N)):
-                    out.append((p, w))
+                    found.append((p, w))
                     break
         p += N
-    return tuple(out)
+    return found[:count]
 
 
 def _mod_p(x: Cyclo, N: int, p: int, w: int):
@@ -1248,11 +1156,11 @@ def _mod_p(x: Cyclo, N: int, p: int, w: int):
     None when p divides its denominator."""
     if x.den % p == 0:
         return None
-    z = pow(w, N // x.n, p)
+    z = pow(w, N // x.n, p) if x.n > 1 else 1
     acc = 0
     for c in reversed(x.num):
         acc = (acc * z + c) % p
-    return acc * pow(x.den, -1, p) % p
+    return acc if x.den == 1 else acc * pow(x.den, -1, p) % p
 
 
 def _fp_divmod(a, b, p: int):
@@ -1271,38 +1179,281 @@ def _fp_divmod(a, b, p: int):
     return q, r
 
 
+def _fp_quotient(a, b, p: int):
+    """a / b in F_p[x] for b dividing a: a quotient of degree s is read
+    off the top s + 1 coefficients of b and the top 2s + 1 of a."""
+    top = b[max(0, 2 * len(b) - len(a) - 1):]
+    return _fp_divmod(a[len(b) - len(top):], top, p)[0]
+
+
 def _fp_gcd(a, b, p: int):
     """The monic gcd of a and b in F_p[x] ([] when both are zero)."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:  # a mod b in place, from the top
+            c = a.pop() * inv % p
+            if c:
+                off = len(a) - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
     if not a:
         return []
     inv = pow(a[-1], -1, p)
     return [v * inv % p for v in a]
 
 
-def _squarefree_mod_p(coeffs) -> bool:
-    """True when a split prime proves the univariate polynomial ``coeffs``
-    (Cyclo values, leading one nonzero) squarefree over Q(zeta_N), N the
-    lcm of their conductors.
+def _fp_mul(a, b, p: int):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [v % p for v in out]
 
-    A prime is good when it divides no denominator and keeps the leading
-    coefficient, so the reduction keeps the degree.  Then the test is
-    sound.  Let P be the prime of Z[zeta_N] over p that contains
-    zeta_N - w.  If h^2 divides g, h monic of positive degree, then h
-    is P-integral: g / lc(g) is monic and P-integral, and the monic
-    factors of such a polynomial are P-integral too.  So the reduction
-    of h^2, of the same positive degree, divides that of g, and
-    gcd(g, g') mod p is not 1.  The first good prime decides; False
-    sends the caller to exact Yun.
+
+def _fp_deriv(a, p: int):
+    d = [k * v % p for k, v in enumerate(a)][1:]
+    while d and not d[-1]:
+        d.pop()
+    return d
+
+
+def _squarefree_mod_p(*factors, tries=1) -> bool:
+    """True when one of the first ``tries`` good split primes proves the
+    product of the univariate polynomials ``factors`` (Cyclo lists,
+    leading entries nonzero) squarefree over Q(zeta_N), N the lcm of
+    their conductors.
+
+    At a good prime, one that divides no denominator and keeps the
+    leading coefficients, gcd(g, g') = 1 mod p is a proof.  Let P be the
+    prime of Z[zeta_N] over p that contains zeta_N - w.  If h^2 divides
+    the product g, h monic of positive degree, then h is P-integral, as
+    a monic factor of the monic P-integral g / lc(g); so the reduction
+    of h^2, of the same degree, divides that of g.  A prime that merges
+    two roots proves nothing, hence ``tries``.
     """
-    N = lcm(*(c.n for c in coeffs))
+    N = lcm(*(c.n for f in factors for c in f))
     for p, w in _split_primes(N):
-        image = [_mod_p(c, N, p, w) for c in coeffs]
-        if None in image or not image[-1]:
-            continue
-        deriv = [k * v % p for k, v in enumerate(image)][1:]
-        while deriv and not deriv[-1]:
-            deriv.pop()
-        return len(_fp_gcd(image, deriv, p)) == 1
+        image = [1]
+        for f in factors:
+            part = [_mod_p(c, N, p, w) for c in f]
+            if None in part or not part[-1]:
+                break
+            image = _fp_mul(image, part, p) if len(image) > 1 else part
+        else:
+            if len(_fp_gcd(image, _fp_deriv(image, p), p)) == 1:
+                return True
+            tries -= 1
+            if not tries:
+                return False
     return False
+
+
+def _fp_yun(a, p: int, mults=None):
+    """{m: y_m}, monic, squarefree and coprime, with the monic a in F_p[x],
+    p > deg a, the product of the y_m^m; None when the m in ``mults``,
+    if given, leave a root out.  Yun: b = a / gcd(a, a') is the product
+    of the y_m and c = a' / gcd(a, a') the sum of the m y_m' b / y_m, so
+    c - m b' vanishes at a root of y_k just when k = m."""
+    da = _fp_deriv(a, p)
+    g = _fp_gcd(a, da, p)
+    b, c = _fp_quotient(a, g, p), _fp_quotient(da, g, p)
+    db, out, left = _fp_deriv(b, p), {}, len(b) - 1
+    for m in mults or range(1, len(a)):
+        d = [(x - m * y) % p for x, y in zip(c, db)]  # both of degree < deg b
+        while d and not d[-1]:
+            d.pop()
+        y = _fp_gcd(b, d, p)
+        if len(y) > 1:
+            out[m], left = y, left - len(y) + 1
+        if not left:
+            break
+    return None if left else out
+
+
+def _fp_transform(rows, xs, N: int, p: int, w: int):
+    """[sum of row w^(x e) over (e, row) in ``rows``] for x in ``xs``, the
+    rows equal-length lists over F_p, each packed into one integer with a
+    byte-aligned slot per entry, wide enough that no sum carries."""
+    count, size = len(rows[0][1]), (len(rows) * p * p).bit_length() // 8 + 1
+    powers = [pow(w, e, p) for e in range(N)]
+    packed = [(e, int.from_bytes(b"".join([v.to_bytes(size, "little")
+                                           for v in row]), "little"))
+              for e, row in rows]
+    out = []
+    for x in xs:
+        raw = sum(powers[x * e % N] * v for e, v in packed).to_bytes(
+            count * size, "little")
+        out.append([int.from_bytes(raw[i:i + size], "little") % p
+                    for i in range(0, count * size, size)])
+    return out
+
+
+def _rational_reconstruction(x: int, M: int):
+    """The unique (a, b) with a = b x mod M, |a| and 0 < b at most
+    sqrt(M / 2) and b prime to M, or None (Wang, Guy and Davenport,
+    SIGSAM Bull. 16, 1982): Euclid on (M, x) stopped below the bound."""
+    bound = isqrt(M // 2)
+    r0, r1, t0, t1 = M, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(t1, M) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift_from_split_primes(N: int, state, p: int, w: int, values):
+    """Lift from split primes: values of Q(zeta_N) from their images.
+
+    ``values[u][t]`` is the t-th unknown under zeta_N -> w^k, k the u-th
+    unit mod N.  An inverse DFT of length N, zero at the other k, gives B
+    of degree < N taking each image at its w^k; B mod Phi_N agrees with
+    the unknown at the phi(N) roots of Phi_N over F_p, so it holds its
+    coordinates mod p.  The Chinese remainder theorem adds them to
+    ``state``, None or (M, coordinates mod M) of earlier primes.  Returns
+    the new state and the unknowns by rational reconstruction mod M, or
+    None while one fails.  ROADMAP item 3 is to lift matrix entries too.
+    """
+    units = [k for k in range(N) if gcd(k, N) == 1]
+    spread = _fp_transform(list(zip(units, values)), range(N), N, p,
+                           pow(w, -1, p))
+    scale = pow(N, -1, p)
+    coords = [c * scale % p for t in range(len(values[0]))
+              for c in _reduce(N, [row[t] for row in spread])]
+    M, old = state or (1, coords)
+    inv = pow(M, -1, p)
+    coords = [x + M * ((y - x) * inv % p) for x, y in zip(old, coords)]
+    M, lifted, phi = M * p, [], euler_phi(N)
+    for t in range(0, len(coords), phi):
+        fracs = [_rational_reconstruction(x, M) for x in coords[t:t + phi]]
+        if None in fracs:
+            return (M, coords), None
+        den = lcm(*(b for _, b in fracs))
+        lifted.append(_make(N, [a * (den // b) for a, b in fracs], den))
+    return (M, coords), lifted
+
+
+def _to_univariate(g: Poly2):
+    """Return (e0, e1, coeff list p) with g = u0^e0 u1^e1 * P(u0,u1),
+    P the homogenization of p (p[k] multiplies u0^k)."""
+    if g.is_zero():
+        raise ValueError("zero form has no factor structure")
+    e0 = min(a for (a, b) in g.terms)
+    e1 = min(b for (a, b) in g.terms)
+    d = g.degree - e0 - e1
+    p = [ZERO] * (d + 1)
+    for (a, b), c in g.terms.items():
+        p[a - e0] = c
+    return e0, e1, p
+
+
+def _multiplicity_factors(coeffs):
+    """{m: f_m}, Cyclo lists with coeffs a constant times prod f_m^m and
+    prod f_m squarefree, lifted and certified as `root_multiplicities`
+    says."""
+    N, den = lcm(*(c.n for c in coeffs)), lcm(*(c.den for c in coeffs))
+    units = [k for k in range(N) if gcd(k, N) == 1]
+    rows = {}  # den * coeffs by power of zeta_N, each power a row
+    for a, c in enumerate(coeffs):
+        for j, v in enumerate(c.num):
+            if v:
+                rows.setdefault(j * N // c.n, [0] * len(coeffs))[a] = \
+                    v * (den // c.den)
+
+    def norm(x, d):  # the sum of the |coordinates| of d x
+        return sum(map(abs, x.num)) * (d // x.den)
+
+    rho = max(max(map(abs, _exponent_map(N, [(j, 1)]))) for j in range(N))
+    height = 2 * rho * (len(coeffs) - 1) * max(norm(c, den) for c in coeffs)
+    cap = MAX_LIFT_IMAGES // len(units)
+    if (2 * height).bit_length() > 31 * cap:
+        cap = 0  # the cap's primes, each below 2^31, cannot pass 2 height
+    best = state = None
+    for i in range(cap):
+        p, w = _split_primes(N, i + 1)[i]
+        found, leads = [], []
+        for a in _fp_transform([(e, [v % p for v in row])
+                                for e, row in rows.items()], units, N, p, w):
+            if not a[-1]:
+                break
+            inv = pow(a[-1], -1, p)
+            ys = _fp_yun([v * inv % p for v in a], p, found and found[0])
+            if ys is None or found and list(map(len, ys.values())) \
+                    != list(map(len, found[0].values())):
+                break
+            found.append(ys)
+            leads.append(a[-1] if coeffs[-1].n > 1 else 1)
+        else:
+            pattern = {m: len(y) - 1 for m, y in found[0].items()}
+            if best is None or sum(pattern.values()) > sum(best.values()):
+                best, state = pattern, None  # reduction only merges roots
+            if pattern != best:
+                continue
+            state, lifted = _lift_from_split_primes(
+                N, state, p, w, [[v * s % p for y in ys.values()
+                                  for v in y[:-1]]
+                                 for ys, s in zip(found, leads)])
+            if lifted is None:
+                continue
+            factors, bound = {}, height
+            for m, d in best.items():
+                f = factors[m] = lifted[:d] + [
+                    den * coeffs[-1] if coeffs[-1].n > 1 else ONE]
+                del lifted[:d]
+                d = lcm(*(c.den for c in f))
+                bound *= sum(norm(c, d) for c in f)
+            if state[0] > 2 * bound:
+                if _squarefree_mod_p(*factors.values(), tries=3):
+                    return factors
+                break  # more primes would not change the verdict
+    raise UndecidableError("the root multiplicities of g are not certified "
+                           "within %d split primes"
+                           % (MAX_LIFT_IMAGES // len(units)))
+
+
+def root_multiplicities(g: Poly2):
+    """Multiset of root multiplicities of g (roots counted without
+    naming them; the roots u1=0 and u0=0 are included).
+
+    The rest of g is P, of nonzero constant term.  One gcd(P, P') modulo
+    a split prime proves it squarefree when it is.  Otherwise Yun runs
+    over F_p on P / lc(P) under every embedding of split primes in turn;
+    a prime counts when its embeddings agree on the multiplicities and
+    degrees and no prime showed more distinct roots (reduction only
+    merges roots).  `_lift_from_split_primes` lifts the factors f_m:
+    monic when lc(P) is rational, else times lc(den P), integral by
+    Gauss's lemma in Z[zeta_N], since dividing by an irrational lc(P)
+    puts its norm into the denominators.
+
+    Certificate.  Let G = den P and F_m = d_m f_m be integral, B the
+    product of the F_m, C the sum of the m F_m' B / F_m and
+    E = G' B - G C.  At each prime p used, under each embedding, f_m
+    reduces to a constant times the Yun factor y_m (the lifted
+    denominators are prime to M, the product of the primes) and
+    G = lc(G) prod y_m^m, so E vanishes by the product rule: each
+    coefficient of E lies in every prime of Z[zeta_N] over p, so in
+    p Z[zeta_N], and M divides its coordinates.  As in `Poly2.compose`,
+    |x|, the sum of the |coordinates|, is submultiplicative in
+    Z[z]/(z^N - 1), which maps onto Z[zeta_N], so a coefficient of Q R
+    is at most max|Q_i| times the sum of the |R_j|.  With d = deg P,
+    |G| = max|G_i| and |F_m| the sum of the |coefficients| of F_m, the
+    coordinates of E are at most H = 2 rho d |G| prod |F_m|, rho the
+    largest coordinate of z^j mod Phi_N, j < N (at most 2 for
+    N <= 256).  M > 2H makes E = 0: G' / G is the sum of the
+    m f_m' / f_m, so G / prod f_m^m is constant.  With prod f_m
+    squarefree (`_squarefree_mod_p`), m is then the multiplicity of each
+    root of f_m.  Past `MAX_LIFT_IMAGES` / phi(N) primes it raises
+    UndecidableError.
+    """
+    e0, e1, p = _to_univariate(g)
+    mults = [e for e in (e0, e1) if e]
+    if len(p) > 1 and _squarefree_mod_p(p):
+        mults.extend([1] * (len(p) - 1))
+    elif len(p) > 1:
+        for m, f in _multiplicity_factors(p).items():
+            mults.extend([m] * (len(f) - 1))
+    return sorted(mults, reverse=True)

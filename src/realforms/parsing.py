@@ -34,9 +34,9 @@ the same object, and scalar_json gives the stable dictionary form
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .exact import Cyclo, Poly, Poly2, as_cyclo
+from .exact import Cyclo, Poly, Poly2, _rational, as_cyclo
 
 
 class ParseError(ValueError):
@@ -210,7 +210,9 @@ class _Parser:
         return (-value if negate else value), degree
 
     def constant(self, value):
-        return Poly({self.origin: value}), 0
+        # an int literal becomes its Cyclo and Poly directly
+        c = _rational(value, 1) if type(value) is int else as_cyclo(value)
+        return self.variables[0]._result({self.origin: c} if c else {}), 0
 
     def field(self, conductor, pos):
         """Widen the text's field to include conductor, within the bound."""
@@ -284,29 +286,33 @@ def parse_formula(text, names):
     return _Parser(text, tuple(names), formula=True).components()
 
 
+def _ratio(p, q):
+    """The rational p / q (q > 0) as ``str(Fraction(p, q))`` writes it."""
+    g = gcd(p, q)
+    return "%d" % (p // g) if g == q else "%d/%d" % (p // g, q // g)
+
+
 def render_scalar(c):
     """Textual form of an exact scalar, parseable by parse_poly."""
     c = as_cyclo(c)
     if c.is_rational():
-        return str(c.as_rational())
-    if c == Cyclo.i():
-        return "i"
-    if c == -Cyclo.i():
-        return "-i"
+        return _ratio(c.num[0], c.den)
+    if c.n == 4 and c.den == 1 and not c.num[0] and abs(c.num[1]) == 1:
+        return "i" if c.num[1] == 1 else "-i"
     parts = []
-    for j, q in enumerate(c.coeffs):
-        if not q:
+    for j, v in enumerate(c.num):
+        if not v:
             continue
         if j == 0:
-            parts.append(str(q))
+            parts.append(_ratio(v, c.den))
             continue
         base = "zeta(%d)" % c.n if j == 1 else "zeta(%d)^%d" % (c.n, j)
-        if q == 1:
+        if v == c.den:
             parts.append(base)
-        elif q == -1:
+        elif v == -c.den:
             parts.append("-" + base)
         else:
-            parts.append("%s*%s" % (q, base))
+            parts.append("%s*%s" % (_ratio(v, c.den), base))
     return " + ".join(parts)
 
 
@@ -336,7 +342,7 @@ def render_poly(p):
         elif c == -1:
             text = "-" + mono
         elif c.is_rational():
-            text = "%s*%s" % (c.as_rational(), mono)
+            text = "%s*%s" % (_ratio(c.num[0], c.den), mono)
         else:
             text = "(%s)*%s" % (render_scalar(c), mono)
         pieces.append(text)

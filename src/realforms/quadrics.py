@@ -39,6 +39,7 @@ exact square root.
 
 from math import gcd
 
+from .errors import UndecidableError
 from .exact import (
     Cyclo,
     Mat2,
@@ -90,10 +91,6 @@ SO3R_TORUS = "SO3RxGmR"
 
 class ApplicabilityError(ValueError):
     """An involution or operation does not apply to the given datum."""
-
-
-class UndecidableError(ValueError):
-    """The exact search cannot settle the question within its scalars."""
 
 
 class AmbiguousSymmetryError(ValueError):

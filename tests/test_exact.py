@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import yun
 from realforms import exact
+from realforms.errors import UndecidableError
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
 from realforms.groups import F_SWAP, rotation_gen
@@ -439,6 +442,21 @@ def test_multiplicities_of_products():
     assert root_multiplicities(g) == [3, 1]
 
 
+def test_inverse_of_one_term_values_matches_extended_euclid():
+    for n in range(1, 61):
+        for j in range(n):
+            for q in (1, -1, Fraction(2, 3), Fraction(-5, 7)):
+                x = Cyclo.zeta(n, j) * q
+                if sum(1 for c in x.num if c) != 1 or x.n == 1:
+                    continue
+                u, r = exact._invert(x.n, list(x.num))
+                if r < 0:
+                    u, r = [-c for c in u], -r
+                assert x.inverse() == exact._lowest(
+                    x.n, [c * x.den for c in u], r), (n, j, q)
+                assert x * x.inverse() == 1
+
+
 # ----------------------------------------------------------------------
 # matrices and linear solving
 
@@ -562,27 +580,26 @@ def test_fp_divmod_and_gcd_against_brute_force(p):
              if not _fp_value(a, x, p) and not _fp_value(b, x, p)}
 
 
-def _yun_multiplicities(g):
-    """Root multiplicities of g by exact Yun alone, the reference."""
-    e0, e1, p = exact._to_univariate(g)
-    mults = [e for e in (e0, e1) if e]
-    for i, f in enumerate(exact.yun_decomposition(p), start=1):
-        mults.extend([i] * exact._udeg(f))
-    return sorted(mults, reverse=True)
-
-
 def _sparse_cyclo(rng, n):
     return Cyclo.rational(rng.randint(-3, 3)) \
         + rng.choice([1, -1, 2]) * Cyclo.zeta(n, rng.randrange(n))
 
 
-def test_non_squarefree_forms_take_the_exact_fallback(monkeypatch):
-    calls = []
-    yun = exact.yun_decomposition
-    monkeypatch.setattr(exact, "yun_decomposition",
-                        lambda p: calls.append(p) or yun(p))
+def _expand(factors, lead):
+    """lead * prod f_m^m for {m: f_m}, little-endian Cyclo lists."""
+    out = [lead]
+    for m, f in factors.items():
+        for _ in range(m):
+            out = [sum((out[k] * f[j - k] for k in range(len(out))
+                        if 0 <= j - k < len(f)), Cyclo.rational(0))
+                   for j in range(len(out) + len(f) - 1)]
+    return out
+
+
+def _rng77_non_squarefree_forms():
+    """h^power * f with random cyclotomic coefficients, seeded: the inputs
+    that exact Yun decomposed before the lift replaced it."""
     rng = random.Random(77)
-    checked = 0
     for n in (5, 7, 8, 12, 15, 21, 35, 60, 77):
         for _ in range(3):
             power = rng.choice([2, 3])
@@ -594,16 +611,175 @@ def test_non_squarefree_forms_take_the_exact_fallback(monkeypatch):
                              for a in range(rest + 1)})
             g = h ** power * f
             # a monomial h repeats only the roots u0 = 0 and u1 = 0
-            if len(h.terms) < 2 or g.is_zero():
-                continue
-            e0, e1, p = exact._to_univariate(g)
-            checked += 1
-            assert not exact._squarefree_mod_p(p)
-            before = len(calls)
-            got = root_multiplicities(g)
-            assert len(calls) == before + 1
-            assert got == _yun_multiplicities(g)
+            if len(h.terms) >= 2 and not g.is_zero():
+                yield g
+
+
+def test_non_squarefree_forms_are_lifted_and_certified():
+    checked = 0
+    for g in _rng77_non_squarefree_forms():
+        e0, e1, p = exact._to_univariate(g)
+        checked += 1
+        assert not exact._squarefree_mod_p(p)
+        factors = exact._multiplicity_factors(p)
+        # the certificate's identity, checked here by expansion: the
+        # factors are monic up to a constant
+        monic = {m: [c / f[-1] for c in f] for m, f in factors.items()}
+        assert _expand(monic, p[-1]) == p
+        assert root_multiplicities(g) == yun.multiplicities(g)
     assert checked >= 20
+
+
+def _distinct_roots(rng, n, count):
+    roots = set()
+    while len(roots) < count:
+        r = Cyclo.rational(rng.randint(-4, 4)) \
+            + rng.randint(1, 3) * Cyclo.zeta(n, rng.randrange(n))
+        if r:  # u0 - 0 u1 would repeat the root of the u0^e0 factor
+            roots.add(r)
+    return sorted(roots, key=repr)
+
+
+def _seeded_products():
+    """(g, multiplicities): g = u0^e0 u1^e1 prod h_i^i with h_i products of
+    distinct linear forms u0 - r u1, so the multiplicities are known."""
+    rng = random.Random(256)
+    for n in (1, 3, 20, 64, 77, 105, 128, 211, 251, 256):
+        powers = rng.sample(range(1, 6), rng.randint(1, 3))
+        roots = _distinct_roots(rng, n, len(powers) + rng.randint(0, 1))
+        e0, e1 = rng.choice([(0, 0), (1, 0), (0, 2), (3, 1)])
+        g = Poly2.monomial(e0, e1, rng.choice([1, -2, Fraction(3, 5)]))
+        mults = [e for e in (e0, e1) if e]
+        for k, r in enumerate(roots):
+            m = powers[k % len(powers)]
+            g = g * Poly2(1, {(1, 0): 1, (0, 1): -r}) ** m
+            mults.append(m)
+        yield n, g, sorted(mults, reverse=True)
+
+
+def test_seeded_products_of_powers_at_conductors_up_to_256():
+    for n, g, mults in _seeded_products():
+        assert root_multiplicities(g) == mults, n
+
+
+def test_an_unlucky_first_prime_is_outvoted():
+    # roots 1 and 1 + p meet modulo the first split prime p, which then
+    # shows fewer distinct roots than the primes after it and proves no
+    # product of distinct factors squarefree
+    p = exact._split_primes(1)[0][0]
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    for g, mults in [((x - y) ** 2 * (x - (1 + p) * y), [2, 1]),
+                     ((x - y) * (x - (1 + p) * y) * (x + y), [1, 1, 1]),
+                     ((x - y) * (x - (1 + p) * y) ** 3 * x, [3, 1, 1])]:
+        p_of_g = exact._to_univariate(g)[2]
+        assert not exact._squarefree_mod_p(p_of_g)
+        assert exact._squarefree_mod_p(p_of_g, tries=2) == (max(mults) == 1)
+        assert root_multiplicities(g) == mults
+
+
+def test_the_fibers_that_hung_in_exact_yun():
+    # the golden cases classify-repeated-conductor77,
+    # error-repeated-conductor251 and error-square-conductor251
+    cases = json.loads((Path(__file__).with_name("golden") / "cases.json")
+                       .read_text(encoding="utf-8"))
+    expected = {"classify-repeated-conductor77": [2] + [1] * 12,
+                "error-repeated-conductor251": [6, 6, 6, 1, 1],
+                "error-square-conductor251": [66, 66, 66]}
+    for name, mults in expected.items():
+        assert root_multiplicities(parse_poly(cases[name][2])) == mults
+
+
+def test_no_euclid_over_the_field(monkeypatch):
+    fibers = [g for g in map(_parsed, _golden_and_bench_fibers()) if g]
+    forms = fibers + list(_rng77_non_squarefree_forms()) \
+        + [g for _, g, _ in _seeded_products()]
+
+    def refuse(self):
+        raise AssertionError("Cyclo.inverse called")
+
+    monkeypatch.setattr(Cyclo, "inverse", refuse)
+    for g in forms:
+        root_multiplicities(g)
+    assert len(fibers) >= 140
+
+
+def test_refuses_past_the_prime_cap(monkeypatch):
+    g = parse_poly("(u0+3*u1)^7*(2*u0-u1)^3")
+    assert root_multiplicities(g) == [7, 3]
+    monkeypatch.setattr(exact, "MAX_LIFT_IMAGES", 0)
+    with pytest.raises(UndecidableError, match="0 split primes"):
+        root_multiplicities(g)
+    # a squarefree fiber needs no lift
+    assert root_multiplicities(parse_poly("u0^4+u1^4")) == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_fp_yun_against_brute_force(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        parts = {m: _fp_random(rng, p, rng.randint(0, 2)) or [1]
+                 for m in rng.sample(range(1, 4), rng.randint(1, 3))}
+        a = [1]
+        for m, f in parts.items():
+            for _ in range(m):
+                a = _fp_mul(a, f, p)
+        if len(a) > p or len(a) < 2:
+            continue
+        a = [v * pow(a[-1], -1, p) % p for v in a]
+        ys = exact._fp_yun(a, p)
+        prod = [1]
+        for m, y in ys.items():
+            assert len(y) > 1 and y[-1] == 1
+            for _ in range(m):
+                prod = _fp_mul(prod, y, p)
+        assert prod == a
+        # each root of a has the multiplicity of its factor
+        for m, y in ys.items():
+            for x in range(p):
+                if not _fp_value(y, x, p):
+                    assert _root_order(a, x, p) == m
+        assert exact._fp_yun(a, p, list(ys)) == ys
+
+
+def _root_order(a, x, p):
+    order = 0
+    while len(a) > 1 and not _fp_value(a, x, p):
+        a = exact._fp_divmod(a, [(-x) % p, 1], p)[0]
+        order += 1
+    return order
+
+
+def test_rational_reconstruction():
+    M = 1000003 * 1000033
+    for a, b in [(0, 1), (1, 1), (-7, 3), (355, 113), (-1, 707)]:
+        x = a * pow(b, -1, M) % M
+        assert exact._rational_reconstruction(x, M) == (a, b)
+    rng, bound = random.Random(5), math.isqrt(M // 2)
+    for x in [rng.randrange(M) for _ in range(200)]:
+        found = exact._rational_reconstruction(x, M)
+        if found is not None:
+            a, b = found
+            assert abs(a) <= bound and 0 < b <= bound
+            assert (a - b * x) % M == 0 and math.gcd(b, M) == 1
+
+
+def test_lift_from_split_primes_recovers_values():
+    rng = random.Random(2024)
+    for n in (1, 4, 9, 15, 77, 128, 251):
+        units = [k for k in range(n) if math.gcd(k, n) == 1]
+        values = [_random_cyclo(rng, n) * rng.randint(1, 10 ** 12)
+                  for _ in range(3)]
+        state = lifted = None
+        for i in range(6):
+            p, w = exact._split_primes(n, i + 1)[i]
+            images = [[exact._mod_p(v, n, p, pow(w, k, p)) for v in values]
+                      for k in units]
+            state, lifted = exact._lift_from_split_primes(n, state, p, w,
+                                                          images)
+            if lifted == values:
+                break
+        assert lifted == values, n
+        assert i >= 1  # one prime is too few for 40-bit numerators
 
 
 def _golden_and_bench_fibers():
@@ -623,16 +799,25 @@ def _golden_and_bench_fibers():
     return texts
 
 
+def _parsed(text):
+    """The nonzero form of ``text``, or None for the corpus's malformed
+    and zero inputs."""
+    try:
+        g = parse_poly(text)
+    except ValueError:
+        return None
+    return None if g.is_zero() else g
+
+
 def test_multiplicities_equal_exact_yun_on_golden_and_bench_fibers():
     checked = squarefree = 0
     for text in _golden_and_bench_fibers():
-        try:
-            g = parse_poly(text)
-        except ValueError:  # the golden corpus's malformed input
+        g = _parsed(text)
+        # Euclid over Q(zeta_N) takes minutes on the three golden fibers
+        # at conductors 77 and 251: test_the_fibers_that_hung_in_exact_yun
+        if g is None or math.lcm(*(c.n for c in g.terms.values())) > 60:
             continue
-        if g.is_zero():
-            continue
-        assert root_multiplicities(g) == _yun_multiplicities(g), text
+        assert root_multiplicities(g) == yun.multiplicities(g), text
         e0, e1, p = exact._to_univariate(g)
         checked += 1
         squarefree += len(p) > 1 and exact._squarefree_mod_p(p)

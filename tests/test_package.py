@@ -183,6 +183,14 @@ def test_verification_error_is_one_class():
     assert issubclass(errors.VerificationError, AssertionError)
 
 
+def test_undecidable_error_is_one_class():
+    import realforms
+    from realforms import errors, quadrics
+    assert realforms.UndecidableError is quadrics.UndecidableError \
+        is errors.UndecidableError
+    assert issubclass(errors.UndecidableError, ValueError)
+
+
 def test_no_bytecode_is_shipped_and_bytecode_writing_is_left_alone():
     """Cold start-up is cut by compiling less source, never by shipping
     ``.pyc`` files or by changing whether and where bytecode is written."""

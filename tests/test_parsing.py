@@ -1,12 +1,13 @@
 """Polynomial grammar, rendering, and the JSON scalar encoding."""
 
+import random
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from realforms.exact import Cyclo, Mat2, Poly, Poly2
+from realforms.exact import Cyclo, Mat2, Poly, Poly2, euler_phi
 from realforms.parsing import (MAX_CONDUCTOR, MAX_DEGREE, MAX_NESTING,
                                ParseError, matrix_json, parse_formula,
                                parse_poly, render_poly, render_scalar,
@@ -215,6 +216,62 @@ def test_render_scalar_round_trip():
     for v in values:
         g = parse_poly("(%s)*u0*u1" % render_scalar(v))
         assert g.coeff(1, 1) == v
+
+
+def _fraction_render_scalar(c):
+    """render_scalar as it was written with Fractions: the oracle."""
+    if c.is_rational():
+        return str(c.as_rational())
+    if c in (Cyclo.i(), -Cyclo.i()):
+        return "i" if c == Cyclo.i() else "-i"
+    parts = []
+    for j, q in enumerate(c.coeffs):
+        if q:
+            base = "zeta(%d)" % c.n if j == 1 else "zeta(%d)^%d" % (c.n, j)
+            parts.append(str(q) if j == 0 else base if q == 1
+                         else "-" + base if q == -1
+                         else "%s*%s" % (q, base))
+    return " + ".join(parts)
+
+
+def test_rendering_from_integers_matches_fraction_rendering():
+    rng = random.Random(11)
+    for n in (1, 3, 4, 5, 8, 12, 15):
+        for _ in range(40):
+            den = rng.choice([1, 1, 2, 3, 6, 35])
+            v = Cyclo(n, [Fraction(rng.choice([0, 1, -1, den, -den,
+                                               rng.randint(-50, 50)]), den)
+                          for _ in range(euler_phi(n))])
+            assert render_scalar(v) == _fraction_render_scalar(v)
+            g = Poly2(3, {(3, 0): v, (2, 1): Fraction(-7, 4), (1, 2): -1,
+                          (0, 3): 1}) if v else Poly2.monomial(0, 3)
+            text = render_poly(g)
+            # negative, non-integral and +-1 coefficients come back exactly
+            assert parse_poly(text) == g, text
+    assert render_poly(parse_poly("-u0^2 + 3/4*u0*u1 - 5/2*u1^2")) == \
+        "-u0^2 + 3/4*u0*u1 - 5/2*u1^2"
+
+
+def test_literals_and_monomial_products_build_no_poly_by_init(monkeypatch):
+    text = "3*u0^4 - 12*u0^2*u1^2 + 7*u1^4 + 2*(u0^3*u1 + u0*u1^3)"
+    expected = parse_poly(text)  # also builds the cached variables
+    counts = {"init": 0, "rational": 0}
+    init, rational = Poly.__init__, Cyclo.rational.__func__
+
+    def counting_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_rational(cls, value):
+        counts["rational"] += 1
+        return rational(cls, value)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Cyclo, "rational", classmethod(counting_rational))
+    assert parse_poly(text) == expected
+    # one Poly per sum (the inner and the outer) and the final Poly2;
+    # the five integer literals become values without a Fraction
+    assert counts == {"init": 3, "rational": 0}
 
 
 def test_scalar_json_shape():
