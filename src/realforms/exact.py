@@ -37,7 +37,9 @@ with one gcd there; otherwise it runs Yun over F_p under every embedding
 of split primes, lifts the factors with the one lift-from-split-primes
 kernel (an inverse DFT of length N, the Chinese remainder theorem and
 rational reconstruction) and certifies them by a height bound, or
-refuses.  No Euclidean algorithm runs over Q(zeta_N).
+refuses.  The lifted factors reduce to Yun's squarefree, coprime factors
+mod p, so that proves their product squarefree too.  No Euclidean
+algorithm runs over Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -263,6 +265,11 @@ def _as_fraction(x):
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     return None
+
+
+def _norm(x, d):
+    """The sum of the |coordinates| of d x, for d a multiple of x.den."""
+    return sum(map(abs, x.num)) * (d // x.den)
 
 
 class Cyclo:
@@ -963,12 +970,9 @@ class Poly2(Poly):
         d_m = lcm(*(x.den for x in entries))
         d_g = lcm(*(c.den for c in coeffs))
 
-        def norm(x, den):
-            return sum(map(abs, x.num)) * (den // x.den)
-
-        bound = sum(norm(c, d_g) for c in coeffs) * max(
-            norm(m00, d_m) + norm(m01, d_m),
-            norm(m10, d_m) + norm(m11, d_m)) ** d
+        bound = sum(_norm(c, d_g) for c in coeffs) * max(
+            _norm(m00, d_m) + _norm(m01, d_m),
+            _norm(m10, d_m) + _norm(m11, d_m)) ** d
         s = bound.bit_length() + 2
         h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
         width = s * h
@@ -1163,27 +1167,19 @@ def _mod_p(x: Cyclo, N: int, p: int, w: int):
     return acc if x.den == 1 else acc * pow(x.den, -1, p) % p
 
 
-def _fp_divmod(a, b, p: int):
-    """(q, r) with a = q b + r and deg r < deg b in F_p[x], b nonzero."""
-    r, db = list(a), len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    inv = pow(b[-1], -1, p)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + db] * inv % p
-        if c:
-            for j, v in enumerate(b):
-                r[k + j] = (r[k + j] - c * v) % p
-    del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
 def _fp_quotient(a, b, p: int):
     """a / b in F_p[x] for b dividing a: a quotient of degree s is read
     off the top s + 1 coefficients of b and the top 2s + 1 of a."""
     top = b[max(0, 2 * len(b) - len(a) - 1):]
-    return _fp_divmod(a[len(b) - len(top):], top, p)[0]
+    r, db = a[len(b) - len(top):], len(top) - 1
+    q = [0] * (len(r) - db)
+    inv = pow(top[-1], -1, p)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        if c:
+            for j, v in enumerate(top):
+                r[k + j] = (r[k + j] - c * v) % p
+    return q
 
 
 def _fp_gcd(a, b, p: int):
@@ -1206,14 +1202,6 @@ def _fp_gcd(a, b, p: int):
     return [v * inv % p for v in a]
 
 
-def _fp_mul(a, b, p: int):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return [v % p for v in out]
-
-
 def _fp_deriv(a, p: int):
     d = [k * v % p for k, v in enumerate(a)][1:]
     while d and not d[-1]:
@@ -1221,34 +1209,24 @@ def _fp_deriv(a, p: int):
     return d
 
 
-def _squarefree_mod_p(*factors, tries=1) -> bool:
-    """True when one of the first ``tries`` good split primes proves the
-    product of the univariate polynomials ``factors`` (Cyclo lists,
-    leading entries nonzero) squarefree over Q(zeta_N), N the lcm of
-    their conductors.
+def _squarefree_mod_p(f) -> bool:
+    """True when the first good split prime proves the univariate f (a
+    Cyclo list, leading entry nonzero) squarefree over Q(zeta_N), N the
+    lcm of its conductors.
 
-    At a good prime, one that divides no denominator and keeps the
-    leading coefficients, gcd(g, g') = 1 mod p is a proof.  Let P be the
+    A good prime divides no denominator and keeps the leading
+    coefficient; there gcd(f, f') = 1 mod p is a proof.  Let P be the
     prime of Z[zeta_N] over p that contains zeta_N - w.  If h^2 divides
-    the product g, h monic of positive degree, then h is P-integral, as
-    a monic factor of the monic P-integral g / lc(g); so the reduction
-    of h^2, of the same degree, divides that of g.  A prime that merges
-    two roots proves nothing, hence ``tries``.
+    f, h monic of positive degree, then h is P-integral, as a monic
+    factor of the monic P-integral f / lc(f); so the reduction of h^2,
+    of the same degree, divides that of f.  A prime that merges two
+    roots proves nothing, and then the lift decides.
     """
-    N = lcm(*(c.n for f in factors for c in f))
+    N = lcm(*(c.n for c in f))
     for p, w in _split_primes(N):
-        image = [1]
-        for f in factors:
-            part = [_mod_p(c, N, p, w) for c in f]
-            if None in part or not part[-1]:
-                break
-            image = _fp_mul(image, part, p) if len(image) > 1 else part
-        else:
-            if len(_fp_gcd(image, _fp_deriv(image, p), p)) == 1:
-                return True
-            tries -= 1
-            if not tries:
-                return False
+        image = [_mod_p(c, N, p, w) for c in f]
+        if None not in image and image[-1]:
+            return len(_fp_gcd(image, _fp_deriv(image, p), p)) == 1
     return False
 
 
@@ -1364,11 +1342,8 @@ def _multiplicity_factors(coeffs):
                 rows.setdefault(j * N // c.n, [0] * len(coeffs))[a] = \
                     v * (den // c.den)
 
-    def norm(x, d):  # the sum of the |coordinates| of d x
-        return sum(map(abs, x.num)) * (d // x.den)
-
     rho = max(max(map(abs, _exponent_map(N, [(j, 1)]))) for j in range(N))
-    height = 2 * rho * (len(coeffs) - 1) * max(norm(c, den) for c in coeffs)
+    height = 2 * rho * (len(coeffs) - 1) * max(_norm(c, den) for c in coeffs)
     cap = MAX_LIFT_IMAGES // len(units)
     if (2 * height).bit_length() > 31 * cap:
         cap = 0  # the cap's primes, each below 2^31, cannot pass 2 height
@@ -1405,11 +1380,9 @@ def _multiplicity_factors(coeffs):
                     den * coeffs[-1] if coeffs[-1].n > 1 else ONE]
                 del lifted[:d]
                 d = lcm(*(c.den for c in f))
-                bound *= sum(norm(c, d) for c in f)
+                bound *= sum(_norm(c, d) for c in f)
             if state[0] > 2 * bound:
-                if _squarefree_mod_p(*factors.values(), tries=3):
-                    return factors
-                break  # more primes would not change the verdict
+                return factors
     raise UndecidableError("the root multiplicities of g are not certified "
                            "within %d split primes"
                            % (MAX_LIFT_IMAGES // len(units)))
@@ -1444,9 +1417,12 @@ def root_multiplicities(g: Poly2):
     coordinates of E are at most H = 2 rho d |G| prod |F_m|, rho the
     largest coordinate of z^j mod Phi_N, j < N (at most 2 for
     N <= 256).  M > 2H makes E = 0: G' / G is the sum of the
-    m f_m' / f_m, so G / prod f_m^m is constant.  With prod f_m
-    squarefree (`_squarefree_mod_p`), m is then the multiplicity of each
-    root of f_m.  Past `MAX_LIFT_IMAGES` / phi(N) primes it raises
+    m f_m' / f_m, so G / prod f_m^m is constant.  And prod f_m is
+    squarefree: at a prime p used, each f_m reduces to s y_m, s the
+    nonzero image of lc(G) (1 when lc(P) is rational), and Yun's y_m
+    are squarefree and pairwise coprime, as p > d; so prod f_m reduces
+    to a squarefree polynomial of its degree, a proof as in
+    `_squarefree_mod_p`.  So m is the multiplicity of each root of f_m.  Past `MAX_LIFT_IMAGES` / phi(N) primes it raises
     UndecidableError.
     """
     e0, e1, p = _to_univariate(g)

@@ -673,8 +673,7 @@ def enumerate_forms(q):
     q = _coerce_instance(q)
     g = q.g
     if not g.real_coefficients():
-        raise ValueError(
-            "g must have real coefficients; apply realizable first")
+        raise ValueError("g must have real coefficients")
     label = detect_symmetry(q)
     parity = "even" if q.n % 2 == 0 else "odd"
     note = None

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fp
 import yun
 from realforms import exact
 from realforms.errors import UndecidableError
@@ -542,39 +543,38 @@ def _fp_random(rng, p, degree):
     return a
 
 
-def _fp_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_fp_divmod_and_gcd_against_brute_force(p):
+    # the oracle's long division, then the package's exact quotient and
+    # gcd against it
     rng = random.Random(p)
     for _ in range(200):
         a = _fp_random(rng, p, rng.randint(0, 7))
         b = _fp_random(rng, p, rng.randint(0, 4)) or [1]
-        q, r = exact._fp_divmod(a, b, p)
+        q, r = fp.div_rem(a, b, p)
         assert len(r) < len(b) and (not r or r[-1])
         # q b + r == a, checked at every point and by degree
         assert len(q) + len(b) - 1 == len(a) or not q and len(a) < len(b)
         for x in range(p):
             assert (_fp_value(q, x, p) * _fp_value(b, x, p)
                     + _fp_value(r, x, p)) % p == _fp_value(a, x, p)
+        # exact multiples; a divisor of higher degree than the quotient
+        # is read from its top coefficients only
+        if a:
+            assert exact._fp_quotient(fp.mul(a, b, p), b, p) == a
+            assert exact._fp_quotient(fp.mul(a, b, p), a, p) == b
         # a common factor makes the gcd nontrivial more often
         common = _fp_random(rng, p, rng.randint(0, 2))
         if common:
-            a = _fp_mul(a, common, p)
-            b = _fp_mul(b, common, p)
+            a = fp.mul(a, common, p)
+            b = fp.mul(b, common, p)
         g = exact._fp_gcd(a, b, p)
         if not a and not b:
             assert g == []
             continue
         assert g[-1] == 1
-        assert exact._fp_divmod(a, g, p)[1] == []
-        assert exact._fp_divmod(b, g, p)[1] == []
+        assert fp.div_rem(a, g, p)[1] == []
+        assert fp.div_rem(b, g, p)[1] == []
         assert {x for x in range(p) if not _fp_value(g, x, p)} == \
             {x for x in range(p)
              if not _fp_value(a, x, p) and not _fp_value(b, x, p)}
@@ -663,17 +663,35 @@ def test_seeded_products_of_powers_at_conductors_up_to_256():
 
 
 def test_an_unlucky_first_prime_is_outvoted():
-    # roots 1 and 1 + p meet modulo the first split prime p, which then
-    # shows fewer distinct roots than the primes after it and proves no
-    # product of distinct factors squarefree
+    # roots 1 and 1 + p meet modulo the first split prime p, so the
+    # squarefree test proves nothing there, and the primes after it,
+    # which show more distinct roots, outvote it in the lift
     p = exact._split_primes(1)[0][0]
     x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
     for g, mults in [((x - y) ** 2 * (x - (1 + p) * y), [2, 1]),
                      ((x - y) * (x - (1 + p) * y) * (x + y), [1, 1, 1]),
                      ((x - y) * (x - (1 + p) * y) ** 3 * x, [3, 1, 1])]:
-        p_of_g = exact._to_univariate(g)[2]
-        assert not exact._squarefree_mod_p(p_of_g)
-        assert exact._squarefree_mod_p(p_of_g, tries=2) == (max(mults) == 1)
+        assert not exact._squarefree_mod_p(exact._to_univariate(g)[2])
+        assert root_multiplicities(g) == mults
+
+
+def _roots_that_meet_modulo_three_primes():
+    """(g, multiplicities) with roots 1 and 1 + P, P the product of the
+    first three split primes at conductor 1, which all merge them."""
+    P = math.prod(p for p, _ in exact._split_primes(1, 3))
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    return [((x - y) ** 2 * (x - (1 + P) * y) * y, [2, 1, 1]),
+            ((x - y) * (x - (1 + P) * y) * (x + y), [1, 1, 1]),
+            ((x - y) * (x - (1 + P) * y) ** 3 * x, [3, 1, 1]),
+            ((x - y) ** 2 * (x - (1 + P) * y) ** 2, [2, 2]),
+            ((x - y) ** 5 * (x - (1 + P) * y) ** 2 * y ** 3, [5, 3, 2])]
+
+
+def test_roots_that_meet_modulo_the_first_three_primes():
+    # the squarefree test and the lift's first three primes all show one
+    # root fewer, so the primes after them decide, and none of the three
+    # can prove the product of the lifted factors squarefree
+    for g, mults in _roots_that_meet_modulo_three_primes():
         assert root_multiplicities(g) == mults
 
 
@@ -722,7 +740,7 @@ def test_fp_yun_against_brute_force(p):
         a = [1]
         for m, f in parts.items():
             for _ in range(m):
-                a = _fp_mul(a, f, p)
+                a = fp.mul(a, f, p)
         if len(a) > p or len(a) < 2:
             continue
         a = [v * pow(a[-1], -1, p) % p for v in a]
@@ -731,7 +749,7 @@ def test_fp_yun_against_brute_force(p):
         for m, y in ys.items():
             assert len(y) > 1 and y[-1] == 1
             for _ in range(m):
-                prod = _fp_mul(prod, y, p)
+                prod = fp.mul(prod, y, p)
         assert prod == a
         # each root of a has the multiplicity of its factor
         for m, y in ys.items():
@@ -744,7 +762,7 @@ def test_fp_yun_against_brute_force(p):
 def _root_order(a, x, p):
     order = 0
     while len(a) > 1 and not _fp_value(a, x, p):
-        a = exact._fp_divmod(a, [(-x) % p, 1], p)[0]
+        a = fp.div_rem(a, [(-x) % p, 1], p)[0]
         order += 1
     return order
 
@@ -822,3 +840,22 @@ def test_multiplicities_equal_exact_yun_on_golden_and_bench_fibers():
         checked += 1
         squarefree += len(p) > 1 and exact._squarefree_mod_p(p)
     assert checked >= 140 and squarefree >= 100
+
+
+def test_lifted_factors_have_a_squarefree_product():
+    # the lift tests no product for squarefreeness: its factors reduce to
+    # Yun's over F_p at every prime it uses.  An independent test modulo
+    # split primes checks the property that argument gives
+    fibers = [g for g in map(_parsed, _golden_and_bench_fibers()) if g]
+    forms = [g for g in fibers
+             if not exact._squarefree_mod_p(exact._to_univariate(g)[2])]
+    forms += list(_rng77_non_squarefree_forms())
+    forms += [g for _, g, _ in _seeded_products()]
+    forms += [g for g, _ in _roots_that_meet_modulo_three_primes()]
+    assert len(forms) >= 50
+    for g in forms:
+        p = exact._to_univariate(g)[2]
+        factors = exact._multiplicity_factors(p)
+        monic = {m: [c / f[-1] for c in f] for m, f in factors.items()}
+        assert _expand(monic, p[-1]) == p
+        assert fp.squarefree(list(factors.values()), primes=8)

@@ -29,7 +29,7 @@ OPTIMIZED = ("h1-A4", "forms-Q3", "links-H1", "torus-d2", "lattice-Wb",
              "classify-D4", "classify-E7", "classify-D3",
              "verify-schwarzenberger", "verify-involutions",
              "verify-witnesses", "verify-qg-table", "error-parse",
-             "error-square")
+             "error-square", "classify-repeated-conductor77")
 
 
 def _run(args):
@@ -87,6 +87,11 @@ def test_names_take_only_ascii_digits(args, capsys):
 def test_missing_family_option_is_named(capsys):
     assert _run(CASES["error-family-missing-option"]) == (b"", 2)
     assert "family Fabc needs --b, --c" in capsys.readouterr().err
+
+
+def test_non_real_fiber_error_names_no_library_function(capsys):
+    assert _run(["classify-qg", "--poly", "i*u0^4+i*u1^4"]) == (b"", 2)
+    assert capsys.readouterr().err == "error: g must have real coefficients\n"
 
 
 def test_failed_identity_exits_3_with_nothing_on_stdout(monkeypatch, capsys):
