@@ -19,7 +19,7 @@ entry per variable, negative entries allowed) to nonzero scalars.  It
 serves the multihomogeneous ambient equations of `certificates` and
 their coordinate maps (a map is a tuple of ``Poly`` values, one per
 target coordinate, composed by ``substitute``), the Laurent polynomials
-of the Schwarzenberger gluing, and the loose values of the parser.
+of the Schwarzenberger gluing, and the parenthesized sums of the parser.
 ``Poly2`` is its homogeneous two-variable subclass, the binary forms.
 ``Poly2.compose`` by a diagonal or antidiagonal matrix multiplies each
 term by one unit x^a y^(d-a), read from a table of the d + 1 units built
@@ -133,6 +133,13 @@ def _exponent_map(n: int, terms):
     for e, c in terms:
         vec[e % n] += c
     return _reduce(n, vec)
+
+
+@lru_cache(maxsize=None)
+def _rho(n: int) -> int:
+    """The largest |coordinate| of z^j mod Phi_n over j < n: a bound on
+    the coordinates of every root of unity +-z^j of Q(zeta_n)."""
+    return max(max(map(abs, _exponent_map(n, [(j, 1)]))) for j in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -520,9 +527,12 @@ class Cyclo:
         """Return (d, t) with self == zeta_d^t, gcd(t,d) arbitrary, or None.
 
         The roots of unity in Q(zeta_n) are exactly +-zeta_n^k, so the
-        test is self^M == 1 for M = lcm(2, n).
+        test is self^M == 1 for M = lcm(2, n).  Each is integral with
+        coordinates at most `_rho` (n): a denominator or a larger
+        coordinate answers None before any power.
         """
-        if self.is_zero():
+        if self.is_zero() or self.den > 1 \
+                or max(map(abs, self.num)) > _rho(self.n):
             return None
         M = lcm(2, self.n)
         if self ** M != 1:
@@ -1342,8 +1352,8 @@ def _multiplicity_factors(coeffs):
                 rows.setdefault(j * N // c.n, [0] * len(coeffs))[a] = \
                     v * (den // c.den)
 
-    rho = max(max(map(abs, _exponent_map(N, [(j, 1)]))) for j in range(N))
-    height = 2 * rho * (len(coeffs) - 1) * max(_norm(c, den) for c in coeffs)
+    height = 2 * _rho(N) * (len(coeffs) - 1) \
+        * max(_norm(c, den) for c in coeffs)
     cap = MAX_LIFT_IMAGES // len(units)
     if (2 * height).bit_length() > 31 * cap:
         cap = 0  # the cap's primes, each below 2^31, cannot pass 2 height
@@ -1415,15 +1425,15 @@ def root_multiplicities(g: Poly2):
     is at most max|Q_i| times the sum of the |R_j|.  With d = deg P,
     |G| = max|G_i| and |F_m| the sum of the |coefficients| of F_m, the
     coordinates of E are at most H = 2 rho d |G| prod |F_m|, rho the
-    largest coordinate of z^j mod Phi_N, j < N (at most 2 for
+    largest coordinate of z^j mod Phi_N, j < N (`_rho`, at most 2 for
     N <= 256).  M > 2H makes E = 0: G' / G is the sum of the
     m f_m' / f_m, so G / prod f_m^m is constant.  And prod f_m is
     squarefree: at a prime p used, each f_m reduces to s y_m, s the
     nonzero image of lc(G) (1 when lc(P) is rational), and Yun's y_m
     are squarefree and pairwise coprime, as p > d; so prod f_m reduces
     to a squarefree polynomial of its degree, a proof as in
-    `_squarefree_mod_p`.  So m is the multiplicity of each root of f_m.  Past `MAX_LIFT_IMAGES` / phi(N) primes it raises
-    UndecidableError.
+    `_squarefree_mod_p`.  So m is the multiplicity of each root of f_m.
+    Past `MAX_LIFT_IMAGES` / phi(N) primes it raises UndecidableError.
     """
     e0, e1, p = _to_univariate(g)
     mults = [e for e in (e0, e1) if e]

@@ -6,15 +6,17 @@ factor is an integer or rational (``1/2``, no spaces around the
 slash), ``i``, ``zeta(N)``, a variable, a parenthesized expression or
 a negated factor.  An exponent and the N of ``zeta(N)`` are integer
 literals: ``u0^4/2`` and ``zeta(8/2)`` are malformed, like ``u0^1/2``,
-whatever the value of the fraction.  Whitespace is ignored, and every
-value is an ``exact.Poly`` while parsing.  `parse_poly` reads a binary
-form in u0 and u1 and rejects ``conj``, brackets, ``:`` and ``;``; the
-form must be homogeneous and nonzero, checked once at the end so that
-the error can list every term degree.  `parse_formula` reads a stored
-coordinate formula: component expressions separated by ``:`` or ``;``,
-optionally in one pair of brackets, where ``conj(name)`` is one more
-variable, numbered after the plain ones (``certificates`` checks the
-shapes).
+whatever the value of the fraction.  Whitespace is ignored.  While it is
+parsed, a monomial is a coefficient (an int or Fraction until ``i`` or
+``zeta`` enters it) and an exponent tuple; each sum merges its terms into
+one ``exact.Poly``, and a monomial times such a sum is a ``Poly`` product.
+`parse_poly` reads a binary form in u0 and u1 and rejects ``conj``,
+brackets, ``:`` and ``;``; the form must be homogeneous and nonzero,
+checked once at the end so that the error can list every term degree.
+`parse_formula` reads a stored coordinate formula: component expressions
+separated by ``:`` or ``;``, optionally in one pair of brackets, where
+``conj(name)`` is one more variable, numbered after the plain ones
+(``certificates`` checks the shapes).
 
 Huge input fails fast: the parser refuses, before evaluating it, a
 ``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
@@ -35,8 +37,9 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
-from .exact import Cyclo, Poly, Poly2, _rational, as_cyclo
+from .exact import Cyclo, Poly, Poly2, _nonzero, _rational, as_cyclo
 
 
 class ParseError(ValueError):
@@ -124,8 +127,11 @@ class _Parser:
         self.k = 0
         self.index = {name: k for k, name in enumerate(names)}
         self.formula = formula
-        self.variables = Poly.variables(len(names) * (2 if formula else 1))
-        self.origin = (0,) * len(self.variables)
+        # x_0 makes each sum a Poly by `_result`; x_k's exponents are units
+        variables = Poly.variables(len(names) * (2 if formula else 1))
+        self.x0 = variables[0]
+        self.units = [next(iter(x.terms)) for x in variables]
+        self.origin = (0,) * len(variables)
         self.conductor = 1
 
     def peek(self):
@@ -166,13 +172,25 @@ class _Parser:
         while True:
             value, rdeg = self.term()
             degree = max(degree, rdeg)
-            for k, c in value.terms.items():
-                if op == "-":
-                    c = -c
+            if type(value) is tuple:
+                c, k = value
+                c = _cyclo(-c if op == "-" else c)
                 sums[k] = sums[k] + c if k in sums else c
+            else:
+                for k, c in value.terms.items():
+                    if op == "-":
+                        c = -c
+                    sums[k] = sums[k] + c if k in sums else c
             if self.peek()[0] not in ("+", "-"):
-                return Poly(sums, len(self.variables)), degree
+                return self.x0._result(_nonzero(sums)), degree
             op = self.take()[0]
+
+    def poly(self, value):
+        """A monomial (c, exps) as a Poly; a Poly as it is."""
+        if type(value) is tuple:
+            c, k = value
+            return self.x0._result({k: _cyclo(c)} if c else {})
+        return value
 
     def term(self):
         value, degree = self.factor()
@@ -180,7 +198,10 @@ class _Parser:
             pos = self.take()[2]
             rhs, rdeg = self.factor()
             degree = self.bound_degree(degree + rdeg, pos)
-            value = value * rhs
+            if type(value) is tuple and type(rhs) is tuple:
+                value = (value[0] * rhs[0], tuple(map(add, value[1], rhs[1])))
+            else:
+                value = self.poly(value) * self.poly(rhs)
         return value, degree
 
     @staticmethod
@@ -206,13 +227,11 @@ class _Parser:
                 raise ParseError("exponent %d exceeds the bound %d"
                                  % (k, MAX_DEGREE), pos)
             degree = self.bound_degree(degree * k, pos)
-            value = value ** k
-        return (-value if negate else value), degree
-
-    def constant(self, value):
-        # an int literal becomes its Cyclo and Poly directly
-        c = _rational(value, 1) if type(value) is int else as_cyclo(value)
-        return self.variables[0]._result({self.origin: c} if c else {}), 0
+            value = (value[0] ** k, tuple([e * k for e in value[1]])) \
+                if type(value) is tuple else value ** k
+        if negate:
+            value = (-value[0], value[1]) if type(value) is tuple else -value
+        return value, degree
 
     def field(self, conductor, pos):
         """Widen the text's field to include conductor, within the bound."""
@@ -225,7 +244,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return self.constant(value)
+            return (value, self.origin), 0
         if kind == "(":
             inner = self.expr()
             self.take(")")
@@ -234,7 +253,7 @@ class _Parser:
             raise ParseError("unexpected token", pos)
         if value == "i":
             self.field(4, pos)
-            return self.constant(Cyclo.i())
+            return (Cyclo.i(), self.origin), 0
         if value == "zeta":
             self.take("(")
             nkind, nval, npos = self.take("num")
@@ -242,17 +261,22 @@ class _Parser:
                 raise ParseError("zeta takes a positive integer", npos)
             self.field(nval, npos)
             self.take(")")
-            return self.constant(Cyclo.zeta(nval))
+            return (Cyclo.zeta(nval), self.origin), 0
         if value == "conj" and self.formula:
             self.take("(")
             nkind, name, npos = self.take("name")
             if name not in self.index:
                 raise ParseError("conj takes a coordinate name", npos)
             self.take(")")
-            return self.variables[len(self.index) + self.index[name]], 1
+            return (1, self.units[len(self.index) + self.index[name]]), 1
         if value not in self.index:
             raise ParseError("unknown name %r" % value, pos)
-        return self.variables[self.index[value]], 1
+        return (1, self.units[self.index[value]]), 1
+
+
+def _cyclo(c):
+    """A monomial's coefficient, an int, Fraction or Cyclo, as a Cyclo."""
+    return _rational(c, 1) if type(c) is int else as_cyclo(c)
 
 
 def parse_poly(text):
@@ -274,7 +298,8 @@ def parse_poly(text):
                         for q in c.coeffs):
             raise ValueError("a coefficient has more than %d digits, the "
                              "limit for printing an integer" % limit)
-    return Poly2(degrees[0], value.terms)
+    # the terms are tidy and of one degree: no second tidy loop
+    return Poly2._result(value, value.terms)
 
 
 def parse_formula(text, names):

@@ -340,8 +340,8 @@ def realizable(g):
         root = w.as_root_of_unity()
         if root is None:
             raise UndecidableError(
-                "coefficient ratio %r is not unimodular of finite order: "
-                "undecidable within cyclotomic scalars" % (w,))
+                "a coefficient ratio is not unimodular of finite order: "
+                "undecidable within cyclotomic scalars")
         d, _ = root
         equations.append((4 * (s - r), w, d))
 

@@ -82,6 +82,27 @@ def test_as_root_of_unity():
     assert (Cyclo.rational(1) + Cyclo.zeta(5)).as_root_of_unity() is None
 
 
+def test_every_root_of_unity_passes_the_coordinate_bound():
+    for n in (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 28, 30, 36):
+        for j in range(2 * n):
+            for w in (Cyclo.zeta(n, j), -Cyclo.zeta(n, j)):
+                d, t = w.as_root_of_unity()
+                assert Cyclo.zeta(d, t) == w
+
+
+def test_as_root_of_unity_refuses_before_any_power(monkeypatch):
+    def no_power(self, k):
+        raise AssertionError("a power was taken")
+
+    monkeypatch.setattr(Cyclo, "__pow__", no_power)
+    # (3 + 4i) / 5 is unimodular but not integral, so of infinite order
+    assert Cyclo(4, [Fraction(3, 5), Fraction(4, 5)]).as_root_of_unity() \
+        is None
+    # 3 zeta_12 is integral, but a coordinate of it exceeds rho_12 = 1
+    assert (Cyclo.zeta(12) * 3).as_root_of_unity() is None
+    assert Cyclo.rational(2).as_root_of_unity() is None
+
+
 def test_sqrt_of_rational_square():
     assert Cyclo.rational(Fraction(9, 4)).sqrt() == Fraction(3, 2)
     assert Cyclo.rational(2).sqrt() is None

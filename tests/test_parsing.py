@@ -269,9 +269,10 @@ def test_literals_and_monomial_products_build_no_poly_by_init(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", counting_init)
     monkeypatch.setattr(Cyclo, "rational", classmethod(counting_rational))
     assert parse_poly(text) == expected
-    # one Poly per sum (the inner and the outer) and the final Poly2;
-    # the five integer literals become values without a Fraction
-    assert counts == {"init": 3, "rational": 0}
+    # a monomial is a coefficient and an exponent tuple, each sum and
+    # the final Poly2 take terms that are already tidy; the five integer
+    # literals become values without a Fraction
+    assert counts == {"init": 0, "rational": 0}
 
 
 def test_scalar_json_shape():

@@ -1,11 +1,16 @@
 """Algebraic properties of the exact kernel, checked on random inputs:
 the ring laws of ``Poly`` (Laurent exponents included), ``substitute`` as
-a ring homomorphism and ``Poly2.compose`` as a substitution."""
+a ring homomorphism, ``Poly2.compose`` as a substitution, and the parser
+against the same expression evaluated by ``Poly`` arithmetic."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realforms.exact import Cyclo, Mat2, Poly, Poly2
+from realforms.parsing import parse_formula, parse_poly
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -81,3 +86,126 @@ def test_compose_is_substitution_of_linear_forms(values):
             Poly2(1, {(1, 0): m10, (0, 1): m11}))
     assert isinstance(composed, Poly2) and composed.degree == g.degree
     assert composed == g.substitute(rows)
+
+
+# Random texts of the parser's grammar, each with its value computed by
+# ``Poly`` arithmetic from the same tree.  ``depth`` is the number of
+# parenthesis levels that may still open, at most 2.  A term has at most
+# two factors, and a factor's power is at most 3, 2 or 1 at depth 0, 1
+# or 2 (or the degree d of a binary form's factor, as in u0^d), so that
+# every text stays small.  One conductor N per text keeps the field of
+# zeta(N) and i small.
+
+
+def _expression(draw, n, nvars, depth, degree):
+    """(text, value) of 1-2 signed terms, each homogeneous of ``degree``
+    unless it is None, and at times one of them again with the other
+    sign, so that the two cancel."""
+    terms = [(draw(st.sampled_from("+-")),
+              *_term(draw, n, nvars, depth, degree))
+             for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        sign, text, value = draw(st.sampled_from(terms))
+        terms.append(("-" if sign == "+" else "+", text, value))
+    (sign, text, value), rest = terms[0], terms[1:]
+    out = ("-" if sign == "-" else draw(st.sampled_from(["", "+"]))) + text
+    total = -value if sign == "-" else value
+    for sign, text, value in rest:
+        out += " %s %s" % (sign, text)
+        total = total - value if sign == "-" else total + value
+    return out, total
+
+
+def _term(draw, n, nvars, depth, degree):
+    count = draw(st.integers(1, 2))
+    if degree is None:
+        degrees = [None] * count
+    else:
+        cut = draw(st.integers(0, degree)) if count == 2 else degree
+        degrees = [cut, degree - cut][:count]
+    factors = [_factor(draw, n, nvars, depth, d) for d in degrees]
+    value = factors[0][1]
+    for _, v in factors[1:]:
+        value = value * v
+    return "*".join(text for text, _ in factors), value
+
+
+def _factor(draw, n, nvars, depth, degree):
+    """A chain of unary minus, an atom and a power ^0, ^1 or ^k."""
+    powers = [None, *range((3, 2, 1)[depth] + 1)]
+    if degree is not None:
+        # an atom outside parentheses has degree at most 1
+        powers = [k for k in powers + [degree]
+                  if (degree == 0 if k == 0 else
+                      (k is None or degree % k == 0)
+                      and (depth or (degree if k is None
+                                     else degree // k) < 2))]
+    k = draw(st.sampled_from(powers))
+    inner = degree if k in (None, 1) or degree is None \
+        else None if k == 0 else degree // k
+    text, value = _atom(draw, n, nvars, depth, inner)
+    if k is not None:
+        text, value = "%s^%d" % (text, k), value ** k
+    minus = draw(st.integers(0, 3))
+    return "-" * minus + text, -value if minus % 2 else value
+
+
+def _atom(draw, n, nvars, depth, degree):
+    kinds = []
+    if degree in (None, 0):
+        kinds += ["number", "i", "zeta"]
+    if degree in (None, 1):
+        kinds += ["variable"] + (["conj"] if nvars == 4 else [])
+    if depth:
+        kinds.append("sum")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sum":
+        text, value = _expression(draw, n, nvars, depth - 1, degree)
+        return "(%s)" % text, value
+    if kind in ("variable", "conj"):
+        k = draw(st.integers(0, 1))
+        if kind == "conj":
+            return "conj(u%d)" % k, Poly.variables(nvars)[2 + k]
+        return "u%d" % k, Poly.variables(nvars)[k]
+    if kind == "i":
+        scalar, text = Cyclo.i(), "i"
+    elif kind == "zeta":
+        scalar, text = Cyclo.zeta(n), "zeta(%d)" % n
+    else:
+        a, b = draw(st.integers(0, 9)), draw(st.integers(1, 4))
+        scalar, text = Fraction(a, b), "%d/%d" % (a, b) if b > 1 else str(a)
+    return text, Poly({(0,) * nvars: scalar}, nvars)
+
+
+@st.composite
+def binary_form_texts(draw):
+    return _expression(draw, draw(conductors), 2, draw(st.integers(0, 2)),
+                       draw(st.integers(0, 4)))
+
+
+@st.composite
+def formula_texts(draw):
+    return _expression(draw, draw(conductors), 4, draw(st.integers(0, 2)),
+                       None)
+
+
+@SETTINGS
+@given(binary_form_texts())
+def test_parse_poly_agrees_with_poly_arithmetic(case):
+    text, value = case
+    if value.is_zero():
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            parse_poly(text)
+        return
+    parsed = parse_poly(text)
+    assert isinstance(parsed, Poly2), text
+    assert parsed == value and parsed.degree == sum(next(iter(value.terms)))
+
+
+@SETTINGS
+@given(formula_texts(), st.booleans())
+def test_parse_formula_agrees_with_poly_arithmetic(case, bracketed):
+    text, value = case
+    if bracketed:
+        text = "[%s]" % text
+    assert parse_formula(text, ("u0", "u1")) == [value], text

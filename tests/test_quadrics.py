@@ -1,9 +1,11 @@
 """Classification of real forms of the quadric bundles over the line."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -861,6 +863,16 @@ def test_realizable_shears_away_the_subleading_term(text, real):
 def test_realizable_undecidable():
     with pytest.raises(UndecidableError, match="cyclotomic"):
         realizable(parse_poly("(1 + 2*i)*u0^4 + u1^4"))
+
+
+def test_realizable_refuses_the_conductor_251_fiber():
+    # w = conj(rho) / rho has a 17,447-bit denominator here: the bound of
+    # as_root_of_unity refuses it before w^502, and the message names no
+    # value, as w's integers have more digits than str() may print
+    cases = Path(__file__).parent / "golden" / "cases.json"
+    text = json.loads(cases.read_text())["error-repeated-conductor251"][2]
+    with pytest.raises(UndecidableError, match="cyclotomic scalars$"):
+        realizable(parse_poly(text))
 
 
 def test_realizable_negative():
