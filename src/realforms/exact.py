@@ -25,10 +25,12 @@ of the Schwarzenberger gluing, and the parenthesized sums of the parser.
 term by one unit x^a y^(d-a), read from a table of the d + 1 units built
 once per (x, y, d); the cache of tables is bounded, because one table of
 degree d at conductor N holds about d phi(N) integers.  Any other matrix
-runs Horner with one big integer per coefficient: z = zeta_N goes to
-2^s, so one integer product, folded modulo 2^(sh) +- 1, multiplies two
-cyclotomic integers, and each output coefficient is unpacked, reduced
-mod Phi_N and canonicalized once.  A power of +-z^j is one exponent map.
+is its linear map: d + 1 packed integer rows, one table per (entries, d)
+at the matrix's own conductor under the same bound.  A table holds
+(d + 1)^2 values of the matrix's height, so callers pass only fixed
+matrices here and conjugate an input-dependent one into a fixed one by
+monomials.  A form then costs one integer sum per coordinate and one
+decode.  A power of +-z^j is one exponent map.
 gcd / squarefree machinery works on dehomogenized coefficient lists.
 
 The last section, arithmetic modulo a split prime, is the package's only
@@ -396,7 +398,8 @@ class Cyclo:
         return _make(n, [x * fa + y * fb for x, y in zip(a, b)], den)
 
     def __neg__(self):
-        return _lowest(self.n, [-c for c in self.num], self.den)
+        # negation keeps lowest terms
+        return _raw(self.n, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (Cyclo, int, Fraction)):
@@ -529,25 +532,22 @@ class Cyclo:
         The roots of unity in Q(zeta_n) are exactly +-zeta_n^k, so the
         test is self^M == 1 for M = lcm(2, n).  Each is integral with
         coordinates at most `_rho` (n): a denominator or a larger
-        coordinate answers None before any power.
+        coordinate answers None before any power, and +-z^j itself is
+        zeta_M^t with t read off j and the sign.
         """
         if self.is_zero() or self.den > 1 \
                 or max(map(abs, self.num)) > _rho(self.n):
             return None
         M = lcm(2, self.n)
-        if self ** M != 1:
+        if sum(map(abs, self.num)) == 1:
+            j = next(j for j, c in enumerate(self.num) if c)
+            t = (j * (M // self.n) + (self.num[j] < 0) * (M // 2)) % M
+        elif self ** M != 1:
             return None
-        z = Cyclo.zeta(M)
-        cur = Cyclo.rational(1)
-        for t in range(M):
-            if cur == self:
-                if t == 0:
-                    return (1, 0)
-                d = gcd(M, t)
-                return (M // d, t // d)
-            cur = cur * z
-        raise VerificationError(
-            "unit of finite order not found among powers")
+        else:
+            t = next(t for t in range(M) if Cyclo.zeta(M, t) == self)
+        d = gcd(M, t)
+        return (M // d, t // d)
 
     def sqrt(self):
         """A square root within cyclotomic scalars, or None.
@@ -940,28 +940,14 @@ class Poly2(Poly):
         pair, sends each term c u0^a u1^b to c x^a y^b: one product with
         the unit x^a y^b from `_units`, whose tables are cached per
         (x, y, d), at most 64 of them, as each holds about d phi(N)
-        integers.  Any other m runs homogeneous Horner with one integer
-        per coefficient: over common denominators m = M / D_m and
-        g = G / D_g, and H_d = G_d, H_j = H_(j+1) L0 + G_j L1^(d-j) with
-        L0 = M00 u0 + M01 u1 and L1 = M10 u0 + M11 u1, the powers of L1
-        built alongside.
-
-        Ring map: a value of conductor k | N, N the lcm of all, is
-        sum(v_j z^(jN/k)), z = zeta_N.  Phi_N divides z^h + 1, h = N/2,
-        for even N and z^h - 1, h = N, for odd N, so Z[z]/(z^h +- 1) maps
-        onto Z[zeta_N], and z -> 2^s maps it into the integers modulo
-        Q = 2^(sh) +- 1.  There a product x is reduced by one fold,
-        x = (x & (2^(sh) - 1)) +- (x >> sh) mod Q, and never by ``%``.
-
-        Bound: with |x| the sum of the |v_j|, which is submultiplicative
-        in Z[z]/(z^h +- 1), each coefficient of H_0 there is at most
-        B = sum_j |G_j| max(|M00| + |M01|, |M10| + |M11|)^d in absolute
-        value, and s = bit_length(B) + 2.
-
-        Decoding: with 2^(s-1) added to each of its h slots, an output
-        coefficient taken mod Q has the wrapped coefficients plus 2^(s-1)
-        as its base-2^s digits.  They are reduced mod Phi_N, and
-        H_0 / (D_g D_m^d) becomes a Cyclo once per coefficient.
+        integers.  Any other m is its linear map on degree-d forms, the
+        rows of `_rows`, cached per (entries of m, d) alike; a table holds
+        (d + 1)^2 values of m's height, so m should be one of a few fixed
+        matrices, and an input-dependent one is conjugated into a fixed
+        one by monomials, as `quadrics.realizable` does.  With g_j = sum_k
+        G_jk z^k / D_g, each coordinate k (and limb of G_jk) costs one sum
+        of G_jk times row j, read as bytes, one block of slots per output
+        coefficient, empty blocks skipped; each is canonicalized once.
         """
         (m00, m01), (m10, m11) = [[as_cyclo(x) for x in row] for row in m]
         d = self.degree
@@ -974,44 +960,35 @@ class Poly2(Poly):
                 if c:
                     terms[(b, a) if swap else (a, b)] = c
             return self._result(terms)
-        coeffs = [self.terms.get((j, d - j), ZERO) for j in range(d + 1)]
-        entries = (m00, m01, m10, m11)
-        n = lcm(*(x.n for x in entries), *(c.n for c in coeffs))
-        d_m = lcm(*(x.den for x in entries))
-        d_g = lcm(*(c.den for c in coeffs))
-
-        bound = sum(_norm(c, d_g) for c in coeffs) * max(
-            _norm(m00, d_m) + _norm(m01, d_m),
-            _norm(m10, d_m) + _norm(m11, d_m)) ** d
-        s = bound.bit_length() + 2
-        h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
-        width = s * h
-        mask = (1 << width) - 1
-
-        def pack(x, den):
-            out, step = 0, s * (n // x.n)
-            for c in reversed(x.num):
-                out = (out << step) + c
-            out *= den // x.den
-            return (out & mask) + sign * (out >> width)
-
-        a00, a01, a10, a11 = [pack(x, d_m) for x in entries]
-        g = [pack(c, d_g) for c in coeffs]
-        power, horner = [1], [g[d]]
-        for j in range(d - 1, -1, -1):
-            power = [((x := a10 * p + a11 * q) & mask) + sign * (x >> width)
-                     for p, q in zip([0] + power, power + [0])]
-            horner = [((x := a00 * p + a01 * q + g[j] * r) & mask)
-                      + sign * (x >> width)
-                      for p, q, r in zip([0] + horner, horner + [0], power)]
-        modulus = mask + 1 - sign  # 2^(sh) - 1 for odd N, 2^(sh) + 1 for even
-        slot, half = (1 << s) - 1, 1 << (s - 1)
-        offset = mask // slot * half  # half in each of the h slots
-        den = d_g * d_m ** d
-        terms = {}
-        for a, x in enumerate(horner):
-            x = (x + offset) % modulus
-            vec = _reduce(n, [((x >> s * k) & slot) - half for k in range(h)])
+        n_m, d_m, s, limb, rows, offset = _rows(tuple(
+            (x.n, x.num, x.den) for x in (m00, m01, m10, m11)), d)
+        n_g = lcm(*(c.n for c in self.terms.values()))
+        d_g = lcm(*(c.den for c in self.terms.values()))
+        n, h, size = lcm(n_g, n_m), n_m // (2 - n_m % 2), s // 8
+        half, low, split = 1 << (s - 1), 1 << (limb - 1), {}
+        for (j, _), c in self.terms.items():  # G_jk in balanced limbs
+            for i, v in enumerate(c.num):
+                v, shift = v * (d_g // c.den), 0
+                while v:
+                    x = ((v + low) & (2 * low - 1)) - low
+                    split.setdefault((i * (n_g // c.n), shift),
+                                     [0] * (d + 1))[j] = x
+                    v, shift = (v - x) >> limb, shift + limb
+        empty, acc = half.to_bytes(size, "little") * h, {}
+        for (k, shift), digits in split.items():
+            at = [(k * (n // n_g) + i * (n // n_m)) % n for i in range(h)]
+            data = (sum(map(mul, digits, rows)) + offset).to_bytes(
+                (d + 1) * h * size, "little")
+            for a in range(d + 1):
+                block = data[a * h * size:(a + 1) * h * size]
+                if block != empty:
+                    vec = acc.setdefault(a, [0] * n)
+                    for e, i in zip(at, range(0, h * size, size)):
+                        vec[e] += (int.from_bytes(block[i:i + size], "little")
+                                   - half) << shift
+        terms, den = {}, d_g * d_m ** d
+        for a in sorted(acc):
+            vec = _reduce(n, acc[a])
             if any(vec):
                 terms[(a, d - a)] = _make(n, vec, den)
         return self._result(terms)
@@ -1024,6 +1001,57 @@ class Poly2(Poly):
 def _units(x, y, d):
     """x^a y^(d-a), the unit of the term u0^a u1^(d-a), for a = 0..d."""
     return tuple(x ** a * y ** (d - a) for a in range(d + 1))
+
+
+@lru_cache(maxsize=64)
+def _rows(entries, d):
+    """(n, D, s, limb, rows, offset): the map of m on degree-d forms, for
+    ``entries`` the (n, num, den) of m00, m01, m10 and m11.
+
+    rows[j] is L0^j L1^(d-j), L0 = M00 u0 + M01 u1 and L1 = M10 u0 +
+    M11 u1 for m = M / D, with coordinate i of its u0^a coefficient in
+    Z[z]/(z^h +- 1) (h = n/2 for even n, else n) in signed slot a h + i
+    of s bits.  Each is at most max(|M00| + |M01|, |M10| + |M11|)^d, |x|
+    the sum of |coordinates|, so a sum of rows times digits up to
+    2^(limb-1) keeps every slot below 2^(s-1), and ``offset`` (2^(s-1)
+    per slot) makes its bytes its slots.  With z -> 2^s modulo 2^(sh) -+ 1
+    the powers of L0 and L1 take linear steps and a row one product.
+    """
+    n, dm = lcm(*(e[0] for e in entries)), lcm(*(e[2] for e in entries))
+    h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    norm = [sum(map(abs, num)) * (dm // den) for _, num, den in entries]
+    bits = (max(norm[0] + norm[1], norm[2] + norm[3]) ** d).bit_length() \
+        + (d + 1).bit_length()
+    s = (bits + 64 + 7) // 8 * 8  # 64 bits for the digits of a form
+    width = s * h
+    mask, wide = (1 << width) - 1, (2 * width + bits + 8) // 8
+    modulus = mask + 1 - sign
+
+    def mod(x):  # one fold leaves a quotient of one digit
+        return ((x & mask) + sign * (x >> width)) % modulus
+
+    def join(values, size):
+        return int.from_bytes(b"".join(x.to_bytes(size, "little")
+                                       for x in values), "little")
+
+    a00, a01, a10, a11 = (
+        mod(sum(c << s * i * (n // k) for i, c in enumerate(num)) * (dm // q))
+        for k, num, q in entries)
+    left, right = [[1]], [[1]]
+    for _ in range(d):
+        for p, x, y in ((left, a00, a01), (right, a10, a11)):
+            p.append([mod(x * a + y * b)
+                      for a, b in zip([0] + p[-1], p[-1] + [0])])
+    off = mask // ((1 << s) - 1) << (s - 1)
+    offset, rows = join([off] * (d + 1), width // 8), []
+    for j in range(d + 1):
+        data = (join(left[j], wide) * join(right[d - j], wide)).to_bytes(
+            wide * (d + 1), "little")
+        row = (mod(int.from_bytes(data[i:i + wide], "little"))
+               for i in range(0, len(data), wide))
+        rows.append(join([x - modulus * (2 * x > modulus) + off
+                          for x in row], width // 8) - offset)
+    return n, dm, s, s - bits, tuple(rows), offset
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 _ONE = Cyclo.rational(1)
+_UNIT_SHEAR = Mat2(1, 1, 0, 1)  # its compose table serves every shear
 
 RATIONAL = "rational"
 UNKNOWN = "unknown"
@@ -322,8 +323,9 @@ def realizable(g):
     c_sub = g.coeff(r - 1, two_n - r + 1)
     if not c_sub.is_zero():
         t = -(c_sub / (g.coeff(r, two_n - r) * r))
-        shear = Mat2(1, t, 0, 1)
-        h = g.compose(shear)
+        shear = Mat2(1, t, 0, 1)  # diag(t, 1) _UNIT_SHEAR diag(1/t, 1)
+        h = g.compose(Mat2.diag(t, 1)).compose(_UNIT_SHEAR).compose(
+            Mat2.diag(t.inverse(), 1))
     c_r = h.coeff(r, two_n - r)
 
     lower = sorted(a for (a, b) in h.terms if a != r)
@@ -351,11 +353,11 @@ def realizable(g):
     for j in range(bound):
         alpha = Cyclo.zeta(bound, j) if j else _ONE
         if all(alpha ** k == w for k, w, _ in equations):
-            phi = shear * Mat2.diag(alpha, alpha.inverse())
+            twist = Mat2.diag(alpha, alpha.inverse())
             lam = alpha ** (2 * (two_n // 2 - r)) * c_r.inverse()
-            if not (g.compose(phi) * lam).real_coefficients():
+            if not (h.compose(twist) * lam).real_coefficients():
                 raise VerificationError("the twisted form is not real")
-            return (lam, phi)
+            return (lam, shear * twist)
     return None
 
 

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -16,8 +19,9 @@ from realforms import exact
 from realforms.errors import UndecidableError
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
-from realforms.groups import F_SWAP, rotation_gen
-from realforms.parsing import parse_poly
+from realforms.groups import ALPHA, BETA, F_SWAP, rotation_gen
+from realforms.parsing import MAX_DEGREE, parse_poly
+from realforms.quadrics import _MF, _UNIT_SHEAR
 
 
 def test_rational_arithmetic():
@@ -101,6 +105,58 @@ def test_as_root_of_unity_refuses_before_any_power(monkeypatch):
     # 3 zeta_12 is integral, but a coordinate of it exceeds rho_12 = 1
     assert (Cyclo.zeta(12) * 3).as_root_of_unity() is None
     assert Cyclo.rational(2).as_root_of_unity() is None
+
+
+def test_signed_powers_of_zeta_are_read_off_their_exponent(monkeypatch):
+    # +-z_n^j with one coordinate +-1 answers from j and its sign, with no
+    # power and no scan: the (d, t) of the scan over the powers of zeta_M,
+    # which sqrt prints as zeta(2d, t)
+    cases = []
+    for n in range(1, 61):
+        M = math.lcm(2, n)
+        z, power, scan = Cyclo.zeta(M), Cyclo.rational(1), {}
+        for t in range(M):
+            g = math.gcd(M, t)
+            scan[power] = (M // g, t // g)
+            power = power * z
+        for j in range(n):
+            for w in (Cyclo.zeta(n, j), -Cyclo.zeta(n, j)):
+                if w.den == 1 and sum(map(abs, w.num)) == 1:
+                    cases.append((w, scan[w]))
+                else:  # the M-th power and the scan still answer these
+                    assert w.as_root_of_unity() == scan[w], w
+    # each primitive z_n^j with j < phi(n) has the one coordinate j
+    primitive = {Cyclo.zeta(n, j) for n in range(1, 61) if n % 4 != 2
+                 for j in range(exact.euler_phi(n)) if math.gcd(j, n) == 1}
+    assert primitive <= {w for w, _ in cases}
+
+    def fail(*args):
+        raise AssertionError("a power or a scan")
+
+    monkeypatch.setattr(Cyclo, "__pow__", fail)
+    monkeypatch.setattr(Cyclo, "zeta", fail)
+    for w, expected in cases:
+        assert w.as_root_of_unity() == expected, w
+
+
+def test_negation_keeps_lowest_terms_without_a_gcd(monkeypatch):
+    rng = random.Random(398)
+    values = [Cyclo(n, [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 6, 35]))
+                        for _ in range(n)]) for n in range(1, 61)]
+    assert sum(x.den > 1 for x in values) > 50
+    expected = [Cyclo(x.n, [-c for c in x.coeffs]) for x in values]
+    lowest, calls = exact._lowest, []
+
+    def counting(*args):
+        calls.append(args)
+        return lowest(*args)
+
+    monkeypatch.setattr(exact, "_lowest", counting)
+    negated = [-x for x in values]
+    assert calls == []
+    monkeypatch.undo()
+    for x, y, z in zip(values, negated, expected):
+        assert y == z == 0 - x == x * -1 and (x + y).is_zero(), x
 
 
 def test_sqrt_of_rational_square():
@@ -250,6 +306,7 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     f = Poly2(30, {(a, 30 - a): _scalar(rng, 60) for a in range(31)})
     m = Mat2(Cyclo.zeta(60), Fraction(1, 3), Cyclo.zeta(60, 7) + 2, -1)
     expected = _substitute_compose(f, m)
+    assert f.compose(m) == expected  # builds the table
     built, reduced = [], []
     make, reduce = exact._make, exact._reduce
 
@@ -267,8 +324,46 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     monkeypatch.setattr(exact, "_make", make)
     monkeypatch.setattr(exact, "_reduce", reduce)
     assert got == expected
-    assert len(built) <= 31
-    assert len(reduced) <= 2 * 31 + 4
+    assert len(built) <= 31 and len(reduced) <= 31
+
+
+# the dense matrices of the command paths: the generators ALPHA and BETA,
+# the splitting matrix of [f], the two-root conjugator and the unit shear
+DENSE_MATRICES = (ALPHA, BETA, _MF, Mat2(1, Cyclo.i(), 1, -Cyclo.i()),
+                  _UNIT_SHEAR)
+
+
+def _key(m):
+    return tuple((x.n, x.num, x.den) for row in m for x in row)
+
+
+def test_dense_compose_tables_are_shared_across_forms():
+    rng = random.Random(27)
+    forms = [_sweep_form(rng, 16, 1), _sweep_form(rng, 16, 12)]
+    assert forms[0] != forms[1]
+    for m in DENSE_MATRICES:
+        forms[0].compose(m)
+        before = exact._rows.cache_info()
+        for f in forms:
+            assert f.compose(m) == _substitute_compose(f, m), (f, m)
+        # a fresh matrix with equal entries reads the same table
+        fresh = Mat2(*(Cyclo(x.n, x.coeffs) for row in m for x in row))
+        assert fresh is not m
+        assert forms[1].compose(fresh) == forms[1].compose(m)
+        after = exact._rows.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (4, 0), m
+
+
+def test_fixed_matrices_compose_like_substitution_on_seeded_sweep():
+    # forms of up to four terms, so that the substitution stays cheap
+    rng = random.Random(2718)
+    for i, m in enumerate(DENSE_MATRICES):
+        for d in range(41):
+            n = (1, 4, 12, 60)[(i + d) % 4]
+            f = Poly2(d, {(a, d - a): _scalar(rng, n)
+                          for a in rng.sample(range(d + 1), min(d + 1, 4))})
+            assert f.compose(m) == _substitute_compose(f, m), (m, d, n)
 
 
 MONOMIAL_MATRICES = (rotation_gen(8), F_SWAP, Mat2.diag(2, Fraction(1, 3)))
@@ -321,7 +416,7 @@ def _positive(rng, n, sign=1):
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 12, 15, 60])
 def test_compose_at_the_slot_width_bound(n):
     # with every numerator of one sign nothing cancels before the wrap
-    # mod z^h +- 1, so the packed coefficients come near the bound B
+    # mod z^h +- 1, so the table's coordinates come near the bound t
     # that sets the slot width
     rng = random.Random(n)
     for sign in (1, -1):
@@ -335,8 +430,16 @@ def test_compose_at_the_slot_width_bound(n):
 
 
 def test_one_coefficient_reaches_the_bound_exactly(monkeypatch):
-    # c u0^d under u0 -> K u0, u1 -> u0 + u1 has the coefficient c K^d
-    # at u0^d, and B = |c| max(K, 2)^d: the top slot holds +-B itself
+    # c u0^d under u0 -> K u0, u1 -> u0 + u1 has the coefficient c K^d at
+    # u0^d.  The table's coordinate bound t = max(K, 2)^d is row d's slot
+    # there, so that slot of the sum holds c t itself
+    m, t = Mat2(5, 0, 1, 1), 5 ** 12
+    n, den, s, limb, rows, offset = exact._rows(_key(m), 12)
+    assert (n, den, rows[12]) == (1, 1, t << 12 * s)
+    # s is the least multiple of 8 with 64 bits past t and the 13 rows,
+    # and 13 digits of limb bits times t just fit below 2^(s-1)
+    assert (s, limb) == (96, 96 - t.bit_length() - 13 .bit_length())
+    assert 13 * 2 ** (limb - 1) * t < 2 ** (s - 1) < 13 * 2 ** limb * t * 4
     digits = []
     reduce = exact._reduce
 
@@ -344,14 +447,42 @@ def test_one_coefficient_reaches_the_bound_exactly(monkeypatch):
         digits.extend(vec)
         return reduce(n, vec)
 
-    for c in (7, -7):
+    for c in (7, -7, 2 ** (limb - 1), -2 ** (limb - 1), 3 ** 90, -5 ** 70):
         g = Poly2.monomial(12, 0, c)
         digits.clear()
         monkeypatch.setattr(exact, "_reduce", recording_reduce)
-        got = g.compose(Mat2(5, 0, 1, 1))
+        got = g.compose(m)
         monkeypatch.setattr(exact, "_reduce", reduce)
-        assert got == Poly2.monomial(12, 0, c * 5 ** 12)
-        assert digits == [0] * 12 + [c * 5 ** 12]
+        assert got == Poly2.monomial(12, 0, c * t)
+        assert digits == [c * t]
+
+
+# peak resident memory that building the ALPHA and BETA tables at
+# MAX_DEGREE adds to a fresh interpreter, in KiB; the rows themselves take
+# 4.8 and 12.1 MB.  Resident memory rather than tracemalloc, which traces
+# every temporary of the rows' big-integer products and slows the builds
+# some sixfold
+TABLE_PEAK = """
+import resource, sys
+from realforms import exact
+from realforms.groups import ALPHA, BETA
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for m in (ALPHA, BETA):
+    exact._rows(tuple((x.n, x.num, x.den) for row in m for x in row),
+                int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_tables_at_the_degree_bound_stay_small():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", TABLE_PEAK, str(MAX_DEGREE)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024  # twice the 29 MiB measured
 
 
 def test_compose_at_conductor_1004():

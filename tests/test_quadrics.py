@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from realforms import groups, quadrics
+from realforms import exact, groups, quadrics
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                             root_multiplicities)
 from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
@@ -865,14 +865,43 @@ def test_realizable_undecidable():
         realizable(parse_poly("(1 + 2*i)*u0^4 + u1^4"))
 
 
-def test_realizable_refuses_the_conductor_251_fiber():
+def _table_conductors(monkeypatch):
+    """The conductors of the matrix entries of every compose table that
+    is read while the test runs."""
+    rows, seen = exact._rows, set()
+
+    def recording(entries, d):
+        seen.update(n for n, _, _ in entries)
+        return rows(entries, d)
+
+    monkeypatch.setattr(exact, "_rows", recording)
+    return seen
+
+
+def test_realizable_refuses_the_conductor_251_fiber(monkeypatch):
     # w = conj(rho) / rho has a 17,447-bit denominator here: the bound of
     # as_root_of_unity refuses it before w^502, and the message names no
-    # value, as w's integers have more digits than str() may print
+    # value, as w's integers have more digits than str() may print.  The
+    # shear is the unit shear conjugated by diagonal matrices, so its
+    # compose table is rational, not one of conductor 251
     cases = Path(__file__).parent / "golden" / "cases.json"
     text = json.loads(cases.read_text())["error-repeated-conductor251"][2]
+    conductors = _table_conductors(monkeypatch)
     with pytest.raises(UndecidableError, match="cyclotomic scalars$"):
         realizable(parse_poly(text))
+    assert conductors == {1}
+
+
+def test_golden_fibers_read_compose_tables_of_small_conductor(monkeypatch):
+    cases = json.loads((Path(__file__).parent / "golden"
+                        / "cases.json").read_text())
+    texts = [args[2] for name, args in cases.items()
+             if name.startswith("classify-")]
+    assert len(texts) == 13  # classify-repeated-conductor77 among them
+    conductors = _table_conductors(monkeypatch)
+    for text in texts:
+        enumerate_forms(inst(text))
+    assert conductors and max(conductors) <= 5
 
 
 def test_realizable_negative():
