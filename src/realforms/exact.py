@@ -878,14 +878,16 @@ class Poly:
 
     def proportionality(self, other):
         """The scalar s with self == s * other, or None."""
-        if not other.terms:
+        terms = self.terms
+        if not other.terms or self.nvars != other.nvars \
+                or terms.keys() != other.terms.keys():
             return None
         key = max(other.terms)
-        cand = self.terms.get(key)
-        if cand is None:
-            return None
-        lam = cand / other.terms[key]
-        return lam if self == other * lam else None
+        lam = terms[key] / other.terms[key]
+        for k, c in other.terms.items():
+            if terms[k] != c * lam:
+                return None
+        return lam
 
     def __repr__(self):
         bits = ["(%r)*x^%r" % (self.terms[k], k)

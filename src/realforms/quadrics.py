@@ -37,6 +37,7 @@ the class (b * conj(b)^-1 = a), rescaled into real coefficients by an
 exact square root.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import UndecidableError
@@ -46,6 +47,7 @@ from .exact import (
     Poly,
     Poly2,
     VerificationError,
+    _units,
     root_multiplicities,
 )
 from .groups import (
@@ -442,6 +444,8 @@ _TWO_ROOT_NOTE = {
 
 
 _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
+# sends the roots [1:0], [0:1] of a two-root fiber to [i:1], [-i:1]
+_TWO_ROOT = Mat2(1, Cyclo.i(), 1, -Cyclo.i())
 
 
 def _twist_classes(spec):
@@ -463,6 +467,9 @@ def _twist_classes(spec):
     return classes
 
 
+_NOT_REALIFIED = "rescaling by a square root failed to realify"
+
+
 def _realify(h):
     """Real rescaling of a form whose conjugate is a scalar multiple.
 
@@ -471,17 +478,50 @@ def _realify(h):
     proportional to its conjugate, so a cyclotomic square root lam
     exists.  The closing realness check is the proof: lam is then a root
     of unity too, and a real lam h gives conj(h) = lam^2 h = s h.
-    Otherwise one of the two steps raises ValueError.
+    Otherwise one of the two steps raises ValueError.  For lam = 1 the
+    check runs on h itself.
     """
     c = h.terms[max(h.terms)]
     s = c.conjugate() / c
     lam = s.sqrt()
     if lam is None:
         raise ValueError("no cyclotomic square root for %r" % (s,))
-    out = h * lam
+    out = h if lam == _ONE else h * lam
     if not out.real_coefficients():
-        raise ValueError("rescaling by a square root failed to realify")
+        raise ValueError(_NOT_REALIFIED)
     return out
+
+
+@lru_cache(maxsize=64)
+def _signs(x, y, d, top):
+    """The sign of u_a lam for a = 0..d, 0 where it is not +-1: u_a =
+    x^a y^(d-a) from `_units`, lam = sqrt(conj(u_top) / u_top)."""
+    units = _units(x, y, d)
+    u = units[top]
+    lam = (u.conjugate() / u).sqrt()
+    return tuple(1 if v == _ONE else -1 if v == -_ONE else 0
+                 for v in (w * lam for w in units))
+
+
+def _diagonal_twist(g, b):
+    """_realify(g.compose(b)) for a real g and a diagonal b, read off
+    the sign table of `_signs`: no composition, no square root.
+
+    With c_a the coefficients of g and top its largest u0-exponent,
+    g o b has coefficients c_a u_a.  As g is real, conj(c_top u_top) /
+    (c_top u_top) = conj(u_top) / u_top, so `_realify` takes lam =
+    sqrt(conj(u_top) / u_top), and c_a u_a lam is real iff the root of
+    unity u_a lam is, that is +-1.  Otherwise `_realify`'s ValueError
+    is raised.
+    """
+    signs = _signs(b.a, b.d, g.degree, max(g.terms)[0])
+    terms = {}
+    for (a, e), c in g.terms.items():
+        sign = signs[a]
+        if not sign:
+            raise ValueError(_NOT_REALIFIED)
+        terms[(a, e)] = c if sign > 0 else -c
+    return g._result(terms)
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +648,7 @@ def _two_root_equal(g):
             "equal multiplicities with one term force a == b")
     # The swap class twists the pair of roots into a conjugate pair;
     # composing with the standard conjugator lands on c*(u0^2+u1^2)^a.
-    swapped = g.compose(Mat2(1, Cyclo.i(), 1, -Cyclo.i()))
+    swapped = g.compose(_TWO_ROOT)
     if not swapped.real_coefficients():
         raise VerificationError("the swapped two-root form is not real")
     return [
@@ -633,6 +673,12 @@ _H_FORMS = (("H1", PGL2R), ("H2", PGL2R), ("H3", SO3R), ("H4", SO3R))
 
 
 def _finite_forms(g, spec):
+    """The real forms of Q_g for a finite F = spec, g real.
+
+    Over a class with a diagonal splitting matrix (every [omega_k]) the
+    equation is g with some coefficient signs flipped (`_diagonal_twist`);
+    over [f] it is g composed with _MF and rescaled by `_realify`.
+    """
     merge = _merged(spec, g.degree // 2 % 2 == 1)
     forms = []
     index = 0
@@ -643,7 +689,12 @@ def _finite_forms(g, spec):
                                             NO_REAL_POINTS, aut0, "[h]"))
             continue
         index += 1
-        gi = g if b is None else _realify(g.compose(b))
+        if b is None:
+            gi = g
+        elif b.b or b.c:
+            gi = _realify(g.compose(b))
+        else:
+            gi = _diagonal_twist(g, b)
         if merge:
             forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
                                         PGL2R, label, merged_pair=True))
@@ -669,7 +720,9 @@ def enumerate_forms(q):
     detected in the given coordinates.  Over each twisting class other
     than [I2] and [h] the equation is g composed with the class's
     splitting matrix, rescaled into real coefficients by an exact
-    square root; the character of g plays no part.  The tally of
+    square root; for a diagonal matrix (the [omega_k] classes) that is
+    g with some coefficient signs flipped, read off a cached table, as
+    g is real.  The character of g plays no part.  The tally of
     statuses is checked against ``form_counts`` before returning.
     """
     q = _coerce_instance(q)

@@ -21,7 +21,7 @@ from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
 from realforms.groups import ALPHA, BETA, F_SWAP, rotation_gen
 from realforms.parsing import MAX_DEGREE, parse_poly
-from realforms.quadrics import _MF, _UNIT_SHEAR
+from realforms.quadrics import _MF, _TWO_ROOT, _UNIT_SHEAR
 
 
 def test_rational_arithmetic():
@@ -329,8 +329,7 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
 
 # the dense matrices of the command paths: the generators ALPHA and BETA,
 # the splitting matrix of [f], the two-root conjugator and the unit shear
-DENSE_MATRICES = (ALPHA, BETA, _MF, Mat2(1, Cyclo.i(), 1, -Cyclo.i()),
-                  _UNIT_SHEAR)
+DENSE_MATRICES = (ALPHA, BETA, _MF, _TWO_ROOT, _UNIT_SHEAR)
 
 
 def _key(m):

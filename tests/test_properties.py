@@ -1,6 +1,7 @@
 """Algebraic properties of the exact kernel, checked on random inputs:
 the ring laws of ``Poly`` (Laurent exponents included), ``substitute`` as
-a ring homomorphism, ``Poly2.compose`` as a substitution, and the parser
+a ring homomorphism, ``Poly2.compose`` as a substitution,
+``Poly.proportionality`` against the full product, and the parser
 against the same expression evaluated by ``Poly`` arithmetic."""
 
 from fractions import Fraction
@@ -209,3 +210,40 @@ def test_parse_formula_agrees_with_poly_arithmetic(case, bracketed):
     if bracketed:
         text = "[%s]" % text
     assert parse_formula(text, ("u0", "u1")) == [value], text
+
+
+def _full_product_proportionality(p, q):
+    """Poly.proportionality as it was: other * lam built in full."""
+    if not q.terms:
+        return None
+    key = max(q.terms)
+    cand = p.terms.get(key)
+    if cand is None:
+        return None
+    lam = cand / q.terms[key]
+    return lam if p == q * lam else None
+
+
+@SETTINGS
+@given(conductors.flatmap(lambda n: st.tuples(
+    laurent_polys(n), laurent_polys(n), cyclos(n).filter(bool),
+    cyclos(n).filter(bool), st.integers(0, 2))))
+def test_proportionality_matches_the_full_product(data):
+    p, q, s, t, k = data
+    multiple = q * s
+    # the same support as the multiple, one coefficient off by t
+    changed = dict(multiple.terms)
+    if changed:
+        key = sorted(changed)[k % len(changed)]
+        changed[key] = changed[key] + t or t
+    changed = Poly(changed, nvars=2)
+    assert changed.terms.keys() == multiple.terms.keys()
+    for a, b in ((multiple, q), (changed, q), (q, changed), (p, q),
+                 (q, p), (p, p), (p, Poly(nvars=2)), (Poly(nvars=2), q)):
+        assert a.proportionality(b) == _full_product_proportionality(a, b)
+    if q.terms:
+        assert multiple.proportionality(q) == s
+    # a different number of variables is never proportional
+    wide = Poly({e + (0,): c for e, c in q.terms.items()}, nvars=3)
+    assert q.proportionality(wide) is None
+    assert wide.proportionality(q) is None

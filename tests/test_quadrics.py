@@ -402,15 +402,15 @@ def test_classification_factors_and_detects_once(monkeypatch):
 
 
 @pytest.mark.parametrize("text,group,composes", [
-    ("u0^6 + u1^6", "D6", 2),                    # [omega_12] and [f]
-    ("u0^5*u1 - u0*u1^5", "E7", 1),              # [omega_8]
-    ("u0^8 + 14*u0^4*u1^4 + u1^8", "E7", 1),
+    ("u0^6 + u1^6", "D6", 1),                    # [f]; [omega_12] signs
+    ("u0^5*u1 - u0*u1^5", "E7", 0),              # [omega_8] signs
+    ("u0^8 + 14*u0^4*u1^4 + u1^8", "E7", 0),
     ("u0^2*u1*(u0^3 - u1^3)", "A3", 0),          # [I2] only
 ])
 def test_one_compose_per_twisted_equation(monkeypatch, text, group, composes):
-    # after detection, each class other than [I2] that carries an
-    # equation costs one composition with its splitting matrix, and the
-    # character of g is never computed
+    # after detection, each class whose splitting matrix is dense ([f])
+    # costs one composition with it, a diagonal one ([omega_k]) none, and
+    # the character of g is never computed
     q = inst(text)
     assert detect_symmetry(q).report_name == group
     calls = []
@@ -753,36 +753,165 @@ def test_one_pass_realify_matches_the_two_pass_rescaling():
 
 
 @pytest.mark.parametrize("text, label", [
-    ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "[omega_8]"),
+    ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "[omega_8]"),                 # lam = 1
     ("u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4", "[f]"),
+    ("u0^6 + u1^6", "[f]"),                                       # lam = i
 ])
 def test_realify_makes_one_product_per_term_and_one_more(
         monkeypatch, text, label):
     q = inst(text)
     b = dict(quadrics._twist_classes(detect_symmetry(q).group))[label]
     h = q.g.compose(b)
-    calls, counting = [], [True]
+    c = h.terms[max(h.terms)]
+    lam = (c.conjugate() / c).sqrt()
+    calls, depth = [], [0]  # sqrt recurses: count outside every level
     mul, sqrt = Cyclo.__mul__, Cyclo.sqrt
 
     def counting_mul(self, other):
-        if counting[0]:
+        if not depth[0]:
             calls.append(other)
         return mul(self, other)
 
     def uncounted_sqrt(self):
-        counting[0] = False
+        depth[0] += 1
         try:
             return sqrt(self)
         finally:
-            counting[0] = True
+            depth[0] -= 1
 
     monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
     monkeypatch.setattr(Cyclo, "sqrt", uncounted_sqrt)
     out = quadrics._realify(h)
     monkeypatch.setattr(Cyclo, "__mul__", mul)
     assert out.real_coefficients()
-    # s = conj(c) / c is one product, lam * h one per term
-    assert len(calls) == len(h.terms) + 1
+    # s = conj(c) / c is one product, lam * h one per term unless lam = 1
+    assert len(calls) == (1 if lam == 1 else len(h.terms) + 1)
+
+
+# ----------------------------------------------------------------------
+# the diagonal twists as sign patterns
+
+_REAL_COEFFS = (-3, -1, Fraction(1, 2), 2, Fraction(-5, 3),
+                Cyclo.zeta(8) + Cyclo.zeta(8, 7),
+                Cyclo.zeta(12) + Cyclo.zeta(12, 11),
+                Cyclo.zeta(5) + Cyclo.zeta(5, 4),
+                1 - Cyclo.zeta(5) - Cyclo.zeta(5, 4))
+
+
+def _diagonal_sweep(seed=28):
+    """(spec, b, g): real A_l and D_l forms (l even <= 8) and E7 forms of
+    degree <= 24, with b each diagonal splitting matrix of the group."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return as_cyclo(rng.choice(_REAL_COEFFS))
+
+    out = []
+    for name in ["A%d" % l for l in (2, 4, 6, 8)] \
+            + ["D%d" % l for l in (2, 4, 6, 8)] + ["E7"]:
+        spec = GroupSpec.parse(name)
+        diagonal = [b for _, b in quadrics._twist_classes(spec)
+                    if b is not None and not (b.b or b.c)]
+        assert diagonal, name
+        for d in range(2, 25, 2):
+            for _ in range(3):
+                if spec.kind == "E7":
+                    triple = invariant_triple(spec)
+                    monos = [(a, b, c) for a in range(4) for b in range(3)
+                             for c in range(2)
+                             if 8 * a + 12 * b + 18 * c == d]
+                    if not monos:
+                        continue
+                    g = _evaluate([(m, coeff()) for m in monos], triple, d)
+                else:
+                    # u0^a u1^(d-a) is semi-invariant under A_l for a in
+                    # one class mod l; under F_SWAP too when d - a is in
+                    # it and the coefficients are symmetric up to one sign
+                    l = spec.l
+                    r = rng.randrange(l) if spec.kind == "A" else \
+                        rng.choice([r for r in range(l) if 2 * r % l == d % l]
+                                   or [None])
+                    if r is None:
+                        continue
+                    support = [a for a in range(d + 1) if a % l == r]
+                    if not support:
+                        continue
+                    picked = rng.sample(support, rng.randint(
+                        1, min(4, len(support))))
+                    sign = rng.choice((1, -1))
+                    terms = {}
+                    for a in picked:
+                        c = coeff()
+                        if spec.kind == "D":
+                            if a == d - a and sign < 0:
+                                continue  # an odd middle coefficient is 0
+                            terms[(d - a, a)] = c * sign
+                        terms[(a, d - a)] = c
+                    g = Poly2(d, terms)
+                if g.terms:
+                    out.extend((spec, b, g) for b in diagonal)
+    return out
+
+
+def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
+    sweep = _diagonal_sweep()
+    assert {spec.name for spec, _, _ in sweep} == {
+        "A2", "A4", "A6", "A8", "D2", "D4", "D6", "D8", "E7"}
+    assert len(sweep) >= 200
+    conductors = set()
+    for spec, b, g in sweep:
+        assert g.real_coefficients()
+        conductors.update(c.n for c in g.terms.values())
+        expected = _two_pass_realify(g.compose(b))
+        got = quadrics._diagonal_twist(g, b)
+        assert got == expected, (spec.name, render_poly(g))
+        assert render_poly(got) == render_poly(expected)
+    assert {1, 5, 8, 12} <= conductors
+
+
+def test_diagonal_twist_refuses_a_support_that_does_not_fit():
+    # u0^3 u1 picks up zeta_16^2 against u0^4 under the [omega_8] rotation
+    g = parse_poly("u0^4 + u0^3*u1 + u1^4")
+    b = rotation_gen(8)
+    with pytest.raises(ValueError) as realify:
+        quadrics._realify(g.compose(b))
+    with pytest.raises(ValueError) as signs:
+        quadrics._diagonal_twist(g, b)
+    assert str(signs.value) == str(realify.value) \
+        == "rescaling by a square root failed to realify"
+
+
+def test_sign_tables_are_shared_and_skip_square_roots(monkeypatch):
+    b = rotation_gen(8)
+    quadrics._signs.cache_clear()
+    # two forms of degree 8 with top u0-exponent 8 read one table
+    for text in ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "2*u0^8 - u0^4*u1^4 + u1^8"):
+        quadrics._diagonal_twist(parse_poly(text), b)
+    info = quadrics._signs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    q = inst("u0^5*u1 - u0*u1^5")
+    assert detect_symmetry(q).report_name == "E7"
+    first = enumerate_forms(q)
+    calls = []
+
+    def counting(name):
+        original = getattr(Cyclo, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return original(self, *args)
+        return wrapper
+
+    for name in ("sqrt", "inverse"):
+        monkeypatch.setattr(Cyclo, name, counting(name))
+    monkeypatch.setattr(Poly2, "compose", lambda *a: calls.append("compose"))
+    monkeypatch.setattr(quadrics, "_realify",
+                        lambda *a: calls.append("realify"))
+    again = enumerate_forms(q)
+    assert calls == []
+    assert again.as_dict() == first.as_dict()
+    info = quadrics._signs.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_torus_fiber_report():
