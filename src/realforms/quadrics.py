@@ -30,15 +30,17 @@ This module provides:
 * ``check_psi_h`` — exact verification of the elementary link that
   multiplies the bundle degree by an extra real factor h.
 
-Everything is exact: scalars are cyclotomic numbers, polynomial
-identities are checked coefficient by coefficient, and the twisted
+Everything is exact: scalars are cyclotomic numbers, and polynomial
+identities are checked coefficient by coefficient.  The twisted
 equation over a class [a] is g composed with a splitting matrix b of
 the class (b * conj(b)^-1 = a), rescaled into real coefficients by an
-exact square root.
+exact square root; it is built per class name of `groups.h1_names`:
+over [omega_k] it is g with the coefficient signs read off the
+exponents, over [f] one composition with a fixed matrix, and over the
+swap class of a two-root fiber c (u0 u1)^a it is c (u0^2 + u1^2)^a.
 """
 
-from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .errors import UndecidableError
 from .exact import (
@@ -47,7 +49,6 @@ from .exact import (
     Poly,
     Poly2,
     VerificationError,
-    _units,
     root_multiplicities,
 )
 from .groups import (
@@ -57,7 +58,6 @@ from .groups import (
     H_ROT,
     GroupSpec,
     h1_names,
-    rotation_gen,
 )
 from .parsing import render_poly
 
@@ -440,33 +440,11 @@ _TWO_ROOT_NOTE = {
 
 
 # ----------------------------------------------------------------------
-# the twisting classes and their splitting matrices
+# the twisted equations
 
 
+# splits the [f] class: _MF * conj(_MF)^-1 is the flip F_SWAP
 _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
-# sends the roots [1:0], [0:1] of a two-root fiber to [i:1], [-i:1]
-_TWO_ROOT = Mat2(1, Cyclo.i(), 1, -Cyclo.i())
-
-
-def _twist_classes(spec):
-    """(label, b) for the classes of `groups.h1_names`, in its order.
-
-    b splits the class: b * conj(b)^-1 lies in it, so g o b is the
-    twisted fiber equation up to a scalar (explicit Galois descent).
-    b is None for [I2], whose equation is g itself, and for [h], which
-    carries none; for [omega_k] it is the k-rotation, a square root
-    of the rotation of order k/2 in F; for [f] it is _MF.
-    """
-    classes = []
-    for name in h1_names(spec):
-        if name.startswith("omega"):
-            order = int(name[len("omega"):])
-            classes.append(("[omega_%d]" % order, rotation_gen(order)))
-        else:
-            classes.append(("[%s]" % name, _MF if name == "f" else None))
-    return classes
-
-
 _NOT_REALIFIED = "rescaling by a square root failed to realify"
 
 
@@ -492,35 +470,29 @@ def _realify(h):
     return out
 
 
-@lru_cache(maxsize=64)
-def _signs(x, y, d, top):
-    """The sign of u_a lam for a = 0..d, 0 where it is not +-1: u_a =
-    x^a y^(d-a) from `_units`, lam = sqrt(conj(u_top) / u_top)."""
-    units = _units(x, y, d)
-    u = units[top]
-    lam = (u.conjugate() / u).sqrt()
-    return tuple(1 if v == _ONE else -1 if v == -_ONE else 0
-                 for v in (w * lam for w in units))
+def _diagonal_twist(g, k):
+    """The twisted equation of a real g over [omega_k]: g with the sign
+    of c_a flipped where m / k is odd, m = 2a - d + ((d - 2 top) mod k),
+    for c_a the coefficient of u0^a, d = deg g and top the largest
+    u0-exponent.  No composition, no square root.
 
-
-def _diagonal_twist(g, b):
-    """_realify(g.compose(b)) for a real g and a diagonal b, read off
-    the sign table of `_signs`: no composition, no square root.
-
-    With c_a the coefficients of g and top its largest u0-exponent,
-    g o b has coefficients c_a u_a.  As g is real, conj(c_top u_top) /
-    (c_top u_top) = conj(u_top) / u_top, so `_realify` takes lam =
-    sqrt(conj(u_top) / u_top), and c_a u_a lam is real iff the root of
-    unity u_a lam is, that is +-1.  Otherwise `_realify`'s ValueError
-    is raised.
+    This is _realify(g o b) for the splitting matrix b = diag(zeta_2k,
+    zeta_2k^-1), which scales c_a by u_a = zeta_2k^(2a - d).  As g is
+    real, conj(c_top u_top) / (c_top u_top) = conj(u_top) / u_top =
+    zeta_2k^(2d - 4 top), and the root of it that `Cyclo.sqrt` returns
+    is lam = zeta_2k^((d - 2 top) mod k), the one of argument in
+    [0, pi).  So c_a u_a lam = c_a zeta_2k^m is real iff k divides m,
+    with sign (-1)^(m / k).  Where k does not divide m, `_realify`'s
+    ValueError is raised.
     """
-    signs = _signs(b.a, b.d, g.degree, max(g.terms)[0])
+    d = g.degree
+    shift = (d - 2 * max(g.terms)[0]) % k - d
     terms = {}
     for (a, e), c in g.terms.items():
-        sign = signs[a]
-        if not sign:
+        half_turns, rest = divmod(2 * a + shift, k)
+        if rest:
             raise ValueError(_NOT_REALIFIED)
-        terms[(a, e)] = c if sign > 0 else -c
+        terms[(a, e)] = -c if half_turns % 2 else c
     return g._result(terms)
 
 
@@ -646,11 +618,12 @@ def _two_root_equal(g):
     if a != b:
         raise VerificationError(
             "equal multiplicities with one term force a == b")
-    # The swap class twists the pair of roots into a conjugate pair;
-    # composing with the standard conjugator lands on c*(u0^2+u1^2)^a.
-    swapped = g.compose(_TWO_ROOT)
-    if not swapped.real_coefficients():
-        raise VerificationError("the swapped two-root form is not real")
+    # The swap class twists the pair of roots into the conjugate pair
+    # [+-i:1]: u0 -> u0 + i u1, u1 -> u0 - i u1 sends c (u0 u1)^a to
+    # c (u0^2 + u1^2)^a, real as c is.
+    c = g.terms[(a, b)]
+    swapped = Poly2(2 * a, {(2 * (a - t), 2 * t): c * comb(a, t)
+                            for t in range(a + 1)})
     return [
         FormDescriptor("Q", g, RATIONAL, PGL2R_TORUS, "[mu1]",
                        merged_pair=True),
@@ -673,28 +646,29 @@ _H_FORMS = (("H1", PGL2R), ("H2", PGL2R), ("H3", SO3R), ("H4", SO3R))
 
 
 def _finite_forms(g, spec):
-    """The real forms of Q_g for a finite F = spec, g real.
-
-    Over a class with a diagonal splitting matrix (every [omega_k]) the
-    equation is g with some coefficient signs flipped (`_diagonal_twist`);
-    over [f] it is g composed with _MF and rescaled by `_realify`.
+    """The real forms of Q_g for a finite F = spec, g real, one block per
+    class of `groups.h1_names`: [I2] gives g itself, [omega_k] g with
+    some coefficient signs flipped (`_diagonal_twist`), [f] g composed
+    with _MF and rescaled by `_realify`, and [h] the four H forms, which
+    carry no equation.
     """
     merge = _merged(spec, g.degree // 2 % 2 == 1)
     forms = []
     index = 0
-    for label, b in _twist_classes(spec):
-        if label == "[h]":
+    for name in h1_names(spec):
+        if name == "h":
             for tag, aut0 in _H_FORMS:
                 forms.append(FormDescriptor(tag, None,
                                             NO_REAL_POINTS, aut0, "[h]"))
             continue
         index += 1
-        if b is None:
+        label = "[%s]" % name.replace("omega", "omega_")
+        if name == "I2":
             gi = g
-        elif b.b or b.c:
-            gi = _realify(g.compose(b))
+        elif name == "f":
+            gi = _realify(g.compose(_MF))
         else:
-            gi = _diagonal_twist(g, b)
+            gi = _diagonal_twist(g, int(name[len("omega"):]))
         if merge:
             forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
                                         PGL2R, label, merged_pair=True))
@@ -717,13 +691,13 @@ def enumerate_forms(q):
 
     The input form must already have real coefficients (use
     ``realizable`` first if it does not).  The symmetry type is
-    detected in the given coordinates.  Over each twisting class other
-    than [I2] and [h] the equation is g composed with the class's
-    splitting matrix, rescaled into real coefficients by an exact
-    square root; for a diagonal matrix (the [omega_k] classes) that is
-    g with some coefficient signs flipped, read off a cached table, as
-    g is real.  The character of g plays no part.  The tally of
-    statuses is checked against ``form_counts`` before returning.
+    detected in the given coordinates.  The twisted equations follow
+    the class names of `groups.h1_names`: [I2] keeps g, [omega_k] flips
+    the signs of the coefficients whose exponents say so, as g is real,
+    [f] composes g with one fixed matrix and rescales it by an exact
+    square root, and [h] carries no equation.  The character of g plays
+    no part.  The tally of statuses is checked against ``form_counts``
+    before returning.
     """
     q = _coerce_instance(q)
     g = q.g

@@ -390,18 +390,14 @@ def _forms_sb(family):
 def _forms_rmn(family):
     m, n = family.params
     label = family.label
+    twisted = m % 2 == 0 and n % 2 == 0
     forms = [_make("rmn_trivial", label, label, ambient=("rmn", (m, n)),
                    aut0=_trivial_aut0(label),
-                   notes="the trivial form is the only real form with a "
-                         "real point")]
-    if m % 2 == 0 and n % 2 == 0:
+                   notes="the trivial form is the only real form"
+                         + (" with a real point" if twisted else ""))]
+    if twisted:
         forms.append(_make("rmn_conj_twist", "R~_(%d,%d)" % (m, n), label,
                            ambient=("rmn", (m, n))))
-    else:
-        forms[0] = _make("rmn_trivial", label, label,
-                         ambient=("rmn", (m, n)),
-                         aut0=_trivial_aut0(label),
-                         notes="the trivial form is the only real form")
     return forms
 
 

@@ -21,7 +21,7 @@ from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
 from realforms.groups import ALPHA, BETA, F_SWAP, rotation_gen
 from realforms.parsing import MAX_DEGREE, parse_poly
-from realforms.quadrics import _MF, _TWO_ROOT, _UNIT_SHEAR
+from realforms.quadrics import _MF, _UNIT_SHEAR
 
 
 def test_rational_arithmetic():
@@ -327,9 +327,11 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     assert len(built) <= 31 and len(reduced) <= 31
 
 
-# the dense matrices of the command paths: the generators ALPHA and BETA,
-# the splitting matrix of [f], the two-root conjugator and the unit shear
-DENSE_MATRICES = (ALPHA, BETA, _MF, _TWO_ROOT, _UNIT_SHEAR)
+# the dense matrices of the command paths, the generators ALPHA and BETA,
+# the splitting matrix of [f] and the unit shear, and the two-root
+# conjugator, whose twist `quadrics` writes in closed form
+TWO_ROOT = Mat2(1, Cyclo.i(), 1, -Cyclo.i())
+DENSE_MATRICES = (ALPHA, BETA, _MF, TWO_ROOT, _UNIT_SHEAR)
 
 
 def _key(m):

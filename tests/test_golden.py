@@ -29,7 +29,8 @@ OPTIMIZED = ("h1-A4", "forms-Q3", "links-H1", "torus-d2", "lattice-Wb",
              "classify-D4", "classify-E7", "classify-D3",
              "verify-schwarzenberger", "verify-involutions",
              "verify-witnesses", "verify-qg-table", "error-parse",
-             "error-square", "classify-repeated-conductor77")
+             "error-square", "classify-repeated-conductor77",
+             "classify-GmZ2")
 
 
 def _run(args):

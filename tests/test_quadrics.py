@@ -406,11 +406,12 @@ def test_classification_factors_and_detects_once(monkeypatch):
     ("u0^5*u1 - u0*u1^5", "E7", 0),              # [omega_8] signs
     ("u0^8 + 14*u0^4*u1^4 + u1^8", "E7", 0),
     ("u0^2*u1*(u0^3 - u1^3)", "A3", 0),          # [I2] only
+    ("u0^3*u1^3", "GmSemidirectZ2", 0),          # swap in closed form
 ])
 def test_one_compose_per_twisted_equation(monkeypatch, text, group, composes):
-    # after detection, each class whose splitting matrix is dense ([f])
-    # costs one composition with it, a diagonal one ([omega_k]) none, and
-    # the character of g is never computed
+    # after detection, the [f] class costs one composition with its
+    # splitting matrix, the [omega_k] classes and the swap class of a
+    # two-root fiber none, and the character of g is never computed
     q = inst(text)
     assert detect_symmetry(q).report_name == group
     calls = []
@@ -451,6 +452,26 @@ def test_form_counts_finite_table():
         assert tuple(form_counts(parity, label)) == expected, (name, parity)
 
 
+def _twist_classes(spec):
+    """(label, b) for the classes of `groups.h1_names`, in its order.
+
+    b splits the class: b * conj(b)^-1 lies in it, so g o b is the
+    twisted fiber equation up to a scalar (explicit Galois descent).
+    b is None for [I2], whose equation is g itself, and for [h], which
+    carries none; for [omega_k] it is the k-rotation, a square root
+    of the rotation of order k/2 in F; for [f] it is _MF.
+    """
+    classes = []
+    for name in groups.h1_names(spec):
+        if name.startswith("omega"):
+            order = int(name[len("omega"):])
+            classes.append(("[omega_%d]" % order, rotation_gen(order)))
+        else:
+            classes.append(("[%s]" % name,
+                            quadrics._MF if name == "f" else None))
+    return classes
+
+
 def test_twist_classes_are_the_named_classes_and_split_them():
     """Each twisting class is a class of `h1_named`, in its order, and
     its splitting matrix b gives b * conj(b)^-1 in that class."""
@@ -459,7 +480,7 @@ def test_twist_classes_are_the_named_classes_and_split_them():
     specs += [GroupSpec(kind) for kind in ("E6", "E7", "E8")]
     for spec in specs:
         named = h1_named(spec)
-        classes = quadrics._twist_classes(spec)
+        classes = _twist_classes(spec)
         assert [label for label, _ in classes] == [
             "[%s]" % name.replace("omega", "omega_") for name, _ in named]
         for (label, b), (_, rep) in zip(classes, named):
@@ -734,7 +755,7 @@ def test_one_pass_realify_matches_the_two_pass_rescaling():
         if spec.name == "A1" or spec.name in twisted:
             continue  # one catalog form per group; A1 has no twists
         twisted[spec.name] = 0
-        for label, b in quadrics._twist_classes(spec):
+        for label, b in _twist_classes(spec):
             if b is not None:
                 h = q.g.compose(b)
                 assert quadrics._realify(h) == _two_pass_realify(h), \
@@ -760,7 +781,7 @@ def test_one_pass_realify_matches_the_two_pass_rescaling():
 def test_realify_makes_one_product_per_term_and_one_more(
         monkeypatch, text, label):
     q = inst(text)
-    b = dict(quadrics._twist_classes(detect_symmetry(q).group))[label]
+    b = dict(_twist_classes(detect_symmetry(q).group))[label]
     h = q.g.compose(b)
     c = h.terms[max(h.terms)]
     lam = (c.conjugate() / c).sqrt()
@@ -799,8 +820,8 @@ _REAL_COEFFS = (-3, -1, Fraction(1, 2), 2, Fraction(-5, 3),
 
 
 def _diagonal_sweep(seed=28):
-    """(spec, b, g): real A_l and D_l forms (l even <= 8) and E7 forms of
-    degree <= 24, with b each diagonal splitting matrix of the group."""
+    """(spec, k, g): real A_l and D_l forms (l even <= 8) and E7 forms
+    of degree <= 24, with [omega_k] each diagonal class of the group."""
     rng = random.Random(seed)
 
     def coeff():
@@ -810,8 +831,8 @@ def _diagonal_sweep(seed=28):
     for name in ["A%d" % l for l in (2, 4, 6, 8)] \
             + ["D%d" % l for l in (2, 4, 6, 8)] + ["E7"]:
         spec = GroupSpec.parse(name)
-        diagonal = [b for _, b in quadrics._twist_classes(spec)
-                    if b is not None and not (b.b or b.c)]
+        diagonal = [int(cls[len("omega"):]) for cls in groups.h1_names(spec)
+                    if cls.startswith("omega")]
         assert diagonal, name
         for d in range(2, 25, 2):
             for _ in range(3):
@@ -849,7 +870,7 @@ def _diagonal_sweep(seed=28):
                         terms[(a, d - a)] = c
                     g = Poly2(d, terms)
                 if g.terms:
-                    out.extend((spec, b, g) for b in diagonal)
+                    out.extend((spec, k, g) for k in diagonal)
     return out
 
 
@@ -859,11 +880,11 @@ def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
         "A2", "A4", "A6", "A8", "D2", "D4", "D6", "D8", "E7"}
     assert len(sweep) >= 200
     conductors = set()
-    for spec, b, g in sweep:
+    for spec, k, g in sweep:
         assert g.real_coefficients()
         conductors.update(c.n for c in g.terms.values())
-        expected = _two_pass_realify(g.compose(b))
-        got = quadrics._diagonal_twist(g, b)
+        expected = _two_pass_realify(g.compose(rotation_gen(k)))
+        got = quadrics._diagonal_twist(g, k)
         assert got == expected, (spec.name, render_poly(g))
         assert render_poly(got) == render_poly(expected)
     assert {1, 5, 8, 12} <= conductors
@@ -872,46 +893,98 @@ def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
 def test_diagonal_twist_refuses_a_support_that_does_not_fit():
     # u0^3 u1 picks up zeta_16^2 against u0^4 under the [omega_8] rotation
     g = parse_poly("u0^4 + u0^3*u1 + u1^4")
-    b = rotation_gen(8)
     with pytest.raises(ValueError) as realify:
-        quadrics._realify(g.compose(b))
+        quadrics._realify(g.compose(rotation_gen(8)))
     with pytest.raises(ValueError) as signs:
-        quadrics._diagonal_twist(g, b)
+        quadrics._diagonal_twist(g, 8)
     assert str(signs.value) == str(realify.value) \
         == "rescaling by a square root failed to realify"
 
 
-def test_sign_tables_are_shared_and_skip_square_roots(monkeypatch):
-    b = rotation_gen(8)
-    quadrics._signs.cache_clear()
-    # two forms of degree 8 with top u0-exponent 8 read one table
-    for text in ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "2*u0^8 - u0^4*u1^4 + u1^8"):
-        quadrics._diagonal_twist(parse_poly(text), b)
-    info = quadrics._signs.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    q = inst("u0^5*u1 - u0*u1^5")
-    assert detect_symmetry(q).report_name == "E7"
-    first = enumerate_forms(q)
-    calls = []
+@cache
+def _unit_signs(k, d, top):
+    """The sign of u_a lam for a = 0..d, 0 where it is not +-1, with u_a
+    = zeta_2k^(2a - d) the unit that diag(zeta_2k, zeta_2k^-1) puts on
+    u0^a u1^(d-a) and lam = sqrt(conj(u_top) / u_top): the reference
+    for the exponent rule of `quadrics._diagonal_twist`."""
+    units = exact._units(Cyclo.zeta(2 * k), Cyclo.zeta(2 * k, 2 * k - 1), d)
+    u = units[top]
+    lam = (u.conjugate() / u).sqrt()
+    return tuple(1 if v == _ONE else -1 if v == -_ONE else 0
+                 for v in (w * lam for w in units))
 
-    def counting(name):
-        original = getattr(Cyclo, name)
 
-        def wrapper(self, *args):
-            calls.append(name)
-            return original(self, *args)
-        return wrapper
+def test_diagonal_twist_signs_match_the_unit_tables_exhaustively():
+    # every even k, d <= 16, every top and every a <= top (top is the
+    # largest u0-exponent, so no a above it occurs): u0^top u1^(d-top)
+    # alone, and with 2 u0^a u1^(d-a) beside it
+    cases = 0
+    for k in range(2, 17, 2):
+        for d in range(0, 17, 2):
+            for top in range(d + 1):
+                signs = _unit_signs(k, d, top)
+                assert signs[top] != 0
+                for a in range(top + 1):
+                    terms = {(top, d - top): _ONE}
+                    if a < top:
+                        terms[(a, d - a)] = as_cyclo(2)
+                    g = Poly2(d, terms)
+                    cases += 1
+                    if not signs[a]:
+                        with pytest.raises(ValueError):
+                            quadrics._diagonal_twist(g, k)
+                        continue
+                    got = quadrics._diagonal_twist(g, k)
+                    assert got == Poly2(d, {
+                        m: c * signs[m[0]] for m, c in terms.items()}), \
+                        (k, d, top, a)
+    assert cases == 8 * sum((d + 1) * (d + 2) // 2 for d in range(0, 17, 2))
+
+
+def test_twists_take_no_square_root_and_no_inverse(monkeypatch):
+    # an E7 form of degree 26 and an A8 form of degree 34, degrees that
+    # no other test twists: the [omega_8] and [omega_16] signs are read
+    # off their exponents, with nothing computed before the patch
+    f1, f2, f3 = invariant_triple(GroupSpec("E7"))
+    cases = [(f1 * f2 * f3, "E7", 8),
+             (parse_poly("u0^34 - 2*u0^26*u1^8 + 5*u0^2*u1^32"), "A8", 16)]
+    for g, group, _ in cases:
+        assert detect_symmetry(QgInstance(g)).report_name == group
+    expected = [{"[I2]": g, "[omega_%d]" % k:
+                 _two_pass_realify(g.compose(rotation_gen(k)))}
+                for g, _, k in cases]
+    expected[0]["[h]"] = None
+
+    def refuse(self, *args):
+        raise AssertionError("the twists need no square root or inverse")
 
     for name in ("sqrt", "inverse"):
-        monkeypatch.setattr(Cyclo, name, counting(name))
-    monkeypatch.setattr(Poly2, "compose", lambda *a: calls.append("compose"))
-    monkeypatch.setattr(quadrics, "_realify",
-                        lambda *a: calls.append("realify"))
-    again = enumerate_forms(q)
-    assert calls == []
-    assert again.as_dict() == first.as_dict()
-    info = quadrics._signs.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+        monkeypatch.setattr(Cyclo, name, refuse)
+    for (g, group, _), equations in zip(cases, expected):
+        forms = quadrics._finite_forms(g, GroupSpec.parse(group))
+        assert {f.over_class: f.equation for f in forms} == equations
+
+
+def test_two_root_swap_matches_the_conjugator_on_seeded_sweep():
+    # c (u0 u1)^a under u0 -> u0 + i u1, u1 -> u0 - i u1, for a <= 60
+    conjugator = Mat2(1, Cyclo.i(), 1, -Cyclo.i())
+    rng = random.Random(31)
+    exponents = sorted(set(rng.sample(range(1, 60), 9)) | {60})
+    for a in exponents:
+        for c in (rng.choice(_REAL_COEFFS[:5]), rng.choice(_REAL_COEFFS[5:])):
+            g = Poly2(2 * a, {(a, a): as_cyclo(c)})
+            forms = quadrics._two_root_equal(g)
+            swapped = {f.over_class: f.equation for f in forms}["[mu8]"]
+            assert swapped == g.compose(conjugator), (a, c)
+            assert swapped.real_coefficients()
+
+
+def test_two_root_report_builds_no_compose_table():
+    # not even a cache hit: a full cache would hide a new table's size
+    before = exact._rows.cache_info()
+    report = enumerate_forms(inst("u0^99*u1^99"))
+    assert report.symmetry.name == "GmSemidirectZ2"
+    assert exact._rows.cache_info() == before
 
 
 def test_torus_fiber_report():

@@ -114,6 +114,26 @@ def test_flag_structures_preserve_the_incidence_equation():
             "checks": ["status-consistency", "involution"]}
 
 
+@pytest.mark.parametrize("params, entries, note", [
+    ((2, 1), ["rmn_trivial"], "the trivial form is the only real form"),
+    ((2, 2), ["rmn_trivial", "rmn_conj_twist"],
+     "the trivial form is the only real form with a real point"),
+])
+def test_rmn_forms_build_each_descriptor_once(monkeypatch, params, entries,
+                                              note):
+    made, make = [], registry._make
+
+    def counting(entry_id, *args, **kwargs):
+        made.append(entry_id)
+        return make(entry_id, *args, **kwargs)
+
+    monkeypatch.setattr(registry, "_make", counting)
+    forms = registry.forms_of(FamilyId("Rmn", params))
+    assert made == entries
+    assert [f.entry for f in forms] == entries
+    assert forms[0].notes == note
+
+
 def test_grading_violation_is_a_domain_error():
     swap = "[conj(z0):conj(y1); conj(y0):conj(z1):conj(z2)]"
     with pytest.raises(ValueError, match="grading violation"):
