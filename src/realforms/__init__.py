@@ -26,7 +26,7 @@ _EXPORTS = {
               "semi_invariant_character",
     "lattices": "FamilyId aut_component_count in_theorem_list model",
     "parsing": "ParseError parse_poly render_poly",
-    "quadrics": "AmbiguousSymmetryError ApplicabilityError FLabel FormCounts "
+    "quadrics": "ApplicabilityError FLabel FormCounts "
                 "FormDescriptor QgInstance RealFormReport "
                 "check_psi_h check_real_structure detect_symmetry "
                 "enumerate_forms form_counts psi_pullback_identity "

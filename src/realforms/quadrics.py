@@ -33,11 +33,11 @@ This module provides:
 Everything is exact: scalars are cyclotomic numbers, and polynomial
 identities are checked coefficient by coefficient.  The twisted
 equation over a class [a] is g composed with a splitting matrix b of
-the class (b * conj(b)^-1 = a), rescaled into real coefficients by an
-exact square root; it is built per class name of `groups.h1_names`:
-over [omega_k] it is g with the coefficient signs read off the
-exponents, over [f] one composition with a fixed matrix, and over the
-swap class of a two-root fiber c (u0 u1)^a it is c (u0^2 + u1^2)^a.
+the class (b * conj(b)^-1 = a), rescaled into real coefficients by a
+unit; it is built per class name of `groups.h1_names`: over [omega_k]
+it is g with the coefficient signs read off the exponents, over [f]
+one composition with a fixed matrix times 1 or i, and over the swap
+class of a two-root fiber c (u0 u1)^a it is c (u0^2 + u1^2)^a.
 """
 
 from math import comb, gcd
@@ -54,8 +54,6 @@ from .exact import (
 from .groups import (
     ALPHA,
     BETA,
-    F_SWAP,
-    H_ROT,
     GroupSpec,
     h1_names,
 )
@@ -64,7 +62,6 @@ from .parsing import render_poly
 __all__ = [
     "ApplicabilityError",
     "UndecidableError",
-    "AmbiguousSymmetryError",
     "FLabel",
     "QgInstance",
     "FormCounts",
@@ -94,10 +91,6 @@ SO3R_TORUS = "SO3RxGmR"
 
 class ApplicabilityError(ValueError):
     """An involution or operation does not apply to the given datum."""
-
-
-class AmbiguousSymmetryError(ValueError):
-    """Two incomparable maximal symmetry groups fit the root divisor."""
 
 
 # ----------------------------------------------------------------------
@@ -214,48 +207,44 @@ def _coerce_instance(q):
 # symmetry detection
 
 
-def _finite_symmetry(g, n):
+def _finite_symmetry(g):
     """The unique maximal catalog group in standard position preserving g.
 
     Each candidate is decided on its generators (semi-invariance is
     closed under products), and the monomial ones by exponent
     arithmetic.  diag(zeta_2l, zeta_2l^-1) scales u0^a u1^b by
     zeta_2l^(2a - deg g), so A_l matches iff l divides the gcd d of the
-    differences of g's u0-exponents.  Orders run up to 2n: a rotation
-    fixing three or more points is the identity.  D_l adds F_SWAP, whose
-    single test serves every l.  E6 = <D2, ALPHA>, E7 = <E6, A4> and
-    E8 = <A5, H_ROT, BETA>; the monomial F_SWAP and H_ROT compose term
-    by term.
+    differences of g's u0-exponents.  F_SWAP = [[0, i], [i, 0]] sends
+    u0^a u1^b to i^deg g u0^b u1^a, so D_l adds one test, whose scalar
+    is a sign (the reversal is an involution): the reversed form is +-g.
+    E6 = <D2, ALPHA>, E7 = <E6, A4> and E8 = <A5, H_ROT, BETA>, with
+    H_ROT sending u0^a u1^b to (-1)^b u0^b u1^a, tested alike; only
+    ALPHA and BETA are composed.
 
-    A matched group preserves the roots of g.  With one or two roots
-    that leaves cyclic and dihedral groups only; with three or more, the
-    stabilizer of the roots is finite and holds A_d, so d divides the
-    order of the stabilizer of [1:0] in it.  That order is 2 or 4 in a
-    finite group holding E6 (E6, E7 or an icosahedral group) and 5 in
-    E8, which is maximal and does not hold F_SWAP.  So E6/E7 need d in
-    (2, 4) and E8 needs d == 5 and no swap; a matching E-group contains
-    every other match, and no group is ever closed.
+    F is finite only with three or more roots, so g has two or more
+    terms and 0 < d <= deg g.  Every A_l match has l | d, so A_d, or
+    D_d with the swap and d > 1, is the unique maximal A/D match.  With
+    three or more roots the stabilizer is finite and holds A_d, so d
+    divides the order of the stabilizer of [1:0] in it.  That order is
+    2 or 4 in a finite group holding E6 (E6, E7 or an icosahedral
+    group) and 5 in E8, which is maximal and does not hold F_SWAP.  So
+    E6/E7 need d in (2, 4) and E8 needs d == 5 and no swap; a matching
+    E-group contains every other match, and no group is ever closed.
     """
     exps = [a for a, _ in g.terms]
     d = gcd(*(a - exps[0] for a in exps))
-    swap = g.compose(F_SWAP).proportionality(g) is not None
+    flip = g._result({(b, a): c for (a, b), c in g.terms.items()})
+    swap = flip == g or flip == -g
     if swap and d in (2, 4) \
             and g.compose(ALPHA).proportionality(g) is not None:
         return GroupSpec("E7" if d == 4 else "E6")
     if d == 5 and not swap:
-        if g.compose(H_ROT).proportionality(g) is not None \
+        turn = flip._result({(a, b): -c if a % 2 else c
+                             for (a, b), c in flip.terms.items()})
+        if (turn == g or turn == -g) \
                 and g.compose(BETA).proportionality(g) is not None:
             return GroupSpec("E8")
-    # every A/D match divides one of these orders (for d > 0, d itself)
-    orders = [l for l in range(1, 2 * n + 1) if d % l == 0]
-    maximal = [GroupSpec("D", l) if swap and l > 1 else GroupSpec("A", l)
-               for l in orders
-               if not any(m % l == 0 for m in orders if m > l)]
-    if len(maximal) > 1:
-        raise AmbiguousSymmetryError(
-            "incomparable maximal symmetry groups: %s"
-            % ", ".join(s.name for s in maximal))
-    return maximal[0]
+    return GroupSpec("D", d) if swap and d > 1 else GroupSpec("A", d)
 
 
 def detect_symmetry(q):
@@ -266,9 +255,10 @@ def detect_symmetry(q):
     finite subgroups in their standard coordinates are tested for
     semi-invariance and the unique maximal hit is returned (the trivial
     group A1 always matches, so there is always an answer).  A_l and
-    D_l are read off the u0-exponents of g and one swap; an E-group is
-    tested only where the rotations allow it, by composing g with its
-    one generator that is not a monomial matrix.  No group is closed.
+    D_l are read off the u0-exponents of g and of its reversal; an
+    E-group is tested only where the rotations allow it, by composing g
+    with its one generator that is not a monomial matrix.  No group is
+    closed.
 
     The scan sees only groups in standard position — rotation axis at
     [1:0], [0:1] and fixed reflections — so F is read off g in its
@@ -282,7 +272,7 @@ def detect_symmetry(q):
             label = FLabel.torus_z2() if mults[0] == mults[1] \
                 else FLabel.torus()
         else:
-            label = FLabel.finite(_finite_symmetry(q.g, q.n))
+            label = FLabel.finite(_finite_symmetry(q.g))
         object.__setattr__(q, "_label", label)
     return q._label
 
@@ -448,42 +438,19 @@ _MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
 _NOT_REALIFIED = "rescaling by a square root failed to realify"
 
 
-def _realify(h):
-    """Real rescaling of a form whose conjugate is a scalar multiple.
-
-    If conj(h) = s h, then s = conj(c) / c for the leading coefficient
-    c, so s is read off c alone.  It is a root of unity when h is
-    proportional to its conjugate, so a cyclotomic square root lam
-    exists.  The closing realness check is the proof: lam is then a root
-    of unity too, and a real lam h gives conj(h) = lam^2 h = s h.
-    Otherwise one of the two steps raises ValueError.  For lam = 1 the
-    check runs on h itself.
-    """
-    c = h.terms[max(h.terms)]
-    s = c.conjugate() / c
-    lam = s.sqrt()
-    if lam is None:
-        raise ValueError("no cyclotomic square root for %r" % (s,))
-    out = h if lam == _ONE else h * lam
-    if not out.real_coefficients():
-        raise ValueError(_NOT_REALIFIED)
-    return out
-
-
 def _diagonal_twist(g, k):
     """The twisted equation of a real g over [omega_k]: g with the sign
     of c_a flipped where m / k is odd, m = 2a - d + ((d - 2 top) mod k),
     for c_a the coefficient of u0^a, d = deg g and top the largest
     u0-exponent.  No composition, no square root.
 
-    This is _realify(g o b) for the splitting matrix b = diag(zeta_2k,
-    zeta_2k^-1), which scales c_a by u_a = zeta_2k^(2a - d).  As g is
-    real, conj(c_top u_top) / (c_top u_top) = conj(u_top) / u_top =
-    zeta_2k^(2d - 4 top), and the root of it that `Cyclo.sqrt` returns
-    is lam = zeta_2k^((d - 2 top) mod k), the one of argument in
-    [0, pi).  So c_a u_a lam = c_a zeta_2k^m is real iff k divides m,
-    with sign (-1)^(m / k).  Where k does not divide m, `_realify`'s
-    ValueError is raised.
+    This is lam (g o b) for the splitting matrix b = diag(zeta_2k,
+    zeta_2k^-1), which scales c_a by u_a = zeta_2k^(2a - d), and lam
+    the square root of conj(u_top) / u_top = zeta_2k^(2d - 4 top) of
+    argument in [0, pi), lam = zeta_2k^((d - 2 top) mod k), which puts
+    the top coefficient on the real line.  So c_a u_a lam = c_a
+    zeta_2k^m is real iff k divides m, with sign (-1)^(m / k).  Where
+    k does not divide m, ValueError(_NOT_REALIFIED) is raised.
     """
     d = g.degree
     shift = (d - 2 * max(g.terms)[0]) % k - d
@@ -624,11 +591,7 @@ def _two_root_equal(g):
     c = g.terms[(a, b)]
     swapped = Poly2(2 * a, {(2 * (a - t), 2 * t): c * comb(a, t)
                             for t in range(a + 1)})
-    return [
-        FormDescriptor("Q", g, RATIONAL, PGL2R_TORUS, "[mu1]",
-                       merged_pair=True),
-        FormDescriptor("T", g, UNKNOWN, SO3R_TORUS, "[mu1]",
-                       merged_pair=True),
+    return _two_root_unequal(g) + [
         FormDescriptor("W'", swapped, RATIONAL, PGL2R_TORUS, "[mu8]"),
         FormDescriptor("X'", swapped, RATIONAL, PGL2R_TORUS, "[mu8]"),
         FormDescriptor("Y'", swapped, UNKNOWN, SO3R_TORUS, "[mu8]"),
@@ -648,9 +611,12 @@ _H_FORMS = (("H1", PGL2R), ("H2", PGL2R), ("H3", SO3R), ("H4", SO3R))
 def _finite_forms(g, spec):
     """The real forms of Q_g for a finite F = spec, g real, one block per
     class of `groups.h1_names`: [I2] gives g itself, [omega_k] g with
-    some coefficient signs flipped (`_diagonal_twist`), [f] g composed
-    with _MF and rescaled by `_realify`, and [h] the four H forms, which
-    carry no equation.
+    some coefficient signs flipped (`_diagonal_twist`), [f] h = g o _MF
+    times 1 or i, and [h] the four H forms, which carry no equation.
+
+    The [f] unit is read off h's top coefficient: conj(_MF) = F_SWAP^-1
+    _MF, so conj(h) = (g o F_SWAP) o _MF = i^deg g e h for the swap sign
+    e of g, and h or i h is real.  The closing check is the proof.
     """
     merge = _merged(spec, g.degree // 2 % 2 == 1)
     forms = []
@@ -666,23 +632,19 @@ def _finite_forms(g, spec):
         if name == "I2":
             gi = g
         elif name == "f":
-            gi = _realify(g.compose(_MF))
+            gi = g.compose(_MF)
+            top = gi.terms[max(gi.terms)]
+            if top != top.conjugate():
+                gi = gi * Cyclo.i()
+            if not gi.real_coefficients():
+                raise VerificationError(_NOT_REALIFIED)
         else:
             gi = _diagonal_twist(g, int(name[len("omega"):]))
-        if merge:
-            forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
-                                        PGL2R, label, merged_pair=True))
-            forms.append(FormDescriptor("Y%d" % index, gi, UNKNOWN,
-                                        SO3R, label, merged_pair=True))
-        else:
-            forms.append(FormDescriptor("W%d" % index, gi, RATIONAL,
-                                        PGL2R, label))
-            forms.append(FormDescriptor("X%d" % index, gi, RATIONAL,
-                                        PGL2R, label))
-            forms.append(FormDescriptor("Y%d" % index, gi, UNKNOWN,
-                                        SO3R, label))
-            forms.append(FormDescriptor("Z%d" % index, gi, UNKNOWN,
-                                        SO3R, label))
+        for tag in "WY" if merge else "WXYZ":
+            rational = tag in "WX"
+            forms.append(FormDescriptor(
+                "%s%d" % (tag, index), gi, RATIONAL if rational else UNKNOWN,
+                PGL2R if rational else SO3R, label, merged_pair=merge))
     return forms
 
 
@@ -694,10 +656,10 @@ def enumerate_forms(q):
     detected in the given coordinates.  The twisted equations follow
     the class names of `groups.h1_names`: [I2] keeps g, [omega_k] flips
     the signs of the coefficients whose exponents say so, as g is real,
-    [f] composes g with one fixed matrix and rescales it by an exact
-    square root, and [h] carries no equation.  The character of g plays
-    no part.  The tally of statuses is checked against ``form_counts``
-    before returning.
+    [f] composes g with one fixed matrix and multiplies it by i when its
+    top coefficient is not real, and [h] carries no equation.  The
+    character of g plays no part.  The tally of statuses is checked
+    against ``form_counts`` before returning.
     """
     q = _coerce_instance(q)
     g = q.g

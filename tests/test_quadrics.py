@@ -17,9 +17,8 @@ from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
                               semi_invariant_character, twisted_class_of,
                               unimodular_lift)
 from realforms.parsing import parse_poly, render_poly
-from realforms.quadrics import (AmbiguousSymmetryError, ApplicabilityError,
-                                FLabel, FormCounts, QgInstance,
-                                UndecidableError, _finite_symmetry,
+from realforms.quadrics import (ApplicabilityError, FLabel, FormCounts,
+                                QgInstance, UndecidableError,
                                 check_psi_h, check_real_structure,
                                 detect_symmetry, enumerate_forms,
                                 form_counts, psi_pullback_identity,
@@ -154,6 +153,11 @@ def test_invariant_triples_are_semi_invariant():
 # A_1..A_2n, D_2..D_2n, E6, E7, E8 in standard position, with g composed
 # with every element of each.  It is slow (a full E8 scan of a degree-12
 # form takes seconds), so its verdicts are cached per (form, group).
+
+
+class AmbiguousSymmetryError(ValueError):
+    """Two incomparable maximal groups fit: the scan's verdict on a
+    monomial, which has at most two roots, so no finite F reaches it."""
 
 
 @cache
@@ -291,17 +295,6 @@ def test_corpus_covers_every_kind_of_verdict():
             "Gm", "GmSemidirectZ2"} <= labels
 
 
-@pytest.mark.parametrize("text,message", [
-    ("u0^3*u1", "A3, A4"),    # a monomial matches every rotation order
-    ("u0^2*u1^2", "D3, D4"),
-])
-def test_monomials_stay_ambiguous_as_in_the_scan(text, message):
-    g = parse_poly(text)
-    for detect in (_finite_symmetry, _scan_finite_symmetry):
-        with pytest.raises(AmbiguousSymmetryError, match=message):
-            detect(g, g.degree // 2)
-
-
 def test_semi_invariant_character_matches_exhaustive_scan():
     names = ["A%d" % l for l in range(1, 9)] \
         + ["D%d" % l for l in range(2, 9)] + ["E6", "E7", "E8"]
@@ -321,7 +314,7 @@ def test_semi_invariant_character_matches_exhaustive_scan():
 
 
 def test_h_rot_is_swap_then_half_turn():
-    # the E8 generator that _finite_symmetry composes g with
+    # the E8 generator whose action _finite_symmetry reads off exponents
     assert F_SWAP * rotation_gen(2) == H_ROT
     assert generators(GroupSpec("E8"))[1] == H_ROT
 
@@ -343,9 +336,9 @@ def test_report_renders_each_equation_once(monkeypatch):
 
 
 @pytest.mark.parametrize("text,composes,label", [
-    # F_SWAP, H_ROT and BETA
-    ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 3, "E8"),
-    ("u0^24 + u1^24", 1, "D24"),
+    # BETA only: the swap and the half-turn are read off exponents
+    ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 1, "E8"),
+    ("u0^24 + u1^24", 0, "D24"),
 ])
 def test_detection_op_counts(monkeypatch, text, composes, label):
     q = inst(text)
@@ -387,9 +380,9 @@ def test_classification_factors_and_detects_once(monkeypatch):
         calls["yun"] += 1
         return original_mults(g)
 
-    def counting_finite(g, n):
+    def counting_finite(g):
         calls["finite"] += 1
-        return original_finite(g, n)
+        return original_finite(g)
 
     monkeypatch.setattr(quadrics, "root_multiplicities", counting_mults)
     monkeypatch.setattr(quadrics, "_finite_symmetry", counting_finite)
@@ -749,64 +742,51 @@ def _two_pass_realify(h):
     return out
 
 
-def test_one_pass_realify_matches_the_two_pass_rescaling():
-    twisted = {}
-    for spec, _, q in _oracle_inputs():
-        if spec.name == "A1" or spec.name in twisted:
-            continue  # one catalog form per group; A1 has no twists
-        twisted[spec.name] = 0
-        for label, b in _twist_classes(spec):
-            if b is not None:
-                h = q.g.compose(b)
-                assert quadrics._realify(h) == _two_pass_realify(h), \
-                    (spec.name, label)
-                twisted[spec.name] += 1
-    assert set(twisted) == set(ORACLE_GROUPS) - {"A1"}
-    assert sum(twisted.values()) >= 16
-    # h not proportional to its conjugate: s = 1 but i*u1^2 stays
-    # complex, and s = (1 - 2i)/(1 + 2i) is no root of unity
-    for text in ("u0^2 + i*u1^2", "(1 + 2*i)*u0^2 + u1^2"):
-        h = parse_poly(text)
-        with pytest.raises(ValueError):
-            _two_pass_realify(h)
-        with pytest.raises(ValueError):
-            quadrics._realify(h)
-
-
-@pytest.mark.parametrize("text, label", [
-    ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "[omega_8]"),                 # lam = 1
-    ("u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4", "[f]"),
-    ("u0^6 + u1^6", "[f]"),                                       # lam = i
-])
-def test_realify_makes_one_product_per_term_and_one_more(
-        monkeypatch, text, label):
-    q = inst(text)
-    b = dict(_twist_classes(detect_symmetry(q).group))[label]
-    h = q.g.compose(b)
-    c = h.terms[max(h.terms)]
-    lam = (c.conjugate() / c).sqrt()
-    calls, depth = [], [0]  # sqrt recurses: count outside every level
-    mul, sqrt = Cyclo.__mul__, Cyclo.sqrt
+def test_flip_twist_multiplies_only_by_the_unit_i(monkeypatch):
+    # beyond its compose, the [f] twist makes one product per term of
+    # h = g o _MF when h is imaginary, and none when h is real
+    calls, depth = [], [0]  # count no product inside the compose
+    mul, compose = Cyclo.__mul__, Poly2.compose
 
     def counting_mul(self, other):
         if not depth[0]:
             calls.append(other)
         return mul(self, other)
 
-    def uncounted_sqrt(self):
+    def uncounted_compose(self, m):
         depth[0] += 1
         try:
-            return sqrt(self)
+            return compose(self, m)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
-    monkeypatch.setattr(Cyclo, "sqrt", uncounted_sqrt)
-    out = quadrics._realify(h)
-    monkeypatch.setattr(Cyclo, "__mul__", mul)
-    assert out.real_coefficients()
-    # s = conj(c) / c is one product, lam * h one per term unless lam = 1
-    assert len(calls) == (1 if lam == 1 else len(h.terms) + 1)
+    seen = []
+    for text in ("u0^6 + u1^6",                                     # i
+                 "u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4"):
+        q = inst(text)
+        spec = detect_symmetry(q).group
+        h = q.g.compose(quadrics._MF)
+        calls.clear()
+        monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
+        monkeypatch.setattr(Poly2, "compose", uncounted_compose)
+        forms = quadrics._finite_forms(q.g, spec)
+        monkeypatch.undo()
+        twisted = {f.over_class: f.equation for f in forms}["[f]"]
+        assert twisted == _two_pass_realify(h)
+        seen.append(h.real_coefficients())
+        assert len(calls) == (0 if seen[-1] else len(h.terms)), text
+    assert seen == [False, True]
+
+
+def test_flip_twist_refuses_a_form_without_the_swap():
+    # the reversal of u0^4 + 2 u1^4 is not +-g, so g o _MF is neither
+    # real nor imaginary: the closing realness check refuses it
+    g = parse_poly("u0^4 + 2*u1^4")
+    with pytest.raises(ValueError, match="not proportional"):
+        _two_pass_realify(g.compose(quadrics._MF))
+    with pytest.raises(exact.VerificationError,
+                       match=quadrics._NOT_REALIFIED):
+        quadrics._finite_forms(g, GroupSpec("D", 2))
 
 
 # ----------------------------------------------------------------------
@@ -888,16 +868,32 @@ def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
         assert got == expected, (spec.name, render_poly(g))
         assert render_poly(got) == render_poly(expected)
     assert {1, 5, 8, 12} <= conductors
+    # the [f] twist of every D form, against the same oracle; the sweep
+    # holds both swap signs in degrees 0 and 2 mod 4, so both units
+    seen = set()
+    for g, spec in {g: spec for spec, _, g in sweep
+                    if spec.kind == "D"}.items():
+        h = g.compose(quadrics._MF)
+        expected = _two_pass_realify(h)
+        got = {f.over_class: f.equation
+               for f in quadrics._finite_forms(g, spec)}["[f]"]
+        assert got == expected, (spec.name, render_poly(g))
+        assert render_poly(got) == render_poly(expected)
+        flip = Poly2(g.degree, {(b, a): c for (a, b), c in g.terms.items()})
+        seen.add((flip == g, g.degree % 4, expected == h))
+    assert len(seen) == 4
 
 
 def test_diagonal_twist_refuses_a_support_that_does_not_fit():
     # u0^3 u1 picks up zeta_16^2 against u0^4 under the [omega_8] rotation
     g = parse_poly("u0^4 + u0^3*u1 + u1^4")
-    with pytest.raises(ValueError) as realify:
-        quadrics._realify(g.compose(rotation_gen(8)))
+    # the oracle refuses at its proportionality pass, before the
+    # realness check whose text the twist's refusal shares
+    with pytest.raises(ValueError, match="not proportional"):
+        _two_pass_realify(g.compose(rotation_gen(8)))
     with pytest.raises(ValueError) as signs:
         quadrics._diagonal_twist(g, 8)
-    assert str(signs.value) == str(realify.value) \
+    assert str(signs.value) == quadrics._NOT_REALIFIED \
         == "rescaling by a square root failed to realify"
 
 
@@ -942,25 +938,32 @@ def test_diagonal_twist_signs_match_the_unit_tables_exhaustively():
 
 
 def test_twists_take_no_square_root_and_no_inverse(monkeypatch):
-    # an E7 form of degree 26 and an A8 form of degree 34, degrees that
-    # no other test twists: the [omega_8] and [omega_16] signs are read
-    # off their exponents, with nothing computed before the patch
+    # an E7 form of degree 26, an A8 form of degree 34 and D14 forms of
+    # degrees 28 and 30, degrees that no other test twists: the
+    # [omega_k] signs are read off their exponents, and the [f] unit,
+    # 1 at degree 28 and i at degree 30, off one top coefficient
     f1, f2, f3 = invariant_triple(GroupSpec("E7"))
-    cases = [(f1 * f2 * f3, "E7", 8),
-             (parse_poly("u0^34 - 2*u0^26*u1^8 + 5*u0^2*u1^32"), "A8", 16)]
-    for g, group, _ in cases:
-        assert detect_symmetry(QgInstance(g)).report_name == group
-    expected = [{"[I2]": g, "[omega_%d]" % k:
-                 _two_pass_realify(g.compose(rotation_gen(k)))}
-                for g, _, k in cases]
-    expected[0]["[h]"] = None
+    cases = [(f1 * f2 * f3, "E7"),
+             (parse_poly("u0^34 - 2*u0^26*u1^8 + 5*u0^2*u1^32"), "A8"),
+             (parse_poly("u0^28 - 3*u0^14*u1^14 + u1^28"), "D14"),
+             (parse_poly("u0^29*u1 + 3*u0^15*u1^15 + u0*u1^29"), "D14")]
+    expected = []
+    for g, group in cases:
+        spec = GroupSpec.parse(group)
+        assert detect_symmetry(QgInstance(g)).group == spec
+        expected.append({
+            label: (g if label == "[I2]" else None) if b is None
+            else _two_pass_realify(g.compose(b))
+            for label, b in _twist_classes(spec)})
+    assert [g.compose(quadrics._MF).real_coefficients()
+            for g, _ in cases[2:]] == [True, False]
 
     def refuse(self, *args):
         raise AssertionError("the twists need no square root or inverse")
 
     for name in ("sqrt", "inverse"):
         monkeypatch.setattr(Cyclo, name, refuse)
-    for (g, group, _), equations in zip(cases, expected):
+    for (g, group), equations in zip(cases, expected):
         forms = quadrics._finite_forms(g, GroupSpec.parse(group))
         assert {f.over_class: f.equation for f in forms} == equations
 
