@@ -742,9 +742,17 @@ def _two_pass_realify(h):
     return out
 
 
-def test_flip_twist_multiplies_only_by_the_unit_i(monkeypatch):
-    # beyond its compose, the [f] twist makes one product per term of
-    # h = g o _MF when h is imaginary, and none when h is real
+@pytest.mark.parametrize("text, label", [
+    ("u0^8 + 2*u0^4*u1^4 + 3*u1^8", "[omega_8]"),                 # signs
+    ("u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4", "[f]"),
+    ("u0^6 + u1^6", "[f]"),                                       # unit i
+])
+def test_realify_makes_one_product_per_term_and_one_more(
+        monkeypatch, text, label):
+    # the twisted equation is the two-pass rescaling of h = g o b, made
+    # now with no product for s = conj(c) / c: beyond its compose, the
+    # [f] twist makes one product per term of h when h is imaginary and
+    # none when h is real, and the [omega_k] sign pattern makes none
     calls, depth = [], [0]  # count no product inside the compose
     mul, compose = Cyclo.__mul__, Poly2.compose
 
@@ -760,22 +768,18 @@ def test_flip_twist_multiplies_only_by_the_unit_i(monkeypatch):
         finally:
             depth[0] -= 1
 
-    seen = []
-    for text in ("u0^6 + u1^6",                                     # i
-                 "u0^8 + u1^8 + 2*u0^6*u1^2 + 2*u0^2*u1^6 + 5*u0^4*u1^4"):
-        q = inst(text)
-        spec = detect_symmetry(q).group
-        h = q.g.compose(quadrics._MF)
-        calls.clear()
-        monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
-        monkeypatch.setattr(Poly2, "compose", uncounted_compose)
-        forms = quadrics._finite_forms(q.g, spec)
-        monkeypatch.undo()
-        twisted = {f.over_class: f.equation for f in forms}["[f]"]
-        assert twisted == _two_pass_realify(h)
-        seen.append(h.real_coefficients())
-        assert len(calls) == (0 if seen[-1] else len(h.terms)), text
-    assert seen == [False, True]
+    q = inst(text)
+    spec = detect_symmetry(q).group
+    h = q.g.compose(dict(_twist_classes(spec))[label])
+    monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly2, "compose", uncounted_compose)
+    forms = quadrics._finite_forms(q.g, spec)
+    monkeypatch.undo()
+    twisted = {f.over_class: f.equation for f in forms}[label]
+    assert twisted == _two_pass_realify(h)
+    imaginary = label == "[f]" and not h.real_coefficients()
+    assert imaginary == (text == "u0^6 + u1^6")
+    assert len(calls) == (len(h.terms) if imaginary else 0)
 
 
 def test_flip_twist_refuses_a_form_without_the_swap():
