@@ -944,9 +944,9 @@ class Poly2(Poly):
         (x, y, d), at most 64 of them, as each holds about d phi(N)
         integers.  Any other m is its linear map on degree-d forms, the
         rows of `_rows`, cached per (entries of m, d) alike; a table holds
-        (d + 1)^2 values of m's height, so m should be one of a few fixed
-        matrices, and an input-dependent one is conjugated into a fixed
-        one by monomials, as `quadrics.realizable` does.  With g_j = sum_k
+        (d + 1)^2 values of m's height, so m is one of a few fixed ones:
+        ALPHA, BETA, the catalog generators, and the unit shear into which
+        `quadrics.realizable` conjugates each shear.  With g_j = sum_k
         G_jk z^k / D_g, each coordinate k (and limb of G_jk) costs one sum
         of G_jk times row j, read as bytes, one block of slots per output
         coefficient, empty blocks skipped; each is canonicalized once.

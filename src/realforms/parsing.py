@@ -358,16 +358,16 @@ def render_poly(p):
     for (a, b) in sorted(p.terms, reverse=True):
         c = p.terms[(a, b)]
         mono = _monomial_text(a, b)
-        if not mono:
+        if c.n == 1:  # a Cyclo is in lowest terms: print its slots
+            text = "%d" % c.num[0] if c.den == 1 \
+                else "%d/%d" % (c.num[0], c.den)
+            if mono:
+                text = mono if text == "1" else "-" + mono \
+                    if text == "-1" else text + "*" + mono
+        elif not mono:
             text = render_scalar(c)
             if " " in text:
                 text = "(%s)" % text
-        elif c == 1:
-            text = mono
-        elif c == -1:
-            text = "-" + mono
-        elif c.is_rational():
-            text = "%s*%s" % (_ratio(c.num[0], c.den), mono)
         else:
             text = "(%s)*%s" % (render_scalar(c), mono)
         pieces.append(text)

@@ -36,11 +36,12 @@ equation over a class [a] is g composed with a splitting matrix b of
 the class (b * conj(b)^-1 = a), rescaled into real coefficients by a
 unit; it is built per class name of `groups.h1_names`: over [omega_k]
 it is g with the coefficient signs read off the exponents, over [f]
-one composition with a fixed matrix times 1 or i, and over the swap
+a sum of cached integer forms over g's support, and over the swap
 class of a two-root fiber c (u0 u1)^a it is c (u0^2 + u1^2)^a.
 """
 
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 from .errors import UndecidableError
 from .exact import (
@@ -49,6 +50,8 @@ from .exact import (
     Poly,
     Poly2,
     VerificationError,
+    _make,
+    euler_phi,
     root_multiplicities,
 )
 from .groups import (
@@ -433,9 +436,7 @@ _TWO_ROOT_NOTE = {
 # the twisted equations
 
 
-# splits the [f] class: _MF * conj(_MF)^-1 is the flip F_SWAP
-_MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
-_NOT_REALIFIED = "rescaling by a square root failed to realify"
+_NOT_REALIFIED = "the twisted equation over the class is not real"
 
 
 def _diagonal_twist(g, k):
@@ -461,6 +462,58 @@ def _diagonal_twist(g, k):
             raise ValueError(_NOT_REALIFIED)
         terms[(a, e)] = -c if half_turns % 2 else c
     return g._result(terms)
+
+
+def _flip_twist(g):
+    """The twisted equation of a real g over [f], read off its support.
+
+    M = [[1, i], [i, 1]] splits [f] (M conj(M)^-1 = F_SWAP) and sends c_a
+    u0^a u1^b to c_a i^b z^a zbar^b, z = u0 + i u1, zbar = u0 - i u1.  If
+    the reversal of g is e g (e = +-1: c_b = e c_a), conjugating the
+    coefficients of h = g o M swaps z and zbar, and exchanging a and b
+    gives conj(h) = e sum c_a (-i)^a z^a zbar^b = i^d e h, as (-i)^a =
+    i^d i^b for d even.  So u h is real for u = 1 if i^d e = 1 and u = i
+    if i^d e = -1, and as the c_a are real, u h = sum c_a R_a for the
+    integer forms R_a = Re(u i^b z^a zbar^b) of `_flip_row`, summed per
+    coordinate of the c_a at g's conductor: a rational g stays rational.
+    An odd d or a reversal not +-g raises VerificationError(_NOT_REALIFIED).
+    """
+    d = g.degree
+    flip = g._result({(b, a): c for (a, b), c in g.terms.items()})
+    if d % 2 or not (flip == g or flip == -g):
+        raise VerificationError(_NOT_REALIFIED)
+    unit = (flip == g) == (d % 4 == 2)  # i^d e = -1: u = i
+    n = lcm(*(c.n for c in g.terms.values()))
+    den = lcm(*(c.den for c in g.terms.values()))
+    size, acc = euler_phi(n), {}
+    for (a, _), c in g.terms.items():
+        coords = [(i, v * (den // c.den)) for i, v in enumerate(c._embed(n))
+                  if v]
+        for m, r in _flip_row(d, a, unit):
+            vec = acc.get(m) or acc.setdefault(m, [0] * size)
+            for i, v in coords:
+                vec[i] += r * v
+    return g._result({(d - m, m): _make(n, acc[m], den)
+                      for m in sorted(acc, reverse=True) if any(acc[m])})
+
+
+@lru_cache(maxsize=64)
+def _flip_row(d, a, unit):
+    """R_a = Re(i^e z^a zbar^b), e = unit + b, b = d - a, as its nonzero
+    (u1-exponent, integer) pairs: z^a zbar^b = (u0^2 + u1^2)^s w^k for s
+    = min(a, b), k = |a - b| and w = z if a >= b else zbar, so R_a is the
+    binomial row of (u0^2 + u1^2)^s times that of Re(i^e w^k), whose u1^j
+    coefficient is C(k, j) (+-1)^j (-1)^((e + j) / 2) for j = e mod 2."""
+    b = d - a
+    s, k, e = min(a, b), abs(a - b), unit + b
+    line = [(j, comb(k, j) * (-1) ** ((e + j) // 2 + (a < b) * j))
+            for j in range(e % 2, k + 1, 2)]
+    row = [0] * (d + 1)
+    for t in range(s + 1):
+        x = comb(s, t)
+        for j, y in line:
+            row[2 * t + j] += x * y
+    return tuple((m, r) for m, r in enumerate(row) if r)
 
 
 # ----------------------------------------------------------------------
@@ -611,12 +664,9 @@ _H_FORMS = (("H1", PGL2R), ("H2", PGL2R), ("H3", SO3R), ("H4", SO3R))
 def _finite_forms(g, spec):
     """The real forms of Q_g for a finite F = spec, g real, one block per
     class of `groups.h1_names`: [I2] gives g itself, [omega_k] g with
-    some coefficient signs flipped (`_diagonal_twist`), [f] h = g o _MF
-    times 1 or i, and [h] the four H forms, which carry no equation.
-
-    The [f] unit is read off h's top coefficient: conj(_MF) = F_SWAP^-1
-    _MF, so conj(h) = (g o F_SWAP) o _MF = i^deg g e h for the swap sign
-    e of g, and h or i h is real.  The closing check is the proof.
+    some coefficient signs flipped (`_diagonal_twist`), [f] a sum of
+    cached integer forms over g's support (`_flip_twist`), and [h] the
+    four H forms, which carry no equation.  Nothing is composed.
     """
     merge = _merged(spec, g.degree // 2 % 2 == 1)
     forms = []
@@ -632,12 +682,7 @@ def _finite_forms(g, spec):
         if name == "I2":
             gi = g
         elif name == "f":
-            gi = g.compose(_MF)
-            top = gi.terms[max(gi.terms)]
-            if top != top.conjugate():
-                gi = gi * Cyclo.i()
-            if not gi.real_coefficients():
-                raise VerificationError(_NOT_REALIFIED)
+            gi = _flip_twist(g)
         else:
             gi = _diagonal_twist(g, int(name[len("omega"):]))
         for tag in "WY" if merge else "WXYZ":
@@ -656,9 +701,9 @@ def enumerate_forms(q):
     detected in the given coordinates.  The twisted equations follow
     the class names of `groups.h1_names`: [I2] keeps g, [omega_k] flips
     the signs of the coefficients whose exponents say so, as g is real,
-    [f] composes g with one fixed matrix and multiplies it by i when its
-    top coefficient is not real, and [h] carries no equation.  The
-    character of g plays no part.  The tally of statuses is checked
+    [f] sums one cached integer form per term of g, times its
+    coefficient, and [h] carries no equation.  The character of g plays
+    no part.  The tally of statuses is checked
     against ``form_counts`` before returning.
     """
     q = _coerce_instance(q)

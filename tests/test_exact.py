@@ -21,7 +21,7 @@ from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                              root_multiplicities)
 from realforms.groups import ALPHA, BETA, F_SWAP, rotation_gen
 from realforms.parsing import MAX_DEGREE, parse_poly
-from realforms.quadrics import _MF, _UNIT_SHEAR
+from realforms.quadrics import _UNIT_SHEAR
 
 
 def test_rational_arithmetic():
@@ -327,9 +327,10 @@ def test_dense_compose_builds_each_output_coefficient_once(monkeypatch):
     assert len(built) <= 31 and len(reduced) <= 31
 
 
-# the dense matrices of the command paths, the generators ALPHA and BETA,
-# the splitting matrix of [f] and the unit shear, and the two-root
-# conjugator, whose twist `quadrics` writes in closed form
+# the dense matrices of the command paths, the generators ALPHA and BETA
+# and the unit shear, and the splitting matrix of [f] and the two-root
+# conjugator, whose twists `quadrics` reads off g's support
+_MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
 TWO_ROOT = Mat2(1, Cyclo.i(), 1, -Cyclo.i())
 DENSE_MATRICES = (ALPHA, BETA, _MF, TWO_ROOT, _UNIT_SHEAR)
 

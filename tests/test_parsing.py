@@ -252,6 +252,46 @@ def test_rendering_from_integers_matches_fraction_rendering():
         "-u0^2 + 3/4*u0*u1 - 5/2*u1^2"
 
 
+def _fraction_render_poly(terms):
+    """render_poly of {(a, b): Fraction} as written with Fractions."""
+    pieces = []
+    for (a, b), q in sorted(terms.items(), reverse=True):
+        mono = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in (("u0", a), ("u1", b)) if e)
+        if not mono:
+            pieces.append(str(q))
+        elif abs(q) == 1:
+            pieces.append(mono if q > 0 else "-" + mono)
+        else:
+            pieces.append("%s*%s" % (q, mono))
+    out = pieces[0]
+    for text in pieces[1:]:
+        out += " - " + text[1:] if text.startswith("-") else " + " + text
+    return out
+
+
+def test_rational_coefficients_render_from_their_slots(monkeypatch):
+    # no Cyclo comparison: a rational coefficient prints from num and den
+    rng = random.Random(33)
+    cases = []
+    for degree in (0, 1, 2, 7, 12, 40):
+        for _ in range(10):
+            terms = {}
+            for a in rng.sample(range(degree + 1),
+                                rng.randint(1, min(degree + 1, 5))):
+                terms[(a, degree - a)] = Fraction(
+                    rng.choice([1, -1, 2, -3, 17, -120, 10 ** 20 + 1]),
+                    rng.choice([1, 1, 2, 3, 7, 12]))
+            cases.append((Poly2(degree, terms), terms))
+
+    def refuse(self, other):
+        raise AssertionError("a rational coefficient needs no comparison")
+
+    monkeypatch.setattr(Cyclo, "__eq__", refuse)
+    for g, terms in cases:
+        assert render_poly(g) == _fraction_render_poly(terms)
+
+
 def test_literals_and_monomial_products_build_no_poly_by_init(monkeypatch):
     text = "3*u0^4 - 12*u0^2*u1^2 + 7*u1^4 + 2*(u0^3*u1 + u0*u1^3)"
     expected = parse_poly(text)  # also builds the cached variables

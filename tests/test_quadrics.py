@@ -16,7 +16,7 @@ from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
                               h1_named, mat_key, rotation_gen,
                               semi_invariant_character, twisted_class_of,
                               unimodular_lift)
-from realforms.parsing import parse_poly, render_poly
+from realforms.parsing import MAX_DEGREE, parse_poly, render_poly
 from realforms.quadrics import (ApplicabilityError, FLabel, FormCounts,
                                 QgInstance, UndecidableError,
                                 check_psi_h, check_real_structure,
@@ -395,16 +395,17 @@ def test_classification_factors_and_detects_once(monkeypatch):
 
 
 @pytest.mark.parametrize("text,group,composes", [
-    ("u0^6 + u1^6", "D6", 1),                    # [f]; [omega_12] signs
+    ("u0^6 + u1^6", "D6", 0),                    # [f] rows; [omega_12] signs
     ("u0^5*u1 - u0*u1^5", "E7", 0),              # [omega_8] signs
     ("u0^8 + 14*u0^4*u1^4 + u1^8", "E7", 0),
     ("u0^2*u1*(u0^3 - u1^3)", "A3", 0),          # [I2] only
     ("u0^3*u1^3", "GmSemidirectZ2", 0),          # swap in closed form
 ])
 def test_one_compose_per_twisted_equation(monkeypatch, text, group, composes):
-    # after detection, the [f] class costs one composition with its
-    # splitting matrix, the [omega_k] classes and the swap class of a
-    # two-root fiber none, and the character of g is never computed
+    # after detection, no class costs a composition: the [f] twist is
+    # read off g's support, the [omega_k] twists off its exponents and
+    # the swap class of a two-root fiber in closed form, and the
+    # character of g is never computed
     q = inst(text)
     assert detect_symmetry(q).report_name == group
     calls = []
@@ -445,6 +446,10 @@ def test_form_counts_finite_table():
         assert tuple(form_counts(parity, label)) == expected, (name, parity)
 
 
+# splits the [f] class: _MF * conj(_MF)^-1 is the flip F_SWAP
+_MF = Mat2(1, Cyclo.i(), Cyclo.i(), 1)
+
+
 def _twist_classes(spec):
     """(label, b) for the classes of `groups.h1_names`, in its order.
 
@@ -460,8 +465,7 @@ def _twist_classes(spec):
             order = int(name[len("omega"):])
             classes.append(("[omega_%d]" % order, rotation_gen(order)))
         else:
-            classes.append(("[%s]" % name,
-                            quadrics._MF if name == "f" else None))
+            classes.append(("[%s]" % name, _MF if name == "f" else None))
     return classes
 
 
@@ -750,44 +754,35 @@ def _two_pass_realify(h):
 def test_realify_makes_one_product_per_term_and_one_more(
         monkeypatch, text, label):
     # the twisted equation is the two-pass rescaling of h = g o b, made
-    # now with no product for s = conj(c) / c: beyond its compose, the
-    # [f] twist makes one product per term of h when h is imaginary and
-    # none when h is real, and the [omega_k] sign pattern makes none
-    calls, depth = [], [0]  # count no product inside the compose
-    mul, compose = Cyclo.__mul__, Poly2.compose
+    # with no Cyclo product at all: the [omega_k] sign pattern flips
+    # signs, and the [f] twist sums integer rows per coordinate, also
+    # when h is imaginary and the unit is i
+    calls = []
+    mul = Cyclo.__mul__
 
     def counting_mul(self, other):
-        if not depth[0]:
-            calls.append(other)
+        calls.append(other)
         return mul(self, other)
-
-    def uncounted_compose(self, m):
-        depth[0] += 1
-        try:
-            return compose(self, m)
-        finally:
-            depth[0] -= 1
 
     q = inst(text)
     spec = detect_symmetry(q).group
     h = q.g.compose(dict(_twist_classes(spec))[label])
     monkeypatch.setattr(Cyclo, "__mul__", counting_mul)
-    monkeypatch.setattr(Poly2, "compose", uncounted_compose)
     forms = quadrics._finite_forms(q.g, spec)
     monkeypatch.undo()
     twisted = {f.over_class: f.equation for f in forms}[label]
     assert twisted == _two_pass_realify(h)
     imaginary = label == "[f]" and not h.real_coefficients()
     assert imaginary == (text == "u0^6 + u1^6")
-    assert len(calls) == (len(h.terms) if imaginary else 0)
+    assert calls == []
 
 
 def test_flip_twist_refuses_a_form_without_the_swap():
     # the reversal of u0^4 + 2 u1^4 is not +-g, so g o _MF is neither
-    # real nor imaginary: the closing realness check refuses it
+    # real nor imaginary: the check of the reversal refuses it
     g = parse_poly("u0^4 + 2*u1^4")
     with pytest.raises(ValueError, match="not proportional"):
-        _two_pass_realify(g.compose(quadrics._MF))
+        _two_pass_realify(g.compose(_MF))
     with pytest.raises(exact.VerificationError,
                        match=quadrics._NOT_REALIFIED):
         quadrics._finite_forms(g, GroupSpec("D", 2))
@@ -858,6 +853,33 @@ def _diagonal_sweep(seed=28):
     return out
 
 
+def _flip_sweep(seed=33):
+    """(spec, g): real D_l forms, l <= 100, of degree up to MAX_DEGREE,
+    with both swap signs and rational or real-cyclotomic coefficients."""
+    rng = random.Random(seed)
+    out = []
+    degrees = [MAX_DEGREE, MAX_DEGREE - 2] \
+        + rng.sample(range(30, MAX_DEGREE - 2, 2), 4)
+    for d in degrees:
+        for l in (rng.randint(2, min(d, 100)), min(d, 100)):
+            # u0^a u1^(d-a) is semi-invariant under A_l for a = r mod l,
+            # with the swap when 2 r = d mod l
+            rs = [r for r in range(l) if 2 * r % l == d % l]
+            for sign in (1, -1):
+                for coeffs in (_REAL_COEFFS[:5], _REAL_COEFFS[5:]):
+                    support = range(rng.choice(rs), d + 1, l)
+                    terms = {}
+                    for a in rng.sample(support, min(3, len(support))):
+                        if a == d - a and sign < 0:
+                            continue  # an odd middle coefficient is 0
+                        c = as_cyclo(rng.choice(coeffs))
+                        terms[(a, d - a)] = c
+                        terms[(d - a, a)] = c * sign
+                    if terms:
+                        out.append((GroupSpec("D", l), Poly2(d, terms)))
+    return out
+
+
 def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
     sweep = _diagonal_sweep()
     assert {spec.name for spec, _, _ in sweep} == {
@@ -872,33 +894,39 @@ def test_diagonal_twist_matches_compose_and_realify_on_seeded_sweep():
         assert got == expected, (spec.name, render_poly(g))
         assert render_poly(got) == render_poly(expected)
     assert {1, 5, 8, 12} <= conductors
-    # the [f] twist of every D form, against the same oracle; the sweep
-    # holds both swap signs in degrees 0 and 2 mod 4, so both units
-    seen = set()
-    for g, spec in {g: spec for spec, _, g in sweep
-                    if spec.kind == "D"}.items():
-        h = g.compose(quadrics._MF)
+    # the [f] twist of every D form and of the D_l forms of `_flip_sweep`,
+    # against the same oracle; both sweeps hold both swap signs in
+    # degrees 0 and 2 mod 4, so both units
+    flips = {g: spec for spec, _, g in sweep if spec.kind == "D"}
+    high = _flip_sweep()
+    assert max(g.degree for _, g in high) == MAX_DEGREE
+    assert max(spec.l for spec, _ in high) == 100
+    seen, seen_high = set(), set()
+    for g, spec in list(flips.items()) + [(g, spec) for spec, g in high]:
+        h = g.compose(_MF)
         expected = _two_pass_realify(h)
         got = {f.over_class: f.equation
                for f in quadrics._finite_forms(g, spec)}["[f]"]
         assert got == expected, (spec.name, render_poly(g))
         assert render_poly(got) == render_poly(expected)
         flip = Poly2(g.degree, {(b, a): c for (a, b), c in g.terms.items()})
-        seen.add((flip == g, g.degree % 4, expected == h))
-    assert len(seen) == 4
+        case = (flip == g, g.degree % 4, expected == h)
+        seen.add(case)
+        if g not in flips:
+            rational = all(c.is_rational() for c in g.terms.values())
+            seen_high.add(case + (rational,))
+    assert len(seen) == 4 and len(seen_high) == 8
 
 
 def test_diagonal_twist_refuses_a_support_that_does_not_fit():
     # u0^3 u1 picks up zeta_16^2 against u0^4 under the [omega_8] rotation
     g = parse_poly("u0^4 + u0^3*u1 + u1^4")
-    # the oracle refuses at its proportionality pass, before the
-    # realness check whose text the twist's refusal shares
+    # the oracle refuses the same input, at its proportionality pass
     with pytest.raises(ValueError, match="not proportional"):
         _two_pass_realify(g.compose(rotation_gen(8)))
     with pytest.raises(ValueError) as signs:
         quadrics._diagonal_twist(g, 8)
-    assert str(signs.value) == quadrics._NOT_REALIFIED \
-        == "rescaling by a square root failed to realify"
+    assert str(signs.value) == quadrics._NOT_REALIFIED
 
 
 @cache
@@ -945,7 +973,7 @@ def test_twists_take_no_square_root_and_no_inverse(monkeypatch):
     # an E7 form of degree 26, an A8 form of degree 34 and D14 forms of
     # degrees 28 and 30, degrees that no other test twists: the
     # [omega_k] signs are read off their exponents, and the [f] unit,
-    # 1 at degree 28 and i at degree 30, off one top coefficient
+    # 1 at degree 28 and i at degree 30, off g's swap sign
     f1, f2, f3 = invariant_triple(GroupSpec("E7"))
     cases = [(f1 * f2 * f3, "E7"),
              (parse_poly("u0^34 - 2*u0^26*u1^8 + 5*u0^2*u1^32"), "A8"),
@@ -959,7 +987,7 @@ def test_twists_take_no_square_root_and_no_inverse(monkeypatch):
             label: (g if label == "[I2]" else None) if b is None
             else _two_pass_realify(g.compose(b))
             for label, b in _twist_classes(spec)})
-    assert [g.compose(quadrics._MF).real_coefficients()
+    assert [g.compose(_MF).real_coefficients()
             for g, _ in cases[2:]] == [True, False]
 
     def refuse(self, *args):
@@ -992,6 +1020,34 @@ def test_two_root_report_builds_no_compose_table():
     report = enumerate_forms(inst("u0^99*u1^99"))
     assert report.symmetry.name == "GmSemidirectZ2"
     assert exact._rows.cache_info() == before
+
+
+@pytest.mark.parametrize("text, group", [
+    ("u0^200 + u1^200", "D200"),
+    ("u0^199*u1 + u0*u1^199", "D198"),
+])
+def test_dihedral_report_builds_no_compose_table(text, group):
+    # the [f] twist at degree 200 reads its rows off g's support
+    before = exact._rows.cache_info()
+    report = enumerate_forms(inst(text))
+    assert report.symmetry.report_name == group
+    assert exact._rows.cache_info() == before
+
+
+def test_flip_rows_are_shared_across_forms():
+    # the rows are keyed by (degree, u0-exponent, unit): a second form
+    # on the same support, with other coefficients, reads them all
+    quadrics._flip_row.cache_clear()
+    first = parse_poly("u0^37*u1 + u0^19*u1^19 + u0*u1^37")
+    second = parse_poly("(zeta(5) + zeta(5)^4)*(u0^37*u1 + u0*u1^37)"
+                        " - 3/2*u0^19*u1^19")
+    spec = GroupSpec("D", 18)
+    for g, misses, hits in ((first, 3, 0), (second, 3, 3)):
+        twisted = {f.over_class: f.equation
+                   for f in quadrics._finite_forms(g, spec)}["[f]"]
+        assert twisted == _two_pass_realify(g.compose(_MF))
+        info = quadrics._flip_row.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (misses, hits, 3)
 
 
 def test_torus_fiber_report():
