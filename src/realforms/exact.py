@@ -129,6 +129,17 @@ def _reduce(n: int, vec):
     return vec
 
 
+def _product(n: int, a, b):
+    """a * b mod Phi_n for integer lists a and b of length phi(n)."""
+    out = [0] * (2 * len(a) - 1)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    for i, x in enumerate(a):
+        if x:
+            for j, c in terms:
+                out[i + j] += x * c
+    return _reduce(n, out)
+
+
 def _exponent_map(n: int, terms):
     """sum(c * z^e) over (e, c) in ``terms`` (e any int), reduced mod Phi_n."""
     vec = [0] * n
@@ -258,6 +269,8 @@ def _lowest(n, num, den):
 
 def _make(n, num, den):
     """The Cyclo sum(num[j] z_n^j) / den for num reduced mod Phi_n."""
+    if n == 1:
+        return _rational(num[0], den)
     return _lowest(*_minimal_conductor(n, num), den)
 
 
@@ -428,13 +441,7 @@ class Cyclo:
         if other.n != n:
             n = lcm(n, other.n)
             a, b = self._embed(n), other._embed(n)
-        out = [0] * (2 * len(a) - 1)
-        terms = [(j, c) for j, c in enumerate(b) if c]
-        for i, x in enumerate(a):
-            if x:
-                for j, c in terms:
-                    out[i + j] += x * c
-        return _make(n, _reduce(n, out), self.den * other.den)
+        return _make(n, _product(n, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -945,7 +952,9 @@ class Poly2(Poly):
         integers.  Any other m is its linear map on degree-d forms, the
         rows of `_rows`, cached per (entries of m, d) alike; a table holds
         (d + 1)^2 values of m's height, so m is one of a few fixed ones:
-        ALPHA, BETA, the catalog generators, and the unit shear into which
+        BETA, with which detection composes an E8 candidate, the catalog
+        generators of `groups.semi_invariant_character` (no command path
+        composes with ALPHA), and the unit shear into which
         `quadrics.realizable` conjugates each shear.  With g_j = sum_k
         G_jk z^k / D_g, each coordinate k (and limb of G_jk) costs one sum
         of G_jk times row j, read as bytes, one block of slots per output

@@ -17,7 +17,9 @@ This module provides:
 
 * ``QgInstance`` — a validated bundle datum (the binary form);
 * ``detect_symmetry`` — the stabilizer label of the root divisor,
-  read off g in its given coordinates;
+  read off g in its given coordinates: off its exponents, and for E6
+  and E7 off integer rows of its support; only an E8 candidate is
+  composed, with BETA;
 * ``realizable`` — an exact witness (scalar, matrix) putting a
   non-real g into real coefficients, when one exists among cyclotomic
   coordinate changes fixing the point at infinity;
@@ -51,11 +53,11 @@ from .exact import (
     Poly2,
     VerificationError,
     _make,
+    _product,
     euler_phi,
     root_multiplicities,
 )
 from .groups import (
-    ALPHA,
     BETA,
     GroupSpec,
     h1_names,
@@ -221,8 +223,9 @@ def _finite_symmetry(g):
     u0^a u1^b to i^deg g u0^b u1^a, so D_l adds one test, whose scalar
     is a sign (the reversal is an involution): the reversed form is +-g.
     E6 = <D2, ALPHA>, E7 = <E6, A4> and E8 = <A5, H_ROT, BETA>, with
-    H_ROT sending u0^a u1^b to (-1)^b u0^b u1^a, tested alike; only
-    ALPHA and BETA are composed.
+    H_ROT sending u0^a u1^b to (-1)^b u0^b u1^a, tested alike; ALPHA is
+    decided by `_alpha_semi_invariant` from integer rows of g's support,
+    and only BETA is composed, as its rows lie in Z[zeta_5].
 
     F is finite only with three or more roots, so g has two or more
     terms and 0 < d <= deg g.  Every A_l match has l | d, so A_d, or
@@ -238,8 +241,7 @@ def _finite_symmetry(g):
     d = gcd(*(a - exps[0] for a in exps))
     flip = g._result({(b, a): c for (a, b), c in g.terms.items()})
     swap = flip == g or flip == -g
-    if swap and d in (2, 4) \
-            and g.compose(ALPHA).proportionality(g) is not None:
+    if swap and d in (2, 4) and _alpha_semi_invariant(g):
         return GroupSpec("E7" if d == 4 else "E6")
     if d == 5 and not swap:
         turn = flip._result({(a, b): -c if a % 2 else c
@@ -248,6 +250,84 @@ def _finite_symmetry(g):
                 and g.compose(BETA).proportionality(g) is not None:
             return GroupSpec("E8")
     return GroupSpec("D", d) if swap and d > 1 else GroupSpec("A", d)
+
+
+def _alpha_semi_invariant(g):
+    """Whether g o ALPHA is a multiple of g, for g whose u1-exponents
+    all have one parity r (every exponent gcd d in (2, 4) gives that).
+    No composition, no inverse, and no Cyclo is built.
+
+    ALPHA = (1 - i) [[1, 1], [-i, i]] sends c_a u0^a u1^b to (1 - i)^D
+    i^b c_a (u0 + u1)^a (u1 - u0)^b, D = deg g, and i^b = i^r (-1)^[b/2].
+    So g o ALPHA = (1 - i)^D i^r h for h = sum c_a R_a, with the integer
+    forms R_a = (-1)^[b/2] (u0 + u1)^a (u1 - u0)^b of `_alpha_row`, and g
+    is ALPHA-semi-invariant iff h is a multiple of g.  Summed per
+    coordinate of the c_a at their common conductor n and denominator,
+    h and g have coefficients H_m and G_m in Z[zeta_n] (m the
+    u1-exponent), and for the u1-exponent t of g's top term h = s g for
+    some s iff H_t != 0 and H_m G_t == G_m H_t for every m; as Z[zeta_n]
+    is a domain, the supports then agree, and they are compared first.
+    At conductor 1 each side is one integer product.
+    """
+    d = g.degree
+    n, den, size, acc = _support_sum(g, lambda a: _alpha_row(d, a))
+    if {k // size for k, v in enumerate(acc) if v} != {b for _, b in g.terms}:
+        return False
+
+    def coords(b, c):  # H_b and G_b
+        return (acc[b * size:(b + 1) * size],
+                [v * (den // c.den) for v in c._embed(n)])
+
+    top = max(g.terms)
+    h_t, g_t = coords(top[1], g.terms[top])
+    pairs = (coords(b, c) for (_, b), c in g.terms.items())
+    if n == 1:
+        return all(h[0] * g_t[0] == x[0] * h_t[0] for h, x in pairs)
+    return all(_product(n, h, g_t) == _product(n, x, h_t) for h, x in pairs)
+
+
+@lru_cache(maxsize=256)
+def _alpha_row(d, a):
+    """R_a = (-1)^[b/2] (u0 + u1)^a (u1 - u0)^b, b = d - a, as its nonzero
+    (u1-exponent, integer) pairs: (u0 + u1)^a (u1 - u0)^b = (-1)^b (u0^2 -
+    u1^2)^s (u0 +- u1)^k for s = min(a, b), k = |a - b| and the sign +
+    iff a >= b."""
+    b = d - a
+    s, k, sign = min(a, b), abs(a - b), (-1) ** (b // 2 + b)
+    return _square_power_row(d, s, -1, [
+        (j, sign * comb(k, j) * (-1) ** ((a < b) * j)) for j in range(k + 1)])
+
+
+def _square_power_row(d, s, e, line):
+    """(u0^2 + e u1^2)^s times the degree-(d - 2s) form with u1^j
+    coefficient y for (j, y) in ``line``, as its nonzero (u1-exponent,
+    integer) pairs: one binomial convolution."""
+    row = [0] * (d + 1)
+    for t in range(s + 1):
+        x = comb(s, t) * e ** t
+        for j, y in line:
+            row[2 * t + j] += x * y
+    return tuple((m, r) for m, r in enumerate(row) if r)
+
+
+def _support_sum(g, rows):
+    """(n, den, size, acc) for sum c_a R_a over g's terms c_a u0^a u1^b,
+    R_a the integer form with the (u1-exponent, integer) pairs rows(a):
+    acc[m size + i] is coordinate i of its u1^m coefficient times den,
+    at the common conductor n and denominator den of the c_a, for size
+    = phi(n)."""
+    n = lcm(*(c.n for c in g.terms.values()))
+    den = lcm(*(c.den for c in g.terms.values()))
+    size = euler_phi(n)
+    acc = [0] * ((g.degree + 1) * size)
+    for (a, _), c in g.terms.items():
+        row = rows(a)
+        for i, v in enumerate(c._embed(n)):
+            if v:
+                v *= den // c.den
+                for m, r in row:
+                    acc[m * size + i] += r * v
+    return n, den, size, acc
 
 
 def detect_symmetry(q):
@@ -259,9 +339,10 @@ def detect_symmetry(q):
     semi-invariance and the unique maximal hit is returned (the trivial
     group A1 always matches, so there is always an answer).  A_l and
     D_l are read off the u0-exponents of g and of its reversal; an
-    E-group is tested only where the rotations allow it, by composing g
-    with its one generator that is not a monomial matrix.  No group is
-    closed.
+    E-group is tested only where the rotations allow it, on its one
+    generator that is not a monomial matrix: ALPHA (E6, E7) by integer
+    rows of g's support and cross-multiplication, BETA (E8) by
+    composing g with it.  No group is closed.
 
     The scan sees only groups in standard position — rotation axis at
     [1:0], [0:1] and fixed reflections — so F is read off g in its
@@ -483,18 +564,10 @@ def _flip_twist(g):
     if d % 2 or not (flip == g or flip == -g):
         raise VerificationError(_NOT_REALIFIED)
     unit = (flip == g) == (d % 4 == 2)  # i^d e = -1: u = i
-    n = lcm(*(c.n for c in g.terms.values()))
-    den = lcm(*(c.den for c in g.terms.values()))
-    size, acc = euler_phi(n), {}
-    for (a, _), c in g.terms.items():
-        coords = [(i, v * (den // c.den)) for i, v in enumerate(c._embed(n))
-                  if v]
-        for m, r in _flip_row(d, a, unit):
-            vec = acc.get(m) or acc.setdefault(m, [0] * size)
-            for i, v in coords:
-                vec[i] += r * v
-    return g._result({(d - m, m): _make(n, acc[m], den)
-                      for m in sorted(acc, reverse=True) if any(acc[m])})
+    n, den, size, acc = _support_sum(g, lambda a: _flip_row(d, a, unit))
+    coeffs = ((m, acc[m * size:(m + 1) * size]) for m in range(d, -1, -1))
+    return g._result({(d - m, m): _make(n, num, den)
+                      for m, num in coeffs if any(num)})
 
 
 @lru_cache(maxsize=64)
@@ -506,14 +579,9 @@ def _flip_row(d, a, unit):
     coefficient is C(k, j) (+-1)^j (-1)^((e + j) / 2) for j = e mod 2."""
     b = d - a
     s, k, e = min(a, b), abs(a - b), unit + b
-    line = [(j, comb(k, j) * (-1) ** ((e + j) // 2 + (a < b) * j))
-            for j in range(e % 2, k + 1, 2)]
-    row = [0] * (d + 1)
-    for t in range(s + 1):
-        x = comb(s, t)
-        for j, y in line:
-            row[2 * t + j] += x * y
-    return tuple((m, r) for m, r in enumerate(row) if r)
+    return _square_power_row(d, s, 1, [
+        (j, comb(k, j) * (-1) ** ((e + j) // 2 + (a < b) * j))
+        for j in range(e % 2, k + 1, 2)])
 
 
 # ----------------------------------------------------------------------

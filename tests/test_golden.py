@@ -30,7 +30,7 @@ OPTIMIZED = ("h1-A4", "forms-Q3", "links-H1", "torus-d2", "lattice-Wb",
              "verify-schwarzenberger", "verify-involutions",
              "verify-witnesses", "verify-qg-table", "error-parse",
              "error-square", "classify-repeated-conductor77",
-             "classify-GmZ2", "classify-E8", "classify-D24")
+             "classify-GmZ2", "classify-E8", "classify-D24", "classify-E6")
 
 
 def _run(args):

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -12,8 +12,8 @@ import pytest
 from realforms import exact, groups, quadrics
 from realforms.exact import (Cyclo, Mat2, Poly, Poly2, as_cyclo,
                             root_multiplicities)
-from realforms.groups import (F_SWAP, H_ROT, GroupSpec, catalog, generators,
-                              h1_named, mat_key, rotation_gen,
+from realforms.groups import (ALPHA, F_SWAP, H_ROT, GroupSpec, catalog,
+                              generators, h1_named, mat_key, rotation_gen,
                               semi_invariant_character, twisted_class_of,
                               unimodular_lift)
 from realforms.parsing import MAX_DEGREE, parse_poly, render_poly
@@ -319,6 +319,115 @@ def test_h_rot_is_swap_then_half_turn():
     assert generators(GroupSpec("E8"))[1] == H_ROT
 
 
+# Klein's octahedral forms T, W and chi (`invariant_triple` of E6), the
+# tetrahedral Phi of conductor 3 (Phi Psi = W), and coefficients at
+# conductors 1, 4, 5, 8 and 12, some of them not real
+_KLEIN = {"T": "u0^5*u1 - u0*u1^5", "W": "u0^8 + 14*u0^4*u1^4 + u1^8",
+          "chi": "u0^12 - 33*u0^8*u1^4 - 33*u0^4*u1^8 + u1^12",
+          "Phi": "u0^4 + 2*(2*zeta(3) + 1)*u0^2*u1^2 + u1^4"}
+_ALPHA_SCALARS = (1, -2, Fraction(3, 7), Fraction(-5, 4), Cyclo.i(),
+                  Cyclo.zeta(5) + Cyclo.zeta(5, 4), 2 - Cyclo.zeta(5),
+                  Cyclo.zeta(8), Cyclo.zeta(8) + Cyclo.zeta(8, 7),
+                  Cyclo.zeta(12) + Cyclo.zeta(12, 5), 1 + Cyclo.zeta(12))
+# T^i W^j chi^k Phi^l for every (i, j, k, l) of degree at most 36, and
+# five of degree MAX_DEGREE
+_KLEIN_PRODUCTS = [e for e in ((i, j, k, l) for i in range(7)
+                               for j in range(5) for k in range(4)
+                               for l in range(10))
+                   if 0 < 6 * e[0] + 8 * e[1] + 12 * e[2] + 4 * e[3] <= 36] \
+    + [(0, 25, 0, 0), (2, 1, 15, 0), (0, 10, 10, 0), (0, 1, 16, 0),
+       (0, 23, 1, 1)]
+
+
+def _swap_gcd(g):
+    """The exponent gcd d of g if g is +-its reversal, else None."""
+    exps = [a for a, _ in g.terms]
+    flip = Poly2(g.degree, {(b, a): c for (a, b), c in g.terms.items()})
+    if len(exps) > 1 and (flip == g or flip == -g):
+        return gcd(*(a - exps[0] for a in exps))
+    return None
+
+
+def _alpha_sweep(seed=34):
+    """Swap forms with exponent gcd 2 or 4: scaled Klein products, sums
+    of two of one degree, Klein products with one coefficient pair
+    moved, random D2/D4 forms with rational and cyclotomic coefficients,
+    and two D2 forms of degree MAX_DEGREE."""
+    rng = random.Random(seed)
+    klein = {k: parse_poly(v) for k, v in _KLEIN.items()}
+
+    def coeff():
+        return as_cyclo(rng.choice(_ALPHA_SCALARS))
+
+    products = []
+    for expo in _KLEIN_PRODUCTS:
+        g = Poly2(0, {(0, 0): 1})
+        for name, k in zip(_KLEIN, expo):
+            g = g * klein[name] ** k
+        products.append(g)
+    out = [g * coeff() for g in products]
+    for _ in range(60):
+        g, h = rng.sample(products, 2)
+        if g.degree == h.degree:
+            out.append(g * coeff() + h * coeff())
+    for g in products:
+        (a, b), c = rng.choice(sorted(g.terms.items()))
+        if a != b:
+            sign = 1 if g.terms[(b, a)] == c else -1
+            moved = coeff() * c
+            out.append(g + Poly2(g.degree, {(a, b): moved,
+                                            (b, a): moved * sign}))
+    for _ in range(120):
+        l, d = rng.choice((2, 4)), rng.randrange(4, 37, 2)
+        rs = [r for r in range(l) if 2 * r % l == d % l]
+        support = range(rng.choice(rs), d + 1, l)
+        sign, terms = rng.choice((1, -1)), {}
+        for a in rng.sample(support, rng.randint(1, min(5, len(support)))):
+            if a != d - a or sign > 0:  # an odd middle coefficient is 0
+                c = coeff() if rng.random() < 0.4 else \
+                    as_cyclo(Fraction(rng.randint(-9, 9) or 1,
+                                      rng.randint(1, 6)))
+                terms[(a, d - a)] = c
+                terms[(d - a, a)] = c * sign
+        out.append(Poly2(d, terms))
+    out += [parse_poly("u0^199*u1 + 3*u0^101*u1^99 + 3*u0^99*u1^101"
+                       " + u0*u1^199"),
+            parse_poly("(u0^5*u1 - u0*u1^5)^33*(u0^2 + u1^2)")]
+    return [g for g in out if _swap_gcd(g) in (2, 4)]
+
+
+def test_alpha_test_matches_the_alpha_compose_on_seeded_sweep():
+    # below MAX_DEGREE the oracle is g o ALPHA; at MAX_DEGREE it is that
+    # composition as g o diag(1, i) o [[1, 1], [-1, 1]], up to the scalar
+    # (1 - i)^MAX_DEGREE, as compose is a right action: its table is
+    # rational and builds in a quarter of the time of ALPHA's
+    i = Cyclo.i()
+    steps = (Mat2.diag(1, i), Mat2(1, 1, -1, 1))
+    assert (steps[0] * steps[1]).scale(1 - i) == ALPHA
+    sweep = _alpha_sweep()
+    seen, conductors, degrees = [], set(), set()
+    for g in sweep:
+        if g.degree < MAX_DEGREE:
+            moved = g.compose(ALPHA)
+        else:
+            moved = g.compose(steps[0]).compose(steps[1])
+        expected = moved.proportionality(g) is not None
+        assert quadrics._alpha_semi_invariant(g) == expected, render_poly(g)
+        seen.append(expected)
+        conductors.update(c.n for c in g.terms.values())
+        degrees.add(g.degree)
+        if g.degree == MAX_DEGREE:
+            d = _swap_gcd(g)
+            label = ("E7" if d == 4 else "E6") if expected else "D%d" % d
+            assert quadrics._finite_symmetry(g).name == label
+    assert len(sweep) >= 200
+    assert min(seen.count(True), seen.count(False)) >= len(sweep) // 5
+    assert {1, 3, 4, 5, 8, 12} <= conductors
+    assert any(c.conjugate() != c for g in sweep for c in g.terms.values())
+    assert sum(d == MAX_DEGREE for d in degrees) == 1
+    assert sum(g.degree == MAX_DEGREE for g in sweep) >= 5
+
+
 def test_report_renders_each_equation_once(monkeypatch):
     # E7: eight forms over [I2], [omega_8] and [h]; the first two
     # classes carry g and one twisted equation
@@ -339,6 +448,11 @@ def test_report_renders_each_equation_once(monkeypatch):
     # BETA only: the swap and the half-turn are read off exponents
     ("u0^11*u1 + 11*u0^6*u1^6 - u0*u1^11", 1, "E8"),
     ("u0^24 + u1^24", 0, "D24"),
+    # the ALPHA test reads g's support: E6, E7, and a D2 and a D4 that fail
+    (TETRAHEDRAL, 0, "E6"),
+    ("u0^5*u1 - u0*u1^5", 0, "E7"),
+    ("u0^4 + u0^2*u1^2 + u1^4", 0, "D2"),
+    ("u0^8 + 3*u0^4*u1^4 + u1^8", 0, "D4"),
 ])
 def test_detection_op_counts(monkeypatch, text, composes, label):
     q = inst(text)
@@ -1025,9 +1139,12 @@ def test_two_root_report_builds_no_compose_table():
 @pytest.mark.parametrize("text, group", [
     ("u0^200 + u1^200", "D200"),
     ("u0^199*u1 + u0*u1^199", "D198"),
+    ("(u0^8+14*u0^4*u1^4+u1^8)^25", "E7"),
+    ("u0^199*u1+3*u0^101*u1^99+3*u0^99*u1^101+u0*u1^199", "D2"),
 ])
 def test_dihedral_report_builds_no_compose_table(text, group):
-    # the [f] twist at degree 200 reads its rows off g's support
+    # the [f] twist and the ALPHA test at degree 200 read their rows off
+    # g's support
     before = exact._rows.cache_info()
     report = enumerate_forms(inst(text))
     assert report.symmetry.report_name == group
