@@ -6,10 +6,18 @@ factor is an integer or rational (``1/2``, no spaces around the
 slash), ``i``, ``zeta(N)``, a variable, a parenthesized expression or
 a negated factor.  An exponent and the N of ``zeta(N)`` are integer
 literals: ``u0^4/2`` and ``zeta(8/2)`` are malformed, like ``u0^1/2``,
-whatever the value of the fraction.  Whitespace is ignored.  While it is
-parsed, a monomial is a coefficient (an int or Fraction until ``i`` or
-``zeta`` enters it) and an exponent tuple; each sum merges its terms into
-one ``exact.Poly``, and a monomial times such a sum is a ``Poly`` product.
+whatever the value of the fraction.  Whitespace is ignored.
+
+The lexer reads a monomial (an optional literal, then each plain
+variable at most once and in order, each with an optional ``^k``,
+joined by ``*`` and not followed by ``^``) as one token, except right
+after ``^`` or ``*`` (a unary minus between aside) and in ``zeta(`` or
+``conj(``.  It holds (c, exps) and the degree, or the ParseError of the
+first bound it passes, raised when the parser reaches it, so errors
+keep their order and positions; a term that is one such token goes
+straight into its sum.  Any other token is a (c, exps) too (``i`` and
+``zeta`` give a Cyclo c), products and powers are ``Poly`` ones, and
+each sum merges its terms into one ``exact.Poly``.
 `parse_poly` reads a binary form in u0 and u1 and rejects ``conj``,
 brackets, ``:`` and ``;``; the form must be homogeneous and nonzero,
 checked once at the end so that the error can list every term degree.
@@ -22,10 +30,13 @@ Huge input fails fast: the parser refuses, before evaluating it, a
 ``^`` exponent past `MAX_DEGREE`, a product or power whose total degree
 would pass it, and a ``zeta(N)`` whose field, together with the other
 ``zeta`` and ``i`` of the text, has conductor past `MAX_CONDUCTOR`,
-and parentheses nested deeper than `MAX_NESTING`.  `parse_poly` also
-refuses a form that no report could print: one with a coefficient whose
-numerator or denominator (of a ``Cyclo.coeffs`` Fraction) has more
-digits than ``sys.get_int_max_str_digits()`` allows (0 means no limit).
+and parentheses nested deeper than `MAX_NESTING`.  A numeral with more
+digits (leading zeros aside) than ``sys.get_int_max_str_digits()``
+allows (0 means no limit) is past the exponent or conductor bound by
+its length; as a coefficient it is refused in the words of the last
+bound: `parse_poly` also refuses a form that no report could print, one
+with a coefficient whose numerator or denominator (of a
+``Cyclo.coeffs`` Fraction) has more such digits.
 A bit-length screen passes ordinary forms without building a Fraction.
 
 render_poly and render_scalar produce text that parse_poly maps back to
@@ -36,8 +47,8 @@ the same object, and scalar_json gives the stable dictionary form
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
 from .exact import Cyclo, Poly, Poly2, _nonzero, _rational, as_cyclo
 
@@ -50,21 +61,25 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Largest exponent and total degree of a parsed expression.  Cold medians
-# of one ``classify-qg --poly`` run (CPython 3.11.7, shared 2-CPU
-# container): u0^d+u1^d takes 0.16 s at d = 50, 0.29 s at 100, 0.67 s at
-# 200, 1.28 s at 256, 2.66 s at 300 and 19-21 s at 520;
-# u0^199*u1+u0*u1^199 takes 1.08 s and (u0+u1)^200+u0^200 0.57 s.  At
-# 200 no accepted fiber costs much more than a second.
+# Largest exponent and total degree of a parsed expression.  Cold best
+# of 5 of one ``classify-qg --poly`` run (CPython 3.11.7, shared 2-CPU
+# container; past 200 with the bound raised): u0^d+u1^d takes 83-88 ms
+# for d from 50 to 520, as at d = 6, u0^199*u1+u0*u1^199 86 ms and
+# (u0+u1)^200+u0^200 95 ms.  The E8 test still composes with BETA:
+# f^k, f = u0^11*u1+11*u0^6*u1^6-u0*u1^11, takes 3.3 s at degree 180,
+# 5.4 s at 204 and 26 s at 300.  At 200 no accepted fiber costs more
+# than a few seconds.
 MAX_DEGREE = 200
 
 # Largest conductor of the field that the ``zeta(N)`` and ``i`` of one
 # text generate (the lcm of the N, with 4 for i): mixing conductors
-# multiplies in their lcm.  In-process parse times of
-# (u0+zeta(N)*u1)^200+u0^200: 0.69 s at N = 60, 0.77 s at 127, 1.42 s
-# at 251, 2.89 s at 509 and 3.78 s at 1021; cold ``classify-qg`` of
-# zeta(N)*u0^4+u1^4 takes 0.24 s at 1021, 7.2 s at 10007 and more than
-# 30 s at 100003.  At 256 the worst parse stays near the degree bound's.
+# multiplies in their lcm.  Parsing no longer needs it: in the same
+# setting (u0+zeta(N)*u1)^200+u0^200 parses in 3-5 ms for N up to 251
+# and 15 ms at 1021, and cold ``classify-qg`` of zeta(N)*u0^4+u1^4
+# (refused as not real) takes 87 ms at 1021 and 175 ms at 100003.  It
+# keeps the fields of a classification, where a product convolves
+# phi(N) slots, near the tested ones (conductor 60 in the benchmark,
+# 77 in the golden corpus).
 MAX_CONDUCTOR = 256
 
 # Deepest nesting of parentheses, checked while tokenizing.  The parser
@@ -79,38 +94,114 @@ MAX_NESTING = 100
 
 _TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|([A-Za-z][A-Za-z0-9_]*)|(\S)")
 _SYMBOLS = "+-*^():;[]"
+_DIGITS = ("a coefficient has more than %d digits, the limit for printing "
+           "an integer")
 
 
-def _tokenize(text):
-    tokens = []
-    depth = 0
-    for match in _TOKEN.finditer(text):
-        digits, fraction, name, other = match.groups()
-        pos = match.start()
+@lru_cache(maxsize=None)
+def _lexer(names):
+    """`_TOKEN` behind one more alternative: a monomial over ``names``.
+
+    Group 1 is the literal, 2k + 2 name k and 2k + 3 its exponent; a
+    part after another follows a ``*``.  No number in it has a leading
+    zero or is followed by ``/``, an exponent has at most three digits,
+    and the monomial is not followed by ``^``: such a text lexes as
+    separate tokens instead.
+    """
+    def given(yes, no):  # yes if a group of ``before`` has matched
+        for group in reversed(before):
+            no = "(?(%d)%s|%s)" % (group, yes, no)
+        return no
+
+    number = "(?:0|[1-9][0-9]%s)"
+    before, parts = [1], [r"(?:(%s(?:/[1-9][0-9]*)?)(?![0-9/]))?"
+                          % (number % "*")]
+    for k, name in enumerate(names):
+        word = "(?!)" if name in ("i", "zeta", "conj") else re.escape(name)
+        parts.append(r"(?:%s(%s)(?![A-Za-z0-9_])(?:\s*\^\s*(%s)(?![0-9/]))?)?"
+                     % (given(r"\s*\*\s*", ""), word, number % "{0,2}"))
+        before.append(2 * k + 2)
+    parts.append(given("", "(?!)") + r"(?!\s*\^)|" + _TOKEN.pattern)
+    return re.compile("".join(parts))
+
+
+def _number(digits):
+    """The integer that ``digits`` write, or them as text past the limit."""
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return digits
+
+
+def _monomial(match, origin, count):
+    """A "mono" token: its (c, exps) and degree, or the ParseError of the
+    first bound that it passes, which the parser raises when it reads it."""
+    groups, exps, degree, text = match.groups(), list(origin), 0, match.string
+    try:
+        c = Fraction(groups[0]) if "/" in (groups[0] or "") \
+            else int(groups[0] or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return "mono", ParseError(_DIGITS % sys.get_int_max_str_digits(),
+                                  match.start()), match.start()
+    for k in range(count):
+        if groups[2 * k + 1]:
+            e = exps[k] = int(groups[2 * k + 2] or 1)
+            degree += e
+            if degree > MAX_DEGREE:  # at its exponent, or at the * before
+                what, value, at = ("exponent", e, match.start(2 * k + 3)) \
+                    if e > MAX_DEGREE else ("degree", degree, text.rindex(
+                        "*", 0, match.start(2 * k + 2)))
+                return "mono", ParseError("%s %d exceeds the bound %d" % (
+                    what, value, MAX_DEGREE), at), match.start()
+    return "mono", ((c, tuple(exps)), degree), match.start()
+
+
+def _tokenize(text, names, origin):
+    """The (kind, value, position) tokens of ``text``: a monomial over the
+    plain ``names`` is one, but not right after ``*`` or ``^`` (unary
+    ``-`` between them aside) or in ``zeta(`` or ``conj(``."""
+    lexer, width = _lexer(names), 2 * len(names) + 1
+    tokens, depth, pos, monomial = [], 0, 0, True
+    while True:
+        match = (lexer if monomial else _TOKEN).search(text, pos)
+        if match is None:
+            break
+        pos = match.end()
+        if monomial and match.lastindex <= width:
+            tokens.append(_monomial(match, origin, len(names)))
+            continue
+        digits, fraction, name, other = match.groups()[-4:]
+        start = match.start()
         if digits:
-            value = int(digits)
+            monomial = True
+            value = _number(digits)
             if fraction is not None:
                 if len(fraction) == 1:
-                    raise ParseError("expected digits after '/'",
-                                     match.end())
-                den = int(fraction[1:])
+                    raise ParseError("expected digits after '/'", pos)
+                den = _number(fraction[1:])
                 if den == 0:
-                    raise ParseError("zero denominator", match.start(2) + 1)
-                value = Fraction(value, den)
-            tokens.append(("num", value, pos))
+                    raise ParseError("zero denominator",
+                                     pos - len(fraction) + 1)
+                value = match.group() if str in (type(value), type(den)) \
+                    else Fraction(value, den)
+            tokens.append(("num", value, start))
         elif name:
-            tokens.append(("name", name, pos))
+            monomial = name not in ("zeta", "conj")
+            tokens.append(("name", name, start))
         elif other in _SYMBOLS:
             if other == "(":
                 depth += 1
                 if depth > MAX_NESTING:
                     raise ParseError("parentheses nested deeper than %d"
-                                     % MAX_NESTING, pos)
+                                     % MAX_NESTING, start)
             elif other == ")":
                 depth -= 1
-            tokens.append((other, None, pos))
+            if other not in "(-":  # these two keep the rule before them
+                monomial = other not in "*^"
+            tokens.append((other, None, start))
         else:
-            raise ParseError("unexpected character %r" % other, pos)
+            raise ParseError("unexpected character %r" % other, start)
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -123,7 +214,6 @@ class _Parser:
     """
 
     def __init__(self, text, names, formula=False):
-        self.tokens = _tokenize(text)
         self.k = 0
         self.index = {name: k for k, name in enumerate(names)}
         self.formula = formula
@@ -133,6 +223,7 @@ class _Parser:
         self.units = [next(iter(x.terms)) for x in variables]
         self.origin = (0,) * len(variables)
         self.conductor = 1
+        self.tokens = _tokenize(text, names, self.origin)
 
     def peek(self):
         return self.tokens[self.k]
@@ -168,9 +259,13 @@ class _Parser:
     def expr(self):
         # one dict for all terms: a Poly per + would be quadratic in them
         op = self.take()[0] if self.peek()[0] in ("+", "-") else "+"
-        sums, degree = {}, 0
+        sums, degree, tokens = {}, 0, self.tokens
         while True:
-            value, rdeg = self.term()
+            # a monomial token that is the whole term needs no descent
+            if tokens[self.k][0] == "mono" and tokens[self.k + 1][0] != "*":
+                value, rdeg = self.atom()
+            else:
+                value, rdeg = self.term()
             degree = max(degree, rdeg)
             if type(value) is tuple:
                 c, k = value
@@ -198,10 +293,7 @@ class _Parser:
             pos = self.take()[2]
             rhs, rdeg = self.factor()
             degree = self.bound_degree(degree + rdeg, pos)
-            if type(value) is tuple and type(rhs) is tuple:
-                value = (value[0] * rhs[0], tuple(map(add, value[1], rhs[1])))
-            else:
-                value = self.poly(value) * self.poly(rhs)
+            value = self.poly(value) * self.poly(rhs)
         return value, degree
 
     @staticmethod
@@ -220,15 +312,15 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             kind, k, pos = self.take("num")
+            if type(k) is str and "/" not in k or type(k) is int \
+                    and k > MAX_DEGREE:  # text: more digits than int() takes
+                raise ParseError("exponent %s exceeds the bound %d"
+                                 % (k, MAX_DEGREE), pos)
             if type(k) is not int:
                 raise ParseError("exponent must be a nonnegative integer",
                                  pos)
-            if k > MAX_DEGREE:
-                raise ParseError("exponent %d exceeds the bound %d"
-                                 % (k, MAX_DEGREE), pos)
             degree = self.bound_degree(degree * k, pos)
-            value = (value[0] ** k, tuple([e * k for e in value[1]])) \
-                if type(value) is tuple else value ** k
+            value = self.poly(value) ** k
         if negate:
             value = (-value[0], value[1]) if type(value) is tuple else -value
         return value, degree
@@ -243,7 +335,13 @@ class _Parser:
 
     def atom(self):
         kind, value, pos = self.take()
+        if kind == "mono":
+            if type(value) is ParseError:
+                raise value
+            return value
         if kind == "num":
+            if type(value) is str:
+                raise ParseError(_DIGITS % sys.get_int_max_str_digits(), pos)
             return (value, self.origin), 0
         if kind == "(":
             inner = self.expr()
@@ -257,6 +355,10 @@ class _Parser:
         if value == "zeta":
             self.take("(")
             nkind, nval, npos = self.take("num")
+            if type(nval) is str and "/" not in nval:
+                raise ParseError("the text's scalars need a conductor of at "
+                                 "least %d digits, past the bound %d"
+                                 % (len(nval), MAX_CONDUCTOR), npos)
             if type(nval) is not int or nval < 1:
                 raise ParseError("zeta takes a positive integer", npos)
             self.field(nval, npos)
@@ -296,8 +398,7 @@ def parse_poly(text):
         if limit and max(c.den, *map(abs, c.num)).bit_length() > 3 * limit \
                 and any(max(abs(q.numerator), q.denominator) >= 10 ** limit
                         for q in c.coeffs):
-            raise ValueError("a coefficient has more than %d digits, the "
-                             "limit for printing an integer" % limit)
+            raise ValueError(_DIGITS % limit)
     # the terms are tidy and of one degree: no second tidy loop
     return Poly2._result(value, value.terms)
 

@@ -157,6 +157,23 @@ def test_conductor_77_fiber_classifies_cold():
     assert json.loads(proc.stdout)["n"] == 6
 
 
+def test_numerals_past_the_digit_limit_exit_2_with_a_position():
+    # CPython's own int() refusal named sys.set_int_max_str_digits and no
+    # position; each numeral is now a parse error where it stands
+    nines = "9" * 5000
+    for poly, message in (
+            ("%s*u0^2+u1^2" % nines, "more than 4300 digits"),
+            ("u0^%s+u1^2" % nines, "exceeds the bound"),
+            ("zeta(%s)*u0^2+u1^2" % nines, "past the bound")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "realforms.cli", "classify-qg", "--poly",
+             poly], capture_output=True, env=_cli_env(), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        stderr = proc.stderr.decode()
+        assert message in stderr and "(at position " in stderr, stderr
+        assert "sys." not in stderr, stderr
+
+
 def test_record_writes_only_the_named_cases(tmp_path):
     # on a copy of the corpus: one case spoiled and re-recorded, one
     # spoiled and left alone, then an unknown name that writes nothing

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+import descent
 from realforms.exact import Cyclo, Mat2, Poly, Poly2, euler_phi
 from realforms.parsing import (MAX_CONDUCTOR, MAX_DEGREE, MAX_NESTING,
-                               ParseError, matrix_json, parse_formula,
-                               parse_poly, render_poly, render_scalar,
-                               scalar_json)
+                               ParseError, _tokenize, matrix_json,
+                               parse_formula, parse_poly, render_poly,
+                               render_scalar, scalar_json)
 
 
 def test_basic_polynomials():
@@ -167,6 +168,36 @@ def test_coefficient_digit_bound():
         with pytest.raises(ValueError, match="more than 4300 digits"):
             parse_poly("(%s*u0+u1)^200+u0^200" % ("9" * 300))
         assert time.perf_counter() - start < 0.5
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_numerals_past_the_digit_limit_are_parse_errors():
+    # CPython refuses int() of more digits than its limit: a coefficient
+    # is refused at its numeral, a long exponent or zeta(N) is past its
+    # bound by its digit count
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 5000
+    try:
+        sys.set_int_max_str_digits(4300)
+        for text, message, position in (
+                (nines + "*u0^2+u1^2", "more than 4300 digits", 0),
+                ("1/%s*u0^2+u1^2" % nines, "more than 4300 digits", 0),
+                ("u0*%s*u0+u1^2" % nines, "more than 4300 digits", 3),
+                ("u0^%s+u1^2" % nines, "exponent %s exceeds the bound %d"
+                 % (nines, MAX_DEGREE), 3),
+                ("u0^%s/2+u1^2" % nines, "nonnegative integer", 3),
+                ("zeta(%s)*u0^2+u1^2" % nines, "conductor of at least 5000 "
+                 "digits, past the bound %d" % MAX_CONDUCTOR, 5)):
+            with pytest.raises(ParseError, match=message) as info:
+                parse_poly(text)
+            assert info.value.position == position, text
+        # leading zeros are not digits of the value
+        assert parse_poly("0" * 5000 + "3*u0^2+u1^%s2" % ("0" * 5000)) \
+            == parse_poly("3*u0^2+u1^2")
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(ParseError, match="exponent %s exceeds" % nines):
+            parse_poly("u0^%s+u1^2" % nines)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -332,3 +363,90 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_poly("u0^2 + $")
     assert info.value.position == 7
+
+
+def test_a_rendered_form_lexes_as_one_token_per_term():
+    rng = random.Random(35)
+    for degree in (1, 6, 16, MAX_DEGREE):
+        terms = {(a, degree - a): Fraction(rng.choice([1, -1, 7, -12]),
+                                           rng.choice([1, 1, 3]))
+                 for a in rng.sample(range(degree + 1), min(degree + 1, 8))}
+        top = max(terms)
+        terms[top] = abs(terms[top])
+        g = Poly2(degree, terms)
+        kinds = [tok[0] for tok in _tokenize(render_poly(g), ("u0", "u1"),
+                                             (0, 0))]
+        k = len(terms)
+        assert kinds[::2] == ["mono"] * k and kinds[-1] == "end"
+        assert set(kinds[1:-1:2]) <= {"+", "-"} and len(kinds) == 2 * k
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ("(u0+u1)^2*u0", "( mono + mono ) ^ num * name end"),
+    ("zeta(8)*u0", "name ( num ) * name end"),
+    ("2*u0^2^3", "mono * name ^ num ^ num end"),
+    ("u0^1/2", "name ^ num end"),
+    ("2u0", "mono mono end"),
+    ("-2*u0^3*u1 - u1^4*-u0^0", "- mono - mono * - name ^ num end")])
+def test_monomial_tokens_stop_where_the_grammar_reads_single_ones(text, kinds):
+    # no monomial after ^ or * (nor across a unary minus), in zeta(, or
+    # followed by ^; each text parses or fails as the old parser does
+    assert " ".join(tok[0] for tok in _tokenize(text, ("u0", "u1"), (0, 0))) \
+        == kinds
+    assert _outcome(parse_poly, text) == _outcome(descent.parse_poly, text)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _text(rng, depth=0):
+    """A random sum of products over the parser's pieces, some malformed."""
+    def atom():
+        if depth < 2 and rng.random() < 0.1:
+            return "(" + _text(rng, depth + 1) + ")"
+        return rng.choice(ATOMS)
+
+    def factor():
+        text = "-" * (rng.random() < 0.1) + atom()
+        if rng.random() < 0.4:
+            text += rng.choice(("^", " ^ ")) + rng.choice(EXPONENTS)
+        return text
+
+    def term():
+        return rng.choice(("*", " * ", "*")).join(
+            factor() for _ in range(rng.randint(1, 4)))
+
+    text = "-" * (rng.random() < 0.2) + term()
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice(("+", "-", " + ", " - ")) + term()
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        k = rng.randrange(len(text) + 1)
+        cut = k + rng.randint(0, 1)  # insert a character or replace one
+        text = text[:k] + rng.choice("*+-^() 01/u$") + text[cut:]
+    return text
+
+
+ATOMS = ["1", "2", "7", "12", "05", "3/4", "1/2", "u0", "u1", "x0", "i",
+         "zeta(5)"] * 5 + ["0", "2/0", "2/", "u01", "x", "conj(u0)",
+                           "conj(x1)"]
+EXPONENTS = ["0", "1", "2", "3", "0201"] + [str(MAX_DEGREE + j)
+                                           for j in (-100, -1, 0, 1, 799)]
+
+
+def test_monomial_tokens_parse_as_the_descent_parser_does():
+    # seeded texts, many malformed: the same value, or the same error
+    # message and position, for a binary form and for a formula
+    rng = random.Random(3535)
+    parsed = 0
+    for _ in range(1500):
+        text = _text(rng)
+        expected = _outcome(descent.parse_poly, text)
+        assert _outcome(parse_poly, text) == expected, text
+        parsed += isinstance(expected, Poly2)
+        assert _outcome(parse_formula, text, ("x0", "x1")) == \
+            _outcome(descent.parse_formula, text, ("x0", "x1")), text
+    assert parsed > 50
